@@ -86,12 +86,8 @@ _LAZY_EXPORTS: dict[str, tuple[str, str]] = {
     "SelectionSpec": ("repro.selection", "SelectionSpec"),
     "SelectionResult": ("repro.selection", "SelectionResult"),
     "SetCoverProblem": ("repro.selection", "SetCoverProblem"),
-    "Solver": ("repro.selection", "Solver"),
-    "get_solver": ("repro.selection", "get_solver"),
-    "list_solvers": ("repro.selection", "list_solvers"),
     "SelectionError": ("repro.selection", "SelectionError"),
     "InfeasibleSelectionError": ("repro.selection", "InfeasibleSelectionError"),
-    "UnknownSolverError": ("repro.selection", "UnknownSolverError"),
     # consolidated error hierarchy
     "ReproError": ("repro.errors", "ReproError"),
     # slicing / analysis / refinement
@@ -148,21 +144,7 @@ def __getattr__(name: str) -> Any:
         module_name, attr = _LAZY_EXPORTS[name]
     except KeyError as exc:  # pragma: no cover - defensive
         raise AttributeError(f"module 'repro' has no attribute {name!r}") from exc
-    try:
-        module = import_module(module_name)
-    except ModuleNotFoundError as exc:
-        if exc.name is not None and (
-            exc.name == module_name or module_name.startswith(exc.name + ".")
-        ):
-            # The backing module itself is one of the not-yet-implemented
-            # pipeline stages: surface that clearly instead of leaking an
-            # ImportError out of attribute access.
-            raise AttributeError(
-                f"repro.{name} is not available yet: backing module "
-                f"{module_name!r} is not implemented in this build"
-            ) from exc
-        raise  # a dependency of an implemented module is genuinely missing
-    return getattr(module, attr)
+    return getattr(import_module(module_name), attr)
 
 
 def __dir__() -> list[str]:  # pragma: no cover - trivial

@@ -221,6 +221,25 @@ class CommunityResult:
     def __len__(self) -> int:
         return len(self.best.communities)
 
+    def to_dict(self) -> dict:
+        """The best partition, communities in order (no dendrogram)."""
+        return {
+            "communities": [sorted(c) for c in self.best.communities],
+            "modularity": self.best.modularity,
+            "removed_edges": self.best.removed_edges,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "CommunityResult":
+        """Rebuild a :meth:`to_dict` result; its best partition is its
+        only level."""
+        best = CommunityLevel(
+            communities=tuple(frozenset(c) for c in data["communities"]),
+            modularity=float(data["modularity"]),
+            removed_edges=int(data["removed_edges"]),
+        )
+        return cls(levels=[best], best=best)
+
     def summary(self) -> str:
         sizes = sorted(
             (len(c) for c in self.best.communities), reverse=True

@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override refinement-ensemble size",
         )
         p.add_argument(
-            "--solver",
-            default=None,
-            help="set-cover solver for the selection stage "
-            "(branch-and-bound/pulp; default: experiment spec)",
-        )
-        p.add_argument(
             "--json",
             action="store_true",
             help="emit a JSON document (report + stage records) instead "
@@ -130,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         help="experiment names (default: all six)",
-    )
-    sweep.add_argument(
-        "--fused",
-        action="store_true",
-        help="prewarm the member cache first by running every "
-        "experiment's held-out runs batched on the kernel-fused "
-        "vectorized runtime (per-experiment stages then resume them)",
     )
     add_run_options(sweep)
 
@@ -193,15 +180,6 @@ def _resolve_experiment(args):
 
         overrides["refine"] = dataclasses.replace(
             base, members=args.refine_members
-        )
-    if getattr(args, "solver", None) is not None:
-        import dataclasses
-
-        from .selection import SelectionSpec
-
-        base_sel = spec.selection or SelectionSpec()
-        overrides["selection"] = dataclasses.replace(
-            base_sel, solver=args.solver
         )
     return spec.with_(**overrides) if overrides else spec
 
@@ -275,46 +253,36 @@ def _print_stage_table(result, out) -> None:
         )
 
 
-#: exit code for bad experiment/backend names — distinct from exit 1,
-#: which means "ran fine but did not localize"
+#: exit code for bad experiment/backend names or sizes — distinct from
+#: exit 1, which means "ran fine but did not localize"
 EX_USAGE = 2
 
 
 def _validate_names(args) -> Optional[str]:
-    """Resolve the experiment, backend, batch-size and solver knobs up
-    front; the error message (naming every known candidate) on a bad one,
-    else None."""
-    from .ensemble.backends import (
-        InvalidBatchSizeError,
-        UnknownBackendError,
-        get_backend,
-        validate_batch_size,
-    )
+    """Resolve the experiment, compile its pipeline, and check the backend
+    and batch-size knobs up front; the error message (naming every known
+    candidate) on a bad one, else None."""
+    from .ensemble.backends import get_backend, validate_batch_size
     from .experiments import UnknownExperimentError
-    from .selection import UnknownSolverError, get_solver
+    from .pipeline import root_cause_pipeline
 
     try:
-        if getattr(args, "solver", None) is not None:
-            get_solver(args.solver)
-        _resolve_experiment(args)
+        # compiling checks sizes, e.g. a refinement ensemble larger than
+        # the accepted one
+        root_cause_pipeline(_resolve_experiment(args))
         if args.backend is not None:
             get_backend(args.backend, max_workers=args.max_workers)
         if getattr(args, "vec_batch", None) is not None:
             validate_batch_size(args.vec_batch, "--vec-batch")
-    except (
-        UnknownExperimentError,
-        UnknownBackendError,
-        InvalidBatchSizeError,
-        UnknownSolverError,
-    ) as exc:
+    # unknown backends and bad batch sizes raise ValueError subclasses
+    except (UnknownExperimentError, ValueError) as exc:
         return str(exc)
     return None
 
 
 def _apply_vec_batch(args) -> None:
     """Export a validated ``--vec-batch`` as ``REPRO_VEC_BATCH`` so every
-    vectorized pass in this process (ensemble stages, fused prewarm)
-    picks the width up at run time."""
+    vectorized pass in this process picks the width up at run time."""
     if getattr(args, "vec_batch", None) is None:
         return
     import os
@@ -385,25 +353,6 @@ def _cmd_sweep(args, out) -> int:
     _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     documents, failures = {}, []
-    prewarm_doc = None
-    if getattr(args, "fused", False):
-        from .pipeline import fused_experimental_pipeline
-
-        specs = [
-            _resolve_experiment(
-                argparse.Namespace(**{**vars(args), "experiment": name})
-            )
-            for name in names
-        ]
-        prewarm = fused_experimental_pipeline(
-            specs, store_dir=args.store
-        ).run()
-        if args.json:
-            prewarm_doc = prewarm.to_dict()
-        else:
-            print("## fused prewarm", file=out)
-            _print_stage_table(prewarm, out)
-            print("", file=out)
     try:
         for name in names:
             sweep_args = argparse.Namespace(**{**vars(args), "experiment": name})
@@ -438,8 +387,6 @@ def _cmd_sweep(args, out) -> int:
             disable_tracing()
     if args.json:
         doc = {"experiments": documents, "failures": failures}
-        if prewarm_doc is not None:
-            doc["fused_prewarm"] = prewarm_doc
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     return 1 if failures else 0
 

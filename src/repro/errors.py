@@ -22,8 +22,8 @@ match.
 Two usage conventions the CLI maps onto exit codes (tested in
 ``tests/test_errors.py``):
 
-* *usage errors* — unknown experiment/backend/solver names, bad batch
-  sizes — exit ``2`` (``EX_USAGE``) before any work runs;
+* *usage errors* — unknown experiment/backend names, bad batch or
+  ensemble sizes — exit ``2`` (``EX_USAGE``) before any work runs;
 * *analysis outcomes* — the pipeline ran but did not localize — exit
   ``1``; these are not exceptions at all.
 """
@@ -49,7 +49,6 @@ __all__ = [
     "UnknownBackendError",
     "UnknownExperimentError",
     "UnknownPatchError",
-    "UnknownSolverError",
     "VectorizationError",
 ]
 
@@ -84,7 +83,6 @@ _ERROR_EXPORTS: dict[str, tuple[str, str]] = {
     "KernelError": ("repro.kgen.extract", "KernelError"),
     "SelectionError": ("repro.selection.setcover", "SelectionError"),
     "InfeasibleSelectionError": ("repro.selection.setcover", "InfeasibleSelectionError"),
-    "UnknownSolverError": ("repro.selection.setcover", "UnknownSolverError"),
 }
 
 

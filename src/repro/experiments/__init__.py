@@ -206,7 +206,6 @@ def run_sweep(
     store_dir=None,
     backend=None,
     max_workers: Optional[int] = None,
-    fused: bool = False,
 ) -> "dict[str, PipelineResult]":
     """Run several experiments against one shared store.
 
@@ -214,28 +213,19 @@ def run_sweep(
     ensemble spec, so the first experiment generates the 30 members and
     every later one resumes them from the store — the sweep's marginal
     cost per experiment is its experimental runs and analysis stages.
-
-    ``fused=True`` first runs the cross-config prewarm DAG
-    (:func:`repro.pipeline.fused_experimental_pipeline`): every
-    experiment's held-out runs execute batched on the kernel-fused
-    vectorized runtime and land in the shared member cache under their
-    unchanged keys, so the per-experiment ``experimental_runs`` stages
-    below rehydrate instead of re-running a single member.
+    The ``communities`` stage is shared the same way.  Every experiment
+    compiles before the first one runs, so a bad spec anywhere in the
+    sweep fails before any member runs.
     """
-    specs = [
-        get_experiment(e) if isinstance(e, str) else e
-        for e in (experiments if experiments is not None else list_experiments())
-    ]
-    if fused:
-        from ..pipeline import fused_experimental_pipeline
+    from ..pipeline import RootCauseAnalysis
 
-        fused_experimental_pipeline(specs, store_dir=store_dir).run()
-    results: dict[str, "PipelineResult"] = {}
-    for spec in specs:
-        results[spec.name] = run_experiment(
-            spec,
+    analyses = [
+        RootCauseAnalysis(
+            get_experiment(e) if isinstance(e, str) else e,
             store_dir=store_dir,
             backend=backend,
             max_workers=max_workers,
         )
-    return results
+        for e in (experiments if experiments is not None else list_experiments())
+    ]
+    return {a.experiment.name: a.run() for a in analyses}

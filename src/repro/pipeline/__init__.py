@@ -1,8 +1,9 @@
 """repro.pipeline — the orchestrated, resumable root-cause DAG.
 
 The paper's workflow — build patched CAM source → perturbed accepted
-ensemble → UF-ECT verdict → coverage-filtered backward slice →
-community-guided refinement → culprit report — as a typed stage DAG with
+ensemble → UF-ECT verdict → coverage-filtered backward slice → module
+communities → set-cover selection → community-guided refinement →
+culprit report — as a typed stage DAG with
 content-hashed cache keys, topological execution, a per-stage on-disk
 artifact store, resume-from-cache and structured per-stage
 timing/status records.
@@ -44,12 +45,7 @@ from .core import (
     StageRecord,
     config_token,
 )
-from .stages import (
-    RootCauseAnalysis,
-    accepted_ensemble,
-    fused_experimental_pipeline,
-    root_cause_pipeline,
-)
+from .stages import RootCauseAnalysis, accepted_ensemble, root_cause_pipeline
 from .store import ArtifactStore, StoreError, json_payload, payload_json
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "StoreError",
     "accepted_ensemble",
     "config_token",
-    "fused_experimental_pipeline",
     "json_payload",
     "payload_json",
     "root_cause_pipeline",

@@ -1,10 +1,13 @@
 """Stage adapters: the existing root-cause stack behind the DAG engine.
 
 Every stage of the paper's workflow — build patched model → perturbed
-ensemble → UF-ECT verdict → coverage-filtered slice → community-guided
-refinement → culprit report — gains a thin :class:`~repro.pipeline.core.Stage`
-adapter here, so :func:`repro.ensemble.generate_ensemble`,
-:func:`repro.ect.ect_test`, :func:`repro.slicing.slice_failing_runs` and
+ensemble → UF-ECT verdict → coverage-filtered slice → module communities →
+set-cover selection → community-guided refinement → culprit report —
+gains a thin :class:`~repro.pipeline.core.Stage` adapter here, so
+:func:`repro.ensemble.generate_ensemble`, :func:`repro.ect.ect_test`,
+:func:`repro.slicing.slice_failing_runs`,
+:func:`repro.analysis.girvan_newman_communities`,
+:func:`repro.selection.select_culprits` and
 :func:`repro.refine.refine_slice` stop being hand-wired calls and become
 cacheable, resumable, schedulable DAG nodes.
 
@@ -23,6 +26,8 @@ Rehydration notes: a cache-hit ensemble is rebuilt member-by-member from
 the member cache (bit-identical matrix, merged coverage); a cache-hit
 :class:`~repro.slicing.RankedSlice` carries its modules / ranking /
 weights but drops the per-variable ``slices`` detail; a cache-hit
+:class:`~repro.analysis.CommunityResult` carries the modularity-optimal
+partition but not the dendrogram; a cache-hit
 :class:`~repro.refine.RefinementResult` drops the fitted ``communities``
 and baseline ``verdict`` objects (the pipeline's own ``ect`` stage is the
 verdict of record).  Downstream stages and reports only consume the
@@ -35,6 +40,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
 from ..ect import EctConfig, EctResult, UltraFastECT
 from ..ensemble import Ensemble, generate_ensemble, member_cache_key
 from ..ensemble.spec import EnsembleSpec
@@ -53,10 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RootCauseAnalysis",
     "accepted_ensemble",
-    "fused_experimental_pipeline",
+    "make_communities_stage",
     "make_ect_stage",
     "make_ensemble_stage",
-    "make_fused_experimental_stage",
     "make_selection_stage",
     "make_source_stage",
     "root_cause_pipeline",
@@ -263,138 +268,6 @@ def make_experimental_runs_stage(
     )
 
 
-def make_fused_experimental_stage(
-    lanes: "list[tuple[str, str, list[RunConfig]]]",
-    *,
-    name: str = "fused_experimental_runs",
-) -> Stage:
-    """Every experiment's held-out runs, batched per source build.
-
-    ``lanes`` is ``[(experiment_name, source_stage, [RunConfig, ...]),
-    ...]``; each entry's configs share a model build, ``nsteps`` and fp
-    model, so they become the (config, member) lanes of one
-    :func:`~repro.runtime.vec.run_model_batch` call executed by the
-    kernel-fused vectorized runtime.  Lanes whose member artifact the
-    shared cache already holds are skipped — only the cold remainder is
-    batched — and every produced run is stored under its *unchanged*
-    :func:`~repro.ensemble.member_cache_key`, so warm interop with the
-    scalar per-experiment ``experimental_runs`` stages holds in both
-    directions.  Each multi-lane batch counts its extra lanes into the
-    ``vec.fused_configs`` metric.
-    """
-    inputs = tuple(dict.fromkeys(src for _, src, _ in lanes))
-
-    def func(ctx: StageContext, **sources) -> "dict[str, list[RunResult]]":
-        from ..obs import get_metrics
-        from ..runtime.vec import run_model_batch
-
-        out: dict[str, list[RunResult]] = {}
-        fused = 0
-        for exp_name, source_input, configs in lanes:
-            source = sources[source_input]
-            cache = ctx.member_cache
-            keys = [member_cache_key(source, c) for c in configs]
-            results: list[Optional[RunResult]] = [None] * len(configs)
-            cold: list[int] = []
-            for i, (key, config) in enumerate(zip(keys, configs)):
-                hit = cache.load(key, config) if cache is not None else None
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    cold.append(i)
-            if cold:
-                batch = run_model_batch(
-                    [configs[i] for i in cold], source=source
-                )
-                fused += len(cold) - 1
-                for i, run in zip(cold, batch):
-                    results[i] = run
-                    if cache is not None:
-                        cache.store(keys[i], run)
-            out[exp_name] = results
-        if fused:
-            get_metrics().inc("vec.fused_configs", fused)
-        ctx.annotate(experiments=len(lanes), fused_configs=fused)
-        return out
-
-    def encode(value, ctx: StageContext, inputs_) -> dict:
-        return json_payload(
-            {
-                "run_keys": {
-                    exp_name: [
-                        member_cache_key(inputs_[source_input], config)
-                        for config in configs
-                    ]
-                    for exp_name, source_input, configs in lanes
-                }
-            }
-        )
-
-    def decode(payload, ctx: StageContext, inputs_):
-        meta = payload_json(payload)
-        out = {}
-        for exp_name, source_input, configs in lanes:
-            out[exp_name] = _load_cached_runs(
-                ctx,
-                inputs_[source_input],
-                configs,
-                list(meta["run_keys"][exp_name]),
-            )
-        ctx.annotate(experiments=len(lanes))
-        return out
-
-    return Stage(
-        name=name,
-        func=func,
-        inputs=inputs,
-        params={
-            "experiments": {
-                exp_name: configs for exp_name, _, configs in lanes
-            }
-        },
-        encode=encode,
-        decode=decode,
-    )
-
-
-def fused_experimental_pipeline(
-    experiments=None, *, store_dir=None
-) -> Pipeline:
-    """The cross-config prewarm DAG: all experiments' runs, batched.
-
-    One source stage per distinct experimental build plus a single
-    :func:`make_fused_experimental_stage` over every experiment's
-    held-out run configs.  Running this pipeline against the same store
-    as a sweep leaves the member cache warm, so each experiment's own
-    ``experimental_runs`` stage rehydrates instead of re-running —
-    ``run_sweep(fused=True)`` is exactly this followed by the per-
-    experiment pipelines.
-    """
-    from ..experiments import get_experiment, list_experiments
-
-    names = experiments if experiments is not None else list_experiments()
-    specs = [get_experiment(e) if isinstance(e, str) else e for e in names]
-    stages: list[Stage] = []
-    sources: dict[ModelConfig, str] = {}
-    lanes: list[tuple[str, str, list[RunConfig]]] = []
-    for spec in specs:
-        espec = spec.ensemble_spec()
-        model = spec.experimental_model()
-        fp = spec.experimental_fp()
-        stage_name = sources.get(model)
-        if stage_name is None:
-            stage_name = f"experimental_source_{len(sources)}"
-            sources[model] = stage_name
-            stages.append(make_source_stage(stage_name, model))
-        configs = [
-            espec.experimental_config(i, model=model, fp=fp)
-            for i in range(spec.n_runs)
-        ]
-        lanes.append((spec.name, stage_name, configs))
-    stages.append(make_fused_experimental_stage(lanes))
-    return Pipeline(stages, store_dir=store_dir)
-
-
 def make_coverage_run_stage(
     model: ModelConfig, fp, *, source_input: str
 ) -> Stage:
@@ -567,6 +440,39 @@ def make_slice_stage(
     )
 
 
+# -------------------------------------------------------- communities stage
+def make_communities_stage() -> Stage:
+    """Girvan-Newman communities of the control module quotient graph.
+
+    The pipeline's one community partition: ``selection`` groups its
+    greedy warm start by it and ``refined`` samples exclusion candidates
+    community by community.  It depends on the control metagraph alone,
+    so every experiment on one control build shares this stage's key and
+    a store computes the partition once.
+    """
+
+    def func(ctx: StageContext, metagraph) -> CommunityResult:
+        result = girvan_newman_communities(quotient_graph(metagraph))
+        ctx.annotate(communities=len(result))
+        return result
+
+    def encode(result: CommunityResult, ctx, inputs) -> dict:
+        return json_payload(result.to_dict())
+
+    def decode(payload, ctx: StageContext, inputs) -> CommunityResult:
+        result = CommunityResult.from_dict(payload_json(payload))
+        ctx.annotate(communities=len(result))
+        return result
+
+    return Stage(
+        name="communities",
+        func=func,
+        inputs=("metagraph",),
+        encode=encode,
+        decode=decode,
+    )
+
+
 # ---------------------------------------------------------- selection stage
 def make_selection_stage(
     selection: Optional[SelectionSpec] = None,
@@ -576,9 +482,8 @@ def make_selection_stage(
     Runs :func:`repro.selection.select_culprits`: robust evidence
     selection over the ECT-failing variables, then the anchored
     minimum-weight set cover over the ranked slice's candidate pool,
-    warm-started from the Girvan-Newman community partition of the module
-    quotient graph.  The refine stage consumes the result as its initial
-    suspect set.
+    warm-started from the ``communities`` stage's partition.  The refine
+    stage consumes the result as its initial suspect set.
     """
     selection_spec = selection or SelectionSpec()
 
@@ -591,10 +496,8 @@ def make_selection_stage(
         metagraph,
         control_source,
         ranked_slice,
+        communities,
     ) -> SelectionResult:
-        from ..analysis import girvan_newman_communities, quotient_graph
-
-        communities = girvan_newman_communities(quotient_graph(metagraph))
         result = select_culprits(
             control_ensemble,
             experimental_runs,
@@ -635,6 +538,7 @@ def make_selection_stage(
             "metagraph",
             "control_source",
             "ranked_slice",
+            "communities",
         ),
         params={"selection": selection_spec},
         encode=encode,
@@ -643,13 +547,12 @@ def make_selection_stage(
 
 
 # ------------------------------------------------------------- refine stage
-def make_refine_stage(
-    refine: Optional[RefinementConfig] = None,
-    *,
-    backend=None,
-    max_workers: Optional[int] = None,
-) -> Stage:
-    """Algorithm 5.4 community-guided refinement of the ranked slice."""
+def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
+    """Algorithm 5.4 community-guided refinement of the ranked slice.
+
+    The refiner fits on rows of the accepted ensemble already in memory,
+    so this stage touches no member artifact.
+    """
     refine_config = refine or RefinementConfig()
 
     def func(
@@ -661,6 +564,7 @@ def make_refine_stage(
         coverage_run,
         metagraph,
         control_source,
+        communities,
     ) -> RefinementResult:
         result = refine_slice(
             ranked_slice,
@@ -670,13 +574,8 @@ def make_refine_stage(
             graph=metagraph,
             source=control_source,
             coverage=coverage_run.coverage,
-            backend=backend,
-            cache_dir=ctx.member_cache_dir,
-            max_workers=max_workers,
+            communities=communities,
             selection=selection,
-        )
-        ctx.count_members(
-            result.ensemble_cache_hits, result.ensemble_cache_misses
         )
         ctx.annotate(
             refined_modules=len(result.modules),
@@ -706,8 +605,6 @@ def make_refine_stage(
                 "variable_weights": dict(result.variable_weights),
                 "target": result.target,
                 "total_modules": result.total_modules,
-                "ensemble_cache_hits": result.ensemble_cache_hits,
-                "ensemble_cache_misses": result.ensemble_cache_misses,
                 "extra": dict(result.extra),
             }
         )
@@ -738,8 +635,6 @@ def make_refine_stage(
             verdict=None,  # the pipeline's `ect` stage is the verdict
             target=int(meta["target"]),
             total_modules=int(meta["total_modules"]),
-            ensemble_cache_hits=int(meta["ensemble_cache_hits"]),
-            ensemble_cache_misses=int(meta["ensemble_cache_misses"]),
             extra=dict(meta.get("extra", {})),
         )
         ctx.annotate(
@@ -759,6 +654,7 @@ def make_refine_stage(
             "coverage_run",
             "metagraph",
             "control_source",
+            "communities",
         ),
         params={"refine": refine_config},
         encode=encode,
@@ -838,8 +734,12 @@ def root_cause_pipeline(
     ``backend`` / ``max_workers`` choose *where* members run (falling back
     to the experiment's own backend field) and never enter cache keys:
     all backends are bit-identical, so artifacts are shared across them.
+    A refinement ensemble larger than the accepted one raises
+    ``ValueError`` here, before any stage runs.
     """
     spec = experiment.ensemble_spec()
+    refine = experiment.refine or RefinementConfig()
+    refine.check_fits(spec.n_members)
     exp_model = experiment.experimental_model()
     exp_fp = experiment.experimental_fp()
     backend = backend if backend is not None else experiment.backend
@@ -867,10 +767,9 @@ def root_cause_pipeline(
         make_coverage_run_stage(exp_model, exp_fp, source_input=source_input),
         make_ect_stage(experiment.ect),
         make_slice_stage(),
+        make_communities_stage(),
         make_selection_stage(getattr(experiment, "selection", None)),
-        make_refine_stage(
-            experiment.refine, backend=backend, max_workers=max_workers
-        ),
+        make_refine_stage(refine),
         make_report_stage(
             experiment.name,
             experiment.patch,

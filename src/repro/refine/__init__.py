@@ -3,7 +3,7 @@
 The last reduction stage of the root-cause pipeline: take the ranked
 backward slice (below half the modules, but plateaued), partition the
 module quotient graph into communities, and iteratively *test* candidate
-scope subsets against scoped consistency tests on a small regenerated
+scope subsets against scoped consistency tests on the first rows of the
 accepted ensemble — pruning every scope whose exclusion leaves the failure
 signal intact, keeping the ones the signal collapses without.
 

@@ -10,10 +10,9 @@ the ones the failure signal does not need:
 1.  Partition the module quotient graph into communities (Girvan-Newman,
     :mod:`repro.analysis`) — scopes in one community share data tightly and
     are exonerated or retained together.
-2.  Regenerate a *small* accepted ensemble (a deterministic prefix of the
-    full one, so the content-addressed artifact cache makes per-iteration
-    regeneration nearly free) and re-derive the per-variable deviation
-    evidence from it.
+2.  Fit on a *small* accepted ensemble — the first rows of the full one,
+    already in memory — and re-derive the per-variable deviation evidence
+    from it.
 3.  Iterate: sample a candidate scope subset from the weakest-evidence
     community chunk, project ensemble and experimental runs onto the output
     variables still attributable to the *remaining* suspects, and re-run
@@ -45,10 +44,11 @@ import numpy as np
 
 from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
 from ..ect import EctConfig, EctResult, UltraFastECT
-from ..ensemble import Ensemble, generate_ensemble
+from ..ensemble import Ensemble
 from ..ensemble.generate import FIRST_SUFFIX
 from ..graphs import MetaGraph, build_metagraph
 from ..obs import get_metrics, get_tracer
+from ..runtime import CoverageTrace
 from ..selection.evidence import EvidenceSelection
 from ..slicing import RankedSlice, slice_failing_runs, variable_weights
 
@@ -65,9 +65,9 @@ __all__ = [
 class RefinementConfig:
     """Knobs of Algorithm 5.4 (defaults tuned on the five paper patches)."""
 
-    #: refinement-ensemble size: a deterministic prefix of the accepted
-    #: ensemble's members (16 is the smallest that still detects every
-    #: registered patch), regenerated through the backend registry
+    #: refinement-ensemble size: the accepted ensemble's first ``members``
+    #: rows (16 is the smallest that still detects every registered
+    #: patch), so it may not exceed the accepted ensemble's size
     members: int = 16
     #: stop pruning once the suspect set is at most this fraction of all
     #: graph modules (0.25 of 40 modules = the paper-scale 10-module bar)
@@ -113,6 +113,16 @@ class RefinementConfig:
         if self.top_variables < 1 or self.evidence_variables < 1:
             raise ValueError("variable counts must be >= 1")
 
+    def check_fits(self, accepted_members: int) -> None:
+        """Raise ``ValueError`` unless the refinement ensemble fits in an
+        accepted ensemble of ``accepted_members`` members."""
+        if self.members > accepted_members:
+            raise ValueError(
+                f"the refinement ensemble of {self.members} members is "
+                f"larger than the accepted ensemble of {accepted_members} "
+                "members: it is made of the accepted ensemble's first rows"
+            )
+
 
 @dataclass(frozen=True)
 class RefinementStep:
@@ -154,8 +164,6 @@ class RefinementResult:
     verdict: Optional[EctResult]
     target: int
     total_modules: int
-    ensemble_cache_hits: int = 0
-    ensemble_cache_misses: int = 0
     extra: dict = field(default_factory=dict)
 
     def __contains__(self, module: str) -> bool:
@@ -191,12 +199,12 @@ class RefinementResult:
 class IterativeRefinement:
     """Algorithm 5.4, fitted once and applicable to many failing slices.
 
-    Construction builds (or accepts) the control metagraph, its quotient
-    communities, and the small refinement ensemble — regenerated through
-    the pluggable backend registry, with ``cache_dir`` giving the
-    per-iteration artifact caching that makes repeated refinement cheap
-    (the refinement members are a deterministic prefix of the accepted
-    ensemble's, so a shared cache directory satisfies them instantly).
+    Construction builds (or accepts) the control metagraph and its
+    quotient communities, and takes the small refinement ensemble as the
+    accepted ensemble's first ``config.members`` rows.  Member ``i``
+    derives from the spec's ``(base_seed, i)`` alone, so those rows are
+    exactly the members a ``config.members``-sized spec generates; they
+    are already in memory, so fitting runs and loads no model member.
 
     :meth:`refine` then runs the sampling loop for one
     :class:`~repro.slicing.RankedSlice` and its ECT-failing runs.
@@ -210,11 +218,9 @@ class IterativeRefinement:
         source=None,
         graph: Optional[MetaGraph] = None,
         communities: Optional[CommunityResult] = None,
-        backend=None,
-        cache_dir=None,
-        max_workers: Optional[int] = None,
     ):
         self.config = config or RefinementConfig()
+        self.config.check_fits(ensemble.n_members)
         self.accepted = ensemble
         if source is None:
             from ..model.builder import build_model_source
@@ -222,22 +228,18 @@ class IterativeRefinement:
             source = build_model_source(ensemble.spec.model)
         self.source = source
         self.graph = graph if graph is not None else build_metagraph(source)
-        self.quotient = quotient_graph(self.graph)
-        self.communities = (
-            communities
-            if communities is not None
-            else girvan_newman_communities(self.quotient)
-        )
-        spec = dataclasses.replace(
-            ensemble.spec, n_members=self.config.members
-        )
+        if communities is None:
+            communities = girvan_newman_communities(quotient_graph(self.graph))
+        self.communities = communities
+        k = self.config.members
+        members = ensemble.members[:k]
         #: the small accepted ensemble the scoped tests are fitted on
-        self.ensemble = generate_ensemble(
-            spec,
-            source=source,
-            backend=backend,
-            cache_dir=cache_dir,
-            max_workers=max_workers,
+        self.ensemble = Ensemble(
+            spec=dataclasses.replace(ensemble.spec, n_members=k),
+            variable_names=list(ensemble.variable_names),
+            matrix=ensemble.matrix[:k],
+            members=members,
+            coverage=CoverageTrace().merged(*(m.coverage for m in members)),
         )
         self._ect_cache: dict[frozenset[str], Optional[UltraFastECT]] = {}
 
@@ -319,7 +321,7 @@ class IterativeRefinement:
 
         # refreshed evidence from the refinement ensemble: weights first,
         # then one slicer pass over exactly the top evidence variables
-        # (the `variables=` injection point) for scores + depths
+        # (the `evidence=` injection point) for scores + depths
         all_weights = variable_weights(self.ensemble, runs)
         evidence = [
             name
@@ -541,8 +543,6 @@ class IterativeRefinement:
             verdict=verdict,
             target=target,
             total_modules=total,
-            ensemble_cache_hits=self.ensemble.cache_hits,
-            ensemble_cache_misses=self.ensemble.cache_misses,
             extra=dict(extra or {}),
         )
 
@@ -557,22 +557,17 @@ def refine_slice(
     source=None,
     coverage=None,
     communities: Optional[CommunityResult] = None,
-    backend=None,
-    cache_dir=None,
-    max_workers: Optional[int] = None,
     selection=None,
 ) -> RefinementResult:
     """One-shot Algorithm 5.4: fit :class:`IterativeRefinement` and refine.
 
     Parameters mirror :func:`~repro.slicing.slice_failing_runs` —
-    ``ensemble`` is the accepted ensemble (its spec seeds the small
-    refinement ensemble), ``runs`` the ECT-failing experimental runs,
-    ``coverage`` the failing configuration's executed-line evidence.
-    ``backend`` / ``cache_dir`` flow into the refinement-ensemble
-    regeneration through the standard backend registry and artifact cache.
-    ``selection`` (a :class:`~repro.selection.SelectionResult`) warm-starts
-    the loop from the set-cover optimum — see
-    :meth:`IterativeRefinement.refine`.
+    ``ensemble`` is the accepted ensemble (its first ``config.members``
+    rows are the refinement ensemble), ``runs`` the ECT-failing
+    experimental runs, ``coverage`` the failing configuration's
+    executed-line evidence.  ``selection`` (a
+    :class:`~repro.selection.SelectionResult`) warm-starts the loop from
+    the set-cover optimum — see :meth:`IterativeRefinement.refine`.
     """
     refiner = IterativeRefinement(
         ensemble,
@@ -580,8 +575,5 @@ def refine_slice(
         source=source,
         graph=graph,
         communities=communities,
-        backend=backend,
-        cache_dir=cache_dir,
-        max_workers=max_workers,
     )
     return refiner.refine(slice_, runs, coverage=coverage, selection=selection)

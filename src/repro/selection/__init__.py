@@ -14,8 +14,7 @@ small, exactly-solved combinatorial program:
    ``depth_cap`` BFS levels of its coverage-filtered backward slice;
    modules near the strongest evidence are anchored into every solution).
    Solved exactly by a deterministic pure-python branch-and-bound
-   warm-started from a community-guided greedy cover, or by the optional
-   PuLP/CBC backend behind the same :class:`Solver` protocol.
+   warm-started from a community-guided greedy cover.
 3. **Stage** — ``root_cause_pipeline`` runs this as the ``selection``
    stage between slicing and refinement, so ``refine_slice`` starts from
    the set-cover optimum instead of the full slice: fewer candidate
@@ -37,15 +36,10 @@ from .select import SelectionResult, SelectionSpec, select_culprits
 from .setcover import (
     BranchAndBoundSolver,
     InfeasibleSelectionError,
-    PulpSolver,
     SelectionError,
     SetCoverProblem,
     SetCoverSolution,
-    Solver,
-    UnknownSolverError,
-    get_solver,
     greedy_cover,
-    list_solvers,
 )
 
 __all__ = [
@@ -53,17 +47,12 @@ __all__ = [
     "EVIDENCE_METHODS",
     "EvidenceSelection",
     "InfeasibleSelectionError",
-    "PulpSolver",
     "SelectionError",
     "SelectionResult",
     "SelectionSpec",
     "SetCoverProblem",
     "SetCoverSolution",
-    "Solver",
-    "UnknownSolverError",
-    "get_solver",
     "greedy_cover",
-    "list_solvers",
     "select_affected_variables",
     "select_culprits",
 ]

@@ -14,7 +14,7 @@ and the ECT-failing runs, it
    — candidates restricted to the ranked slice, coverage within
    ``depth_cap`` BFS levels, module weight ``1 / (1 + score)`` so strong
    slice evidence is cheap to keep, anchors forced — and solves it with
-   the configured :class:`~repro.selection.setcover.Solver`;
+   :class:`~repro.selection.setcover.BranchAndBoundSolver`;
 4. returns a :class:`SelectionResult` ordered strongest evidence first,
    ready to warm-start :func:`repro.refine.refine_slice`.
 
@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 from ..obs import get_metrics, get_tracer
 from ..slicing import slice_failing_runs, variable_weights
 from .evidence import EVIDENCE_METHODS, EvidenceSelection, select_affected_variables
-from .setcover import SetCoverProblem, get_solver
+from .setcover import BranchAndBoundSolver, SetCoverProblem
 
 __all__ = [
     "SelectionResult",
@@ -64,8 +64,6 @@ class SelectionSpec:
     #: slice-reachability constraint: a module can cover a variable only
     #: within this many BFS levels of the variable's backward slice
     depth_cap: int = 2
-    #: registered solver name ("branch-and-bound" or "pulp")
-    solver: str = "branch-and-bound"
     #: branch-and-bound node budget (solution flagged non-optimal beyond)
     node_limit: int = 200_000
 
@@ -276,7 +274,7 @@ def select_culprits(
         forced=frozenset(anchors),
         groups=groups,
     )
-    solver = get_solver(spec.solver, node_limit=spec.node_limit)
+    solver = BranchAndBoundSolver(node_limit=spec.node_limit)
 
     tracer = get_tracer()
     metrics = get_metrics()

@@ -12,43 +12,30 @@ constraint).  Minimality is what tells a culprit from a conduit: one
 module explaining three deviating variables beats three single-purpose
 hub modules.
 
-Two interchangeable solvers behind the :class:`Solver` protocol:
-
-:class:`BranchAndBoundSolver` (default)
-    A deterministic pure-python branch-and-bound.  Branches on the
-    uncovered element with the fewest remaining coverers, bounds with the
-    classic per-element density lower bound, and warm-starts from
-    :func:`greedy_cover` — a community-aware greedy whose incumbent keeps
-    the gap metric (``selection.warm_start_gap``) honest.  All tie-breaks
-    are lexicographic, so the node count and the optimum are platform- and
-    hash-seed-independent (property-tested in ``tests/selection``).
-
-:class:`PulpSolver`
-    The same MILP handed to `PuLP <https://coin-or.github.io/pulp/>`_/CBC
-    when the optional ``pulp`` package is installed; raises
-    :class:`SelectionError` when it is not.  CI exercises it on exactly
-    one matrix entry — everywhere else the pure-python solver carries.
+:class:`BranchAndBoundSolver` solves it: a deterministic pure-python
+branch-and-bound.  It branches on the uncovered element with the fewest
+remaining coverers, bounds with the classic per-element density lower
+bound, and warm-starts from :func:`greedy_cover` — a community-aware
+greedy whose incumbent keeps the gap metric (``selection.warm_start_gap``)
+honest.  All tie-breaks are lexicographic, so the node count and the
+optimum are platform- and hash-seed-independent (property-tested in
+``tests/selection``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, runtime_checkable
+from typing import Mapping, Optional
 
 from ..errors import ReproError
 
 __all__ = [
     "BranchAndBoundSolver",
     "InfeasibleSelectionError",
-    "PulpSolver",
     "SelectionError",
     "SetCoverProblem",
     "SetCoverSolution",
-    "Solver",
-    "UnknownSolverError",
-    "get_solver",
     "greedy_cover",
-    "list_solvers",
 ]
 
 #: cost differences below this are ties (broken lexicographically)
@@ -68,13 +55,6 @@ class InfeasibleSelectionError(SelectionError):
             "no candidate module covers evidence variable(s): "
             + ", ".join(self.elements)
         )
-
-
-class UnknownSolverError(SelectionError, KeyError):
-    """Raised for a solver name that is not registered."""
-
-    def __str__(self) -> str:  # avoid KeyError's repr-quoting of the message
-        return self.args[0] if self.args else ""
 
 
 @dataclass(frozen=True)
@@ -127,7 +107,7 @@ class SetCoverSolution:
     cost: float
     #: True when the solver proved optimality (False on node-limit stops)
     optimal: bool
-    #: branch-and-bound nodes expanded (0 for external solvers)
+    #: branch-and-bound nodes expanded
     nodes_explored: int
     #: cost of the greedy warm-start incumbent
     warm_start_cost: float
@@ -137,21 +117,6 @@ class SetCoverSolution:
     def warm_start_gap(self) -> float:
         """How much the exact solve improved on the greedy warm start."""
         return self.warm_start_cost - self.cost
-
-
-@runtime_checkable
-class Solver(Protocol):
-    """Anything that can solve a :class:`SetCoverProblem`.
-
-    Implementations must be deterministic for a fixed problem: same
-    modules, same cost, same node count on every platform.
-    """
-
-    name: str
-
-    def solve(self, problem: SetCoverProblem) -> SetCoverSolution:
-        """Return a minimum-weight cover of ``problem``."""
-        ...  # pragma: no cover - protocol
 
 
 def greedy_cover(problem: SetCoverProblem) -> tuple[str, ...]:
@@ -288,94 +253,3 @@ class BranchAndBoundSolver:
             warm_start_cost=warm_cost,
             solver=self.name,
         )
-
-
-class PulpSolver:
-    """The same MILP via the optional PuLP/CBC backend.
-
-    Import of ``pulp`` is deferred to :meth:`solve`, so merely naming the
-    solver (CLI validation, spec round-trips) never requires the package;
-    solving without it raises :class:`SelectionError` with install advice.
-    """
-
-    name = "pulp"
-
-    def __init__(self, node_limit: int = 200_000):
-        self.node_limit = node_limit  # accepted for protocol symmetry
-
-    def solve(self, problem: SetCoverProblem) -> SetCoverSolution:
-        try:
-            import pulp
-        except ImportError as exc:
-            raise SelectionError(
-                "the 'pulp' selection solver needs the optional PuLP "
-                "package (pip install pulp); the built-in "
-                "'branch-and-bound' solver needs nothing"
-            ) from exc
-        problem.validate()
-        warm = greedy_cover(problem)
-        warm_cost = problem.cost(warm)
-        candidates = problem.candidates
-        model = pulp.LpProblem("culprit_selection", pulp.LpMinimize)
-        x = {
-            m: pulp.LpVariable(f"x_{i}", cat="Binary")
-            for i, m in enumerate(candidates)
-        }
-        model += pulp.lpSum(
-            problem.weights.get(m, 1.0) * x[m] for m in candidates
-        )
-        for e in sorted(problem.elements):
-            model += (
-                pulp.lpSum(x[m] for m in sorted(problem.coverers[e])) >= 1,
-                f"cover_{e}",
-            )
-        for m in sorted(problem.forced):
-            model += x[m] == 1, f"anchor_{m}"
-        for m in warm:  # warm-start the MIP from the greedy incumbent
-            x[m].setInitialValue(1)
-        status = model.solve(pulp.PULP_CBC_CMD(msg=False))
-        if pulp.LpStatus[status] == "Infeasible":
-            raise InfeasibleSelectionError(problem.elements)
-        if pulp.LpStatus[status] != "Optimal":
-            raise SelectionError(
-                f"pulp solve ended with status {pulp.LpStatus[status]!r}"
-            )
-        modules = tuple(
-            sorted(m for m in candidates if (x[m].value() or 0.0) > 0.5)
-        )
-        return SetCoverSolution(
-            modules=modules,
-            cost=problem.cost(modules),
-            optimal=True,
-            nodes_explored=0,
-            warm_start_cost=warm_cost,
-            solver=self.name,
-        )
-
-
-_SOLVERS = {
-    BranchAndBoundSolver.name: BranchAndBoundSolver,
-    PulpSolver.name: PulpSolver,
-}
-
-
-def list_solvers() -> list[str]:
-    """Names of all registered selection solvers, sorted."""
-    return sorted(_SOLVERS)
-
-
-def get_solver(name: str, *, node_limit: int = 200_000) -> Solver:
-    """Instantiate a registered solver by name.
-
-    Raises :class:`UnknownSolverError` (a :class:`SelectionError` that is
-    also a ``KeyError``) for unregistered names, so a typo in ``--solver``
-    fails at argument-validation time with exit code 2.
-    """
-    try:
-        cls = _SOLVERS[name]
-    except KeyError:
-        known = ", ".join(list_solvers())
-        raise UnknownSolverError(
-            f"unknown selection solver {name!r} (known: {known})"
-        ) from None
-    return cls(node_limit=node_limit)

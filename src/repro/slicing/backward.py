@@ -31,7 +31,6 @@ Two layers:
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -273,7 +272,6 @@ def slice_failing_runs(
     top_k: int = 8,
     decay: float = 0.5,
     max_module_fraction: float = 0.45,
-    variables: Optional[Sequence[str]] = None,
     evidence=None,
 ) -> RankedSlice:
     """The hybrid backward slice for a set of ECT-failing runs.
@@ -307,11 +305,6 @@ def slice_failing_runs(
     max_module_fraction:
         Hard cap on the slice size as a fraction of all graph modules
         (default 0.45 — the acceptance bar is "below half the modules").
-    variables:
-        Deprecated spelling of ``evidence`` — a bare sequence of output
-        field names.  Emits a :class:`DeprecationWarning`; pass an
-        :class:`~repro.selection.EvidenceSelection` as ``evidence=``
-        instead (bit-identical result).
     evidence:
         Explicit affected-variable override: an
         :class:`~repro.selection.EvidenceSelection` (anything with an
@@ -323,22 +316,7 @@ def slice_failing_runs(
         no seed nodes contribute nothing).  This is the injection point
         for :mod:`repro.refine` and the :mod:`repro.selection` stage.
     """
-    if variables is not None:
-        if evidence is not None:
-            raise ValueError(
-                "pass either evidence= or the deprecated variables=, not both"
-            )
-        warnings.warn(
-            "slice_failing_runs(variables=...) is deprecated; pass "
-            "evidence=EvidenceSelection(variables=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        requested_names: Optional[Sequence[str]] = variables
-    elif evidence is not None:
-        requested_names = list(getattr(evidence, "variables"))
-    else:
-        requested_names = None
+    requested_names = None if evidence is None else list(evidence.variables)
     if not runs:
         raise ValueError("slice_failing_runs needs at least one failing run")
     if not 0.0 < decay <= 1.0:

@@ -6,6 +6,7 @@ Girvan-Newman partition must recover the planted two-community split —
 across a sweep of seeded random cluster sizes and densities.
 """
 
+import json
 import random
 
 import pytest
@@ -90,6 +91,18 @@ def test_community_of_and_len():
     assert result.summary().startswith("CommunityResult(")
     with pytest.raises(KeyError, match="not in the graph"):
         result.community_of("zz")
+
+
+def test_dict_round_trip_keeps_the_best_partition_in_order():
+    q, a, b = planted_two_cluster_graph(1, 6, 4)
+    result = girvan_newman_communities(q)
+    again = CommunityResult.from_dict(
+        json.loads(json.dumps(result.to_dict()))
+    )
+    assert again.communities == result.communities
+    assert again.modularity == result.modularity
+    assert again.community_of("a0") == a
+    assert again.community_of("b0") == b
 
 
 def test_modularity_validates_partitions():

@@ -1,6 +1,7 @@
 """The six declarative experiments and the shared-stage sweep."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -87,14 +88,35 @@ class TestSpecCompilation:
         assert base["control_ensemble"] != other["control_ensemble"]
 
 
+def count_calls(monkeypatch, function) -> list:
+    """Route every ``repro`` module's binding of ``function`` through a
+    recording wrapper; the list that receives one entry per call."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro" or module is None:
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
 class TestSweep:
-    def test_sweep_shares_the_accepted_ensemble(self, tmp_path):
+    def test_sweep_shares_the_accepted_ensemble(self, tmp_path, monkeypatch):
+        from repro.analysis import girvan_newman_communities
+
         small = [
             get_experiment(name).with_(
                 members=6, nsteps=1, refine=RefinementConfig(members=4)
             )
             for name in ("wsubbug", "goffgratch")
         ]
+        communities = count_calls(monkeypatch, girvan_newman_communities)
         results = run_sweep(small, store_dir=tmp_path, backend="serial")
         first = results["wsubbug"].record("control_ensemble")
         second = results["goffgratch"].record("control_ensemble")
@@ -104,6 +126,15 @@ class TestSweep:
         for name, result in results.items():
             assert result["report"].detected, name
             assert result["report"].localized, name
+            # the refiner fits on in-memory rows: no member artifact read
+            refined = result.record("refined")
+            assert (refined.member_hits, refined.member_misses) == (0, 0)
+        # one Girvan-Newman partition per store, shared by the sweep ...
+        assert len(communities) == 1
+        assert results["goffgratch"].record("communities").status == "hit"
+        # ... and read back, not recomputed, by a warm re-run
+        run_sweep(small, store_dir=tmp_path, backend="serial")
+        assert len(communities) == 1
 
     def test_sweep_resolves_names(self, tmp_path):
         with pytest.raises(UnknownExperimentError):

@@ -1,0 +1,34 @@
+"""Localization reports pinned byte for byte.
+
+The six experiments run at small scale against one shared store; each
+report's ``to_json()`` must equal its file under ``golden/``.  The files
+pin the analysis tail (communities, selection, refinement, report): a
+change there that moves any report shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import get_experiment, list_experiments, run_sweep
+from repro.refine import RefinementConfig
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    specs = [
+        get_experiment(name).with_(
+            members=6, nsteps=1, refine=RefinementConfig(members=4)
+        )
+        for name in list_experiments()
+    ]
+    store = tmp_path_factory.mktemp("golden-store")
+    return run_sweep(specs, store_dir=store, backend="vectorized")
+
+
+@pytest.mark.parametrize("name", list_experiments())
+def test_report_matches_golden(sweep, name):
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert sweep[name]["report"].to_json() + "\n" == expected

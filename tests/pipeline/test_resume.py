@@ -31,6 +31,8 @@ KILL_POINTS = {
         "coverage_run",
         "ect",
         "ranked_slice",
+        "communities",
+        "selection",
     ],
 }
 

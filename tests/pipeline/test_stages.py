@@ -74,6 +74,11 @@ class TestRootCausePipeline:
         assert names[-1] == "report"
         assert "patched_source" in names  # wsubbug is a patched experiment
 
+    def test_refinement_larger_than_accepted_fails_at_compile(self):
+        # the default 16-member refinement ensemble needs 16 accepted rows
+        with pytest.raises(ValueError, match="of 16 members .* of 6 members"):
+            root_cause_pipeline(get_experiment("wsubbug").with_(members=6))
+
     def test_control_experiment_has_no_patched_source(self):
         from repro.experiments import ExperimentSpec
 

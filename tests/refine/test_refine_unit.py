@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.refine import RefinementConfig, RefinementResult
+from repro.refine import IterativeRefinement, RefinementConfig, RefinementResult
 from repro.slicing import RankedSlice
 
 
@@ -31,8 +31,9 @@ def test_config_validation(kwargs, match):
 def test_refinement_ensemble_is_a_member_prefix(
     refiner, accepted_ensemble_30
 ):
-    """The small ensemble's members are the first k accepted members, so a
-    shared artifact cache satisfies refinement regeneration instantly."""
+    """The small ensemble is the first k accepted rows, and a k-member
+    spec derives exactly those members' configs — so fitting on the rows
+    in memory is bit-identical to generating a k-member ensemble."""
     k = refiner.config.members
     assert refiner.ensemble.n_members == k
     assert (
@@ -42,6 +43,18 @@ def test_refinement_ensemble_is_a_member_prefix(
         refiner.ensemble.variable_names
         == accepted_ensemble_30.variable_names
     )
+    accepted = accepted_ensemble_30.spec
+    assert refiner.ensemble.spec == dataclasses.replace(accepted, n_members=k)
+    assert (
+        refiner.ensemble.spec.member_configs()
+        == accepted.member_configs()[:k]
+    )
+
+
+def test_refinement_larger_than_accepted_is_rejected(accepted_ensemble_30):
+    config = RefinementConfig(members=31)
+    with pytest.raises(ValueError, match="of 31 members .* of 30 members"):
+        IterativeRefinement(accepted_ensemble_30, config=config)
 
 
 def test_scoped_ect_restricts_to_requested_variables(refiner):

@@ -83,15 +83,16 @@ class TestStage:
         assert second.record("refined").status == "hit"
         assert second["refined"].extra == first["refined"].extra
 
-    def test_solver_knob_changes_the_selection_stage_key(self):
+    def test_selection_knob_changes_the_selection_stage_key(self):
         base = root_cause_pipeline(SMALL_EXPERIMENT).keys()
-        pulped = root_cause_pipeline(
+        lasso = root_cause_pipeline(
             SMALL_EXPERIMENT.with_(
-                selection=SelectionSpec(solver="pulp")
+                selection=SelectionSpec(method="lasso")
             )
         ).keys()
-        assert base["selection"] != pulped["selection"]
-        assert base["ranked_slice"] == pulped["ranked_slice"]
+        assert base["selection"] != lasso["selection"]
+        assert base["ranked_slice"] == lasso["ranked_slice"]
+        assert base["communities"] == lasso["communities"]
 
 
 class TestSelectCulprits:

@@ -1,4 +1,4 @@
-"""The set-cover solvers: planted optima, determinism, solver registry.
+"""The set-cover solver: planted optima and determinism.
 
 The branch-and-bound contract under test: for a fixed problem the solver
 returns the *same* cover, cost and node count regardless of input
@@ -8,7 +8,6 @@ ordering, hash seed or platform — and that cover is a true optimum
 
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +18,7 @@ from repro.selection import (
     InfeasibleSelectionError,
     SelectionError,
     SetCoverProblem,
-    Solver,
-    UnknownSolverError,
-    get_solver,
     greedy_cover,
-    list_solvers,
 )
 
 #: a planted instance on which greedy is provably suboptimal: greedy takes
@@ -168,6 +163,10 @@ class TestBranchAndBound:
         assert cold.warm_start_cost > warm.warm_start_cost
         assert cold.warm_start_gap > warm.warm_start_gap
 
+    def test_bad_node_limit_rejected(self):
+        with pytest.raises(ValueError, match="node_limit"):
+            BranchAndBoundSolver(node_limit=0)
+
 
 @st.composite
 def set_cover_instances(draw):
@@ -222,55 +221,3 @@ def test_property_optimal_deterministic_and_order_independent(problem, seed):
     assert again.modules == solution.modules
     assert again.cost == solution.cost
     assert again.nodes_explored == solution.nodes_explored
-
-
-class TestRegistry:
-    def test_list_solvers_names_both_backends(self):
-        assert list_solvers() == ["branch-and-bound", "pulp"]
-
-    def test_get_solver_instantiates_protocol_instances(self):
-        for name in list_solvers():
-            solver = get_solver(name, node_limit=10)
-            assert isinstance(solver, Solver)
-            assert solver.name == name
-
-    def test_unknown_solver_is_a_keyerror_with_a_clean_message(self):
-        with pytest.raises(UnknownSolverError) as err:
-            get_solver("simplex")
-        assert isinstance(err.value, KeyError)
-        assert "simplex" in str(err.value)
-        assert "branch-and-bound" in str(err.value)
-
-    def test_bad_node_limit_rejected(self):
-        with pytest.raises(ValueError, match="node_limit"):
-            BranchAndBoundSolver(node_limit=0)
-
-
-class TestPulp:
-    def test_naming_pulp_never_imports_it(self):
-        before = "pulp" in sys.modules
-        get_solver("pulp")
-        assert ("pulp" in sys.modules) == before
-
-    def test_missing_pulp_raises_selection_error_with_advice(
-        self, monkeypatch
-    ):
-        monkeypatch.setitem(sys.modules, "pulp", None)  # import -> error
-        with pytest.raises(SelectionError, match="pip install pulp"):
-            get_solver("pulp").solve(SetCoverProblem(**GREEDY_TRAP))
-
-    def test_pulp_agrees_with_branch_and_bound(self):
-        pytest.importorskip("pulp")
-        for instance in (GREEDY_TRAP, MATCHING):
-            problem = SetCoverProblem(**instance)
-            via_pulp = get_solver("pulp").solve(problem)
-            via_bnb = BranchAndBoundSolver().solve(problem)
-            assert via_pulp.cost == pytest.approx(via_bnb.cost)
-            assert via_pulp.optimal
-            assert via_pulp.solver == "pulp"
-
-    def test_pulp_respects_anchors(self):
-        pytest.importorskip("pulp")
-        problem = SetCoverProblem(**GREEDY_TRAP, forced=frozenset({"Z"}))
-        solution = get_solver("pulp").solve(problem)
-        assert solution.modules == ("Y", "Z")

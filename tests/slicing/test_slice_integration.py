@@ -147,47 +147,6 @@ def test_explicit_evidence_override_replaces_the_topk_heuristic(
     assert silent.modules == []
 
 
-def test_variables_kwarg_is_deprecated_but_bit_identical(
-    accepted_ensemble, ect, control_source, control_graph
-):
-    """``variables=`` still works — warning, same bits — and combining it
-    with its replacement is a usage error."""
-    from repro.selection import EvidenceSelection
-
-    model = ModelConfig(patches=("wsubbug",))
-    patched_source = build_model_source(model)
-    runs = [
-        run_model(SPEC.experimental_config(i, model=model), source=patched_source)
-        for i in range(3)
-    ]
-    coverage = run_model(
-        RunConfig(model=model, nsteps=1), source=patched_source
-    ).coverage
-    kwargs = dict(
-        graph=control_graph, source=control_source, coverage=coverage
-    )
-    evidence = EvidenceSelection(variables=("WSUB", "PRECT"))
-    with pytest.warns(DeprecationWarning, match="evidence=EvidenceSelection"):
-        legacy = slice_failing_runs(
-            accepted_ensemble, runs, variables=["WSUB", "PRECT"], **kwargs
-        )
-    modern = slice_failing_runs(
-        accepted_ensemble, runs, evidence=evidence, **kwargs
-    )
-    # bit-identical outcome: weights, ranking and slice all match exactly
-    assert legacy.variable_weights == modern.variable_weights
-    assert legacy.ranking == modern.ranking
-    assert legacy.modules == modern.modules
-    with pytest.raises(ValueError, match="not both"):
-        slice_failing_runs(
-            accepted_ensemble,
-            runs,
-            variables=["WSUB"],
-            evidence=evidence,
-            **kwargs,
-        )
-
-
 def test_never_executed_modules_are_sliced_away(
     accepted_ensemble, ect, control_source, control_graph
 ):

@@ -33,12 +33,10 @@ class TestHierarchy:
         from repro.ensemble.backends import UnknownBackendError
         from repro.model.patches import UnknownPatchError
         from repro.pipeline.store import StoreError
-        from repro.selection import UnknownSolverError
 
         assert errors_module.UnknownBackendError is UnknownBackendError
         assert errors_module.UnknownPatchError is UnknownPatchError
         assert errors_module.StoreError is StoreError
-        assert errors_module.UnknownSolverError is UnknownSolverError
 
     def test_historical_builtin_bases_survive(self):
         # pre-consolidation except clauses keep matching
@@ -46,19 +44,16 @@ class TestHierarchy:
         assert issubclass(errors_module.StageError, RuntimeError)
         assert issubclass(errors_module.UnknownExperimentError, KeyError)
         assert issubclass(errors_module.UnknownBackendError, KeyError)
-        assert issubclass(errors_module.UnknownSolverError, KeyError)
         assert issubclass(errors_module.ArtifactError, ValueError)
         assert issubclass(errors_module.CoverageReportError, ValueError)
 
     def test_one_except_catches_scattered_raisers(self):
         from repro.experiments import get_experiment
         from repro.model import get_patch
-        from repro.selection import get_solver
 
         for trigger in (
             lambda: get_experiment("warpdrive"),
             lambda: get_patch("warpdrive"),
-            lambda: get_solver("warpdrive"),
         ):
             with pytest.raises(ReproError):
                 trigger()
@@ -84,8 +79,13 @@ class TestCliExitCodes:
         [
             (["run", "warpdrive"], "warpdrive"),
             (["run", "wsubbug", "--backend", "quantum"], "quantum"),
-            (["run", "wsubbug", "--solver", "simplex"], "simplex"),
+            # the default 16-member refinement ensemble cannot come from
+            # 6 accepted members (TestRun in tests/pipeline/test_cli.py
+            # runs the fitting --members 6 --refine-members 4)
+            (["run", "wsubbug", "--members", "6"], "of 16 members"),
             (["run", "wsubbug", "--vec-batch", "0"], "--vec-batch"),
+            (["sweep", "wsubbug", "goffgratch", "--members", "6"],
+             "of 6 members"),
         ],
     )
     def test_usage_errors_exit_2(self, argv, fragment, tmp_path, capsys):
@@ -95,14 +95,6 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and fragment in err
         assert list(tmp_path.iterdir()) == []  # nothing ran
-
-    def test_unknown_solver_names_the_known_ones(self, tmp_path, capsys):
-        code, _ = self.invoke(
-            ["run", "wsubbug", "--solver", "simplex", "--store", str(tmp_path)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "branch-and-bound" in err and "pulp" in err
 
     def test_not_localized_run_exits_1(self, tmp_path, monkeypatch):
         from repro.reporting.report import LocalizationReport, VerdictReport

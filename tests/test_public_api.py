@@ -1,9 +1,7 @@
-"""The lazy public API of :mod:`repro` resolves or fails loudly.
+"""The lazy public API of :mod:`repro` resolves.
 
-Every symbol in ``repro.__all__`` whose backing module is implemented must
-import; symbols whose backing module is a later PR must raise a clear
-``AttributeError`` naming the pending module — never a bare
-``ModuleNotFoundError`` out of attribute access.
+Every symbol in ``repro.__all__`` must resolve to the object its backing
+module defines.
 """
 
 import importlib
@@ -12,37 +10,7 @@ import pytest
 
 import repro
 
-#: backing modules implemented as of this PR
-IMPLEMENTED_MODULES = {
-    "repro.fortran",
-    "repro.model",
-    "repro.graphs",
-    "repro.runtime",
-    "repro.kgen",
-    "repro.ensemble",
-    "repro.ect",
-    "repro.coverage",
-    "repro.slicing",
-    "repro.analysis",
-    "repro.refine",
-    "repro.pipeline",
-    "repro.experiments",
-    "repro.reporting",
-    "repro.obs",
-    "repro.selection",
-    "repro.errors",
-}
-
-IMPLEMENTED = sorted(
-    name
-    for name, (module, _) in repro._LAZY_EXPORTS.items()
-    if module in IMPLEMENTED_MODULES
-)
-PENDING = sorted(
-    name
-    for name, (module, _) in repro._LAZY_EXPORTS.items()
-    if module not in IMPLEMENTED_MODULES
-)
+IMPLEMENTED = sorted(repro._LAZY_EXPORTS)
 
 
 def test_version_is_exported():
@@ -62,13 +30,6 @@ def test_implemented_symbols_resolve(name):
 def test_lazy_export_matches_direct_import(name):
     module_name, attr = repro._LAZY_EXPORTS[name]
     assert getattr(repro, name) is getattr(importlib.import_module(module_name), attr)
-
-
-@pytest.mark.parametrize("name", PENDING)
-def test_pending_symbols_raise_clear_attribute_error(name):
-    module_name, _ = repro._LAZY_EXPORTS[name]
-    with pytest.raises(AttributeError, match=module_name):
-        getattr(repro, name)
 
 
 def test_unknown_attribute_raises_attribute_error():
