@@ -10,11 +10,11 @@ Writes ``BENCH_ensemble.json`` (repo root by default) with
   coverage on;
 * ``speedup`` — ``dispatch_s / compiled_s`` (the PR acceptance floor is 2x);
 * ``backends`` — ``members_per_s`` of the same cached-off ensemble
-  generation through every registered execution backend (``serial``,
-  ``thread``, ``process``, ``vectorized``).  The thread pool is
-  GIL-bound, so on a multi-core machine the process pool (per-worker
-  parsed-source cache) must come out ahead; on a single-core runner the
-  scalar backends are expected to tie within noise.
+  generation through every registered execution backend (``process``,
+  ``serial``, ``vectorized``).  On a multi-core machine the process pool
+  (per-worker parsed-source cache) must come out ahead of ``serial``; on
+  a single-core runner the two scalar backends are expected to tie
+  within noise.
 * ``vectorized`` — the member-batched runtime over ``VEC_MEMBERS``
   members, measured member-cache **cold** in two variants plus warm:
   ``kernel_fused`` (the default path: conformant kgen kernels swapped
@@ -46,7 +46,7 @@ Run from the repo root::
 
 ``--strict`` exits 1 when the compiled-path speedup is below the 2x
 acceptance floor, when (given >1 CPU) the process backend does not beat
-the thread backend, when the vectorized runtime is below 5x the best
+the serial backend, when the vectorized runtime is below 5x the best
 scalar backend, when kernel-fused throughput falls below the
 interpreted-vec baseline (or the warm pass re-runs any member), when
 any registered patch fails to localize, or when any patch regresses
@@ -54,7 +54,7 @@ against the pre-selection (PR 6) localization baselines — more refined
 modules than ``min(8, baseline)`` or more refinement iterations than the
 baseline took — the
 regression gate CI applies on its newest-Python matrix entry.  Checks a
-runner cannot meaningfully make (the process-vs-thread ordering on a
+runner cannot meaningfully make (the process-vs-serial ordering on a
 single CPU) are skipped, and every skip is recorded with its reason under
 ``strict_skips`` in the JSON.  Wall-clock *numbers* stay ungated
 everywhere (shared runners are too noisy); only the speedup ratios, the
@@ -309,10 +309,10 @@ def main() -> int:
     if not multi_core:
         strict_skips.append(
             {
-                "check": "process_beats_thread",
+                "check": "process_beats_serial",
                 "reason": "single-CPU runner: the process pool cannot be "
-                "expected to beat the GIL-bound thread pool without a "
-                "second core",
+                "expected to beat the serial backend without a second "
+                "core",
             }
         )
 
@@ -355,15 +355,15 @@ def main() -> int:
         failed = True
     if (
         "process" in backends
-        and "thread" in backends
+        and "serial" in backends
         and backends["process"]["members_per_s"]
-        <= backends["thread"]["members_per_s"]
+        <= backends["serial"]["members_per_s"]
     ):
         print(
             "WARNING: process backend "
             f"({backends['process']['members_per_s']} members/s) did not "
-            f"beat thread backend "
-            f"({backends['thread']['members_per_s']} members/s)"
+            f"beat serial backend "
+            f"({backends['serial']['members_per_s']} members/s)"
             + (
                 ""
                 if multi_core

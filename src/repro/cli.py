@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             default=None,
             help="execution backend for member fan-outs "
-            "(serial/thread/process/vectorized; default: library default)",
+            "(serial/process/vectorized; default: vectorized)",
         )
         p.add_argument(
             "--max-workers", type=int, default=None, help="pool width"
@@ -260,9 +260,14 @@ EX_USAGE = 2
 
 def _validate_names(args) -> Optional[str]:
     """Resolve the experiment, compile its pipeline, and check the backend
-    and batch-size knobs up front; the error message (naming every known
+    and batch-size knobs up front — flags and ``REPRO_ENSEMBLE_BACKEND`` /
+    ``REPRO_VEC_BATCH`` alike; the error message (naming every known
     candidate) on a bad one, else None."""
-    from .ensemble.backends import get_backend, validate_batch_size
+    from .ensemble.backends import (
+        VectorizedBackend,
+        get_backend,
+        validate_batch_size,
+    )
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
@@ -270,10 +275,12 @@ def _validate_names(args) -> Optional[str]:
         # compiling checks sizes, e.g. a refinement ensemble larger than
         # the accepted one
         root_cause_pipeline(_resolve_experiment(args))
-        if args.backend is not None:
-            get_backend(args.backend, max_workers=args.max_workers)
+        backend = get_backend(args.backend, max_workers=args.max_workers)
         if getattr(args, "vec_batch", None) is not None:
             validate_batch_size(args.vec_batch, "--vec-batch")
+        elif isinstance(backend, VectorizedBackend):
+            # no --vec-batch to override it: the environment's width rules
+            backend.effective_batch_size()
     # unknown backends and bad batch sizes raise ValueError subclasses
     except (UnknownExperimentError, ValueError) as exc:
         return str(exc)

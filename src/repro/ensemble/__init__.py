@@ -6,14 +6,15 @@ initial-temperature perturbations and independent PRNG seeds) defines the
 distribution a change must stay inside to count as "the same climate".
 :class:`EnsembleSpec` derives the N member configs deterministically from
 one base seed, :func:`generate_ensemble` fans them out through a pluggable
-execution backend (``serial`` / ``thread`` / ``process`` — see
-:mod:`repro.ensemble.backends`) sharing one parsed
+execution backend (``vectorized`` by default, ``serial`` / ``process`` —
+see :mod:`repro.ensemble.backends`) sharing one parsed
 :class:`~repro.model.builder.ModelSource`, with an optional
 content-addressed :class:`RunArtifact` disk cache making re-runs
 incremental (coverage included), and the resulting :class:`Ensemble`
 holds the member matrix plus merged coverage for the ECT / slicing
-stages.  All backends are bit-identical; ``process`` is the one that
-scales past the GIL.
+stages.  All backends are bit-identical; ``vectorized`` advances every
+member in one numpy pass, ``serial`` is the scalar reference it falls
+back to, and ``process`` spreads scalar members over cores.
 
 Quickstart — does the ``cldfrc-premib`` bug patch change the climate?
 
@@ -41,7 +42,6 @@ from .backends import (
     InvalidBatchSizeError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     UnknownBackendError,
     VectorizedBackend,
     get_backend,
@@ -62,7 +62,6 @@ __all__ = [
     "ProcessBackend",
     "RunArtifact",
     "SerialBackend",
-    "ThreadBackend",
     "UnknownBackendError",
     "VectorizedBackend",
     "generate_ensemble",

@@ -3,19 +3,12 @@
 ``generate_ensemble`` is a *coordinator*: it derives member configs,
 consults the artifact cache, and hands the cache misses to an
 :class:`ExecutionBackend` that decides **where** the interpreter runs.
-Four backends ship:
+Three backends ship:
 
 ``serial``
     Run members one after another in the calling thread.  The reference
-    semantics every other backend must match bit-for-bit, and the fastest
-    choice for one or two members.
-
-``thread``
-    A :class:`concurrent.futures.ThreadPoolExecutor` sharing one parsed
-    :class:`~repro.model.builder.ModelSource`.  Cheap to start and fine for
-    overlapping cache I/O, but the interpreter is pure Python, so member
-    *execution* is GIL-bound — wall clock scales like ``serial`` no matter
-    the pool width.
+    semantics every other backend must match bit-for-bit, and the scalar
+    path ``vectorized`` falls back to.
 
 ``process``
     A :class:`concurrent.futures.ProcessPoolExecutor` that sidesteps the
@@ -27,18 +20,19 @@ Four backends ship:
     (plain arrays + counters), never interpreter internals, so the IPC
     payload stays small and version-stable.
 
-``vectorized``
+``vectorized`` (the default)
     One member-batched interpreter pass (:mod:`repro.runtime.vec`) that
     advances every member at once over numpy arrays carrying a leading
     member axis.  Single-core and GIL-friendly, it beats the scalar
     backends by an order of magnitude on wide ensembles; members whose
     configs differ in more than ``pertlim``/``seed`` fall into separate
-    batches automatically.
+    batches automatically, and a batch the vectorized runtime cannot
+    express runs member by member on the ``serial`` path instead.
 
 Every backend maps the same ``(index, RunConfig)`` list to the same
-artifacts — the interpreter is deterministic, so ``serial``, ``thread``,
-``process`` and ``vectorized`` produce bit-identical ensembles (a
-conformance test holds them to that).
+artifacts — the interpreter is deterministic, so ``serial``, ``process``
+and ``vectorized`` produce bit-identical ensembles (a conformance test
+holds them to that).
 
 Backends are looked up by name via :func:`get_backend`; the selection knob
 on :class:`~repro.ensemble.spec.EnsembleSpec` / ``generate_ensemble`` and
@@ -56,8 +50,8 @@ from typing import Callable, Iterator, Optional
 
 from ..errors import ReproError
 from ..model.builder import ModelConfig, ModelSource, build_model_source
-from ..obs import Span, get_tracer, new_span_id
-from ..runtime import RunConfig, run_model
+from ..obs import Span, get_metrics, get_tracer, new_span_id
+from ..runtime import RunConfig, VectorizationError, run_model
 from .artifact import RunArtifact
 from .cache import member_cache_key
 
@@ -67,7 +61,6 @@ __all__ = [
     "InvalidBatchSizeError",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "UnknownBackendError",
     "VectorizedBackend",
     "get_backend",
@@ -149,7 +142,7 @@ def resolve_vec_batch(*candidates) -> Optional[tuple[int, str]]:
 BACKEND_ENV_VAR = "REPRO_ENSEMBLE_BACKEND"
 
 #: the fallback when nothing selects a backend (see ``resolve_backend_name``)
-DEFAULT_BACKEND = "thread"
+DEFAULT_BACKEND = "vectorized"
 
 
 def _bare_artifact(source: ModelSource, config: RunConfig) -> RunArtifact:
@@ -159,22 +152,13 @@ def _bare_artifact(source: ModelSource, config: RunConfig) -> RunArtifact:
 
 
 def _run_artifact(
-    source: ModelSource,
-    config: RunConfig,
-    parent_id: Optional[str] = None,
-    backend: Optional[str] = None,
+    source: ModelSource, config: RunConfig, backend: str
 ) -> RunArtifact:
-    """One member under an ``ensemble.member`` span (in-process backends).
-
-    ``parent_id`` carries the submitting thread's current span into pool
-    threads, whose own span stacks are empty.
-    """
-    tracer = get_tracer()
-    span = tracer.span(
+    """One member under an ``ensemble.member`` span (in-process backends)."""
+    span = get_tracer().span(
         "ensemble.member",
         lambda: {"seed": config.seed, "nsteps": config.nsteps,
                  "backend": backend},
-        parent_id=parent_id,
     )
     with span:
         artifact = _bare_artifact(source, config)
@@ -218,42 +202,7 @@ class SerialBackend(ExecutionBackend):
         jobs: list[tuple[int, RunConfig]],
     ) -> Iterator[tuple[int, RunArtifact]]:
         for index, config in jobs:
-            yield index, _run_artifact(source, config, backend=self.name)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool fan-out over one shared parsed source (GIL-bound)."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-
-    def run_members(
-        self,
-        source: ModelSource,
-        jobs: list[tuple[int, RunConfig]],
-    ) -> Iterator[tuple[int, RunArtifact]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = self.max_workers or min(4, len(jobs)) or 1
-        # pool threads have empty span stacks: hand them the submitting
-        # thread's current span so member spans still nest under the stage
-        parent = get_tracer().current_id()
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            pending = {
-                pool.submit(
-                    _run_artifact, source, config, parent, self.name
-                ): index
-                for index, config in jobs
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield pending.pop(future), future.result()
-
-    def describe(self) -> str:
-        return f"thread(max_workers={self.max_workers or 'auto'})"
+            yield index, _run_artifact(source, config, self.name)
 
 
 # --------------------------------------------------------------------------
@@ -409,10 +358,17 @@ class VectorizedBackend(ExecutionBackend):
     requires to be uniform (nsteps and fp model — the model build is
     already fixed by ``source``; coverage flag and statement budget may
     vary per lane since PR 9), so a mixed job list still runs correctly,
-    just in one batch per group.  Falls back to nothing: a model the
-    vectorized runtime cannot express raises
-    :class:`~repro.runtime.VectorizationError` rather than silently
-    degrading, and the caller picks a scalar backend instead.
+    just in one batch per group.
+
+    Falls back to the scalar path: when ``run_model_batch`` raises
+    :class:`~repro.runtime.VectorizationError` for a batch (a construct
+    the member-batched runtime cannot express), that batch's members run
+    one by one as :class:`SerialBackend` runs them — bit-identical, just
+    slower, each under a real ``ensemble.member`` span.  Every such batch
+    adds 1 to the ``vec.fallbacks`` counter and records the reason as the
+    ``fallback`` attribute of its ``ensemble.batch`` span.  Any other
+    error (an exhausted statement budget, a model runtime error)
+    propagates.
 
     ``batch_size`` bounds how many members one interpreter pass carries
     (memory scales with the member axis); ``None`` defers to
@@ -453,35 +409,43 @@ class VectorizedBackend(ExecutionBackend):
         tracer = get_tracer()
         for group in groups.values():
             step = limit or len(group)
-            batches = [
-                group[i : i + step] for i in range(0, len(group), step)
-            ]
-            yield from self._run_batches(
-                tracer, source, batches, run_model_batch
-            )
+            for start in range(0, len(group), step):
+                batch = group[start : start + step]
+                artifacts = self._run_batch(
+                    tracer, source, batch, run_model_batch
+                )
+                for (index, _), artifact in zip(batch, artifacts):
+                    yield index, artifact
 
-    def _run_batches(
-        self, tracer, source, batches, run_model_batch
-    ) -> Iterator[tuple[int, RunArtifact]]:
-        for batch in batches:
-            with tracer.span(
-                "ensemble.batch",
-                lambda: {"members": len(batch), "backend": self.name},
-            ) as batch_span:
-                results = run_model_batch(
-                    [config for _, config in batch], source=source
-                )
-            if tracer.enabled:
-                # one interpreter pass advanced the whole batch, so true
-                # per-member walls don't exist; synthesize member spans
-                # with the amortized share (flagged `estimated`) so the
-                # trace still accounts for every member.
-                self._adopt_member_spans(tracer, batch_span, batch)
-            for (index, config), result in zip(batch, results):
-                artifact = RunArtifact.from_result(
-                    result, member_cache_key(source, config)
-                )
-                yield index, artifact
+    def _run_batch(
+        self, tracer, source, batch, run_model_batch
+    ) -> list[RunArtifact]:
+        """One batch's artifacts: one vectorized pass, or the serial path
+        member by member when the pass raises ``VectorizationError``."""
+        configs = [config for _, config in batch]
+        with tracer.span(
+            "ensemble.batch",
+            lambda: {"members": len(batch), "backend": self.name},
+        ) as batch_span:
+            try:
+                results = run_model_batch(configs, source=source)
+            except VectorizationError as exc:
+                get_metrics().inc("vec.fallbacks")
+                batch_span.annotate(fallback=str(exc))
+                return [
+                    _run_artifact(source, config, SerialBackend.name)
+                    for config in configs
+                ]
+        if tracer.enabled:
+            # one interpreter pass advanced the whole batch, so true
+            # per-member walls don't exist; synthesize member spans with
+            # the amortized share (flagged `estimated`) so the trace still
+            # accounts for every member.
+            self._adopt_member_spans(tracer, batch_span, batch)
+        return [
+            RunArtifact.from_result(result, member_cache_key(source, config))
+            for config, result in zip(configs, results)
+        ]
 
     def describe(self) -> str:
         limit = self.effective_batch_size()
@@ -538,7 +502,6 @@ def list_backends() -> list[str]:
 
 
 register_backend("serial", lambda max_workers=None: SerialBackend())
-register_backend("thread", ThreadBackend)
 register_backend("process", ProcessBackend)
 register_backend(
     "vectorized",
@@ -568,8 +531,9 @@ def get_backend(
     ``max_workers`` is a :class:`ValueError` rather than a silently
     ignored knob; a string is looked up in the registry; ``None`` falls
     back to the ``REPRO_ENSEMBLE_BACKEND`` environment variable and then
-    to ``"thread"``.  A name the registry does not know — wherever it came
-    from, argument, spec or environment — raises
+    to ``"vectorized"``.  ``max_workers`` sizes the ``process`` pool; the
+    other backends ignore it.  A name the registry does not know —
+    wherever it came from, argument, spec or environment — raises
     :class:`UnknownBackendError` listing every registered backend.
     """
     if isinstance(backend, ExecutionBackend):

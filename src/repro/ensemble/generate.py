@@ -5,10 +5,11 @@ into N member runs.  It is a *coordinator*: member configs are derived from
 the spec, members already present in the content-addressed artifact cache
 are loaded (coverage included — a cache hit preserves the member's
 :class:`CoverageTrace`), and the remaining misses are fanned out through a
-pluggable :class:`~repro.ensemble.backends.ExecutionBackend` (``serial``,
-``thread``, or ``process`` — the process pool is how O(1000)-member
-ensembles get past the GIL).  Every backend produces bit-identical
-members, so the backend choice never changes the science.
+pluggable :class:`~repro.ensemble.backends.ExecutionBackend`
+(``vectorized`` by default — one member-batched pass for the whole
+ensemble — or ``serial`` / ``process`` on the scalar interpreter).  Every
+backend produces bit-identical members, so the backend choice never
+changes the science.
 
 The collected :class:`Ensemble` is the statistical object the ECT layer
 consumes: a ``(n_members, n_variables)`` matrix of global-mean output
@@ -138,13 +139,15 @@ def generate_ensemble(
         re-runs never drop or recompute a member's trace.
     backend:
         Execution backend for the cache-miss fan-out: a registered name
-        (``"serial"``, ``"thread"``, ``"process"``) or a pre-configured
-        :class:`ExecutionBackend` instance.  ``None`` falls back to
-        ``spec.backend``, then the ``REPRO_ENSEMBLE_BACKEND`` environment
-        variable, then ``"thread"``.  All backends are bit-identical; the
-        process pool is the one that scales past the GIL.
+        (``"serial"``, ``"process"``, ``"vectorized"``) or a
+        pre-configured :class:`ExecutionBackend` instance.  ``None`` falls
+        back to ``spec.backend``, then the ``REPRO_ENSEMBLE_BACKEND``
+        environment variable, then ``"vectorized"``.  All backends are
+        bit-identical; ``vectorized`` runs the members in one batched
+        pass (falling back to the scalar path for a batch it cannot
+        express), ``serial`` is the scalar reference.
     max_workers:
-        Pool width for pool-based backends (default: backend-specific).
+        Pool width of the ``process`` backend (the others ignore it).
     progress:
         Optional ``callback(done, total)`` invoked as members complete
         (cache hits included).

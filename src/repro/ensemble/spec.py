@@ -43,11 +43,13 @@ class EnsembleSpec:
     collect_coverage: bool = True
     max_statements: int = 50_000_000
     #: execution-backend name for the member fan-out (``"serial"``,
-    #: ``"thread"`` or ``"process"`` — see :mod:`repro.ensemble.backends`).
-    #: ``None`` defers to ``generate_ensemble``'s ``backend=`` argument,
-    #: then the ``REPRO_ENSEMBLE_BACKEND`` environment variable, then
-    #: ``"thread"``.  The backend only chooses *where* members run: every
-    #: backend produces bit-identical ensembles.
+    #: ``"process"`` or ``"vectorized"`` — see
+    #: :mod:`repro.ensemble.backends`).  ``generate_ensemble``'s
+    #: ``backend=`` argument overrides it; ``None`` defers to the
+    #: ``REPRO_ENSEMBLE_BACKEND`` environment variable, then
+    #: ``"vectorized"``.  The backend only chooses *where* members run:
+    #: every backend produces bit-identical ensembles, so it is excluded
+    #: from pipeline stage cache keys (see ``__config_token_exclude__``).
     backend: str | None = None
     #: batch-width bound for the ``vectorized`` backend (``None`` = defer
     #: to the ``REPRO_VEC_BATCH`` environment variable, then "one batch
@@ -58,7 +60,7 @@ class EnsembleSpec:
 
     #: fields :func:`repro.pipeline.core.config_token` must skip — knobs
     #: that change *where/how wide* members run but never their bits
-    __config_token_exclude__ = frozenset({"vec_batch"})
+    __config_token_exclude__ = frozenset({"backend", "vec_batch"})
 
     def __post_init__(self) -> None:
         if isinstance(self.n_members, bool) or not isinstance(

@@ -10,6 +10,7 @@ dotted namespace:
 ``ensemble.members_run/_cached``    fan-out volume per ensemble generation
 ``interpreter.runs/statements``     scalar-interpreter work
 ``vec.batches/mask_collapses``      vectorized-runtime work and divergence
+``vec.fallbacks``                   vectorized batches re-run scalar
 ``refine.iters``                    Algorithm 5.4 candidate evaluations
 ``ect.tests``                       consistency tests performed
 =========================  ==================================================

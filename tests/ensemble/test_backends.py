@@ -9,7 +9,6 @@ from repro.ensemble import (
     InvalidBatchSizeError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     UnknownBackendError,
     VectorizedBackend,
     generate_ensemble,
@@ -41,7 +40,7 @@ def serial_ensemble(shared_source):
 class TestConformance:
     """Acceptance: every backend is bit-identical to the serial reference."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "vectorized"])
+    @pytest.mark.parametrize("backend", ["process", "vectorized"])
     def test_backend_matches_serial_bit_for_bit(
         self, backend, shared_source, serial_ensemble
     ):
@@ -105,21 +104,19 @@ class TestWorkerSourceCache:
 
 class TestRegistry:
     def test_builtin_backends_listed(self):
-        assert {"serial", "thread", "process", "vectorized"} <= set(
-            list_backends()
-        )
+        assert list_backends() == ["process", "serial", "vectorized"]
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
+        assert isinstance(get_backend("vectorized"), VectorizedBackend)
 
     def test_get_backend_passthrough_instance(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert get_backend(backend) is backend
 
     def test_max_workers_cannot_silently_override_an_instance(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         with pytest.raises(ValueError, match="max_workers"):
             get_backend(backend, max_workers=4)
 
@@ -189,7 +186,7 @@ class TestSelectionKnobs:
     def test_argument_overrides_spec(self, shared_source):
         import dataclasses
 
-        spec = dataclasses.replace(SMALL, backend="thread")
+        spec = dataclasses.replace(SMALL, backend="process")
         ens = generate_ensemble(spec, source=shared_source, backend="serial")
         assert ens.stats["backend"] == "serial"
 
@@ -200,9 +197,9 @@ class TestSelectionKnobs:
         ens = generate_ensemble(SMALL, source=shared_source)
         assert ens.stats["backend"] == "serial"
 
-    def test_environment_default_is_thread(self, monkeypatch):
+    def test_environment_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert isinstance(get_backend(None), ThreadBackend)
+        assert isinstance(get_backend(None), VectorizedBackend)
 
     def test_spec_backend_does_not_change_member_configs(self):
         import dataclasses
@@ -309,11 +306,71 @@ class TestVectorizedBatchSize:
 
         from repro.pipeline.core import config_token
 
-        spec = dataclasses.replace(SMALL, vec_batch=2)
-        assert spec.member_configs() == SMALL.member_configs()
-        # a pure *where* knob: stage cache keys must not see it
-        assert config_token(spec) == config_token(SMALL)
-        assert "vec_batch" not in config_token(spec)
+        for knob in ({"vec_batch": 2}, {"backend": "serial"}):
+            spec = dataclasses.replace(SMALL, **knob)
+            assert spec.member_configs() == SMALL.member_configs()
+            # a pure *where* knob: stage cache keys must not see it
+            assert config_token(spec) == config_token(SMALL)
+            assert not set(knob) & set(config_token(spec))
+
+
+class TestVectorizedFallback:
+    """A batch the member-batched runtime cannot express runs member by
+    member on the scalar path; any other batch error still propagates."""
+
+    @staticmethod
+    def refuse_batches(monkeypatch, error):
+        def run_model_batch(configs, source=None, kernels="auto"):
+            raise error
+
+        monkeypatch.setattr(
+            "repro.runtime.vec.run_model_batch", run_model_batch
+        )
+
+    def test_vectorization_error_falls_back_to_serial(
+        self, shared_source, serial_ensemble, monkeypatch
+    ):
+        from repro.obs import disable_tracing, enable_tracing, get_metrics
+        from repro.runtime import VectorizationError
+
+        self.refuse_batches(
+            monkeypatch, VectorizationError("PRNG draw under a partial mask")
+        )
+        before = get_metrics().counters().get("vec.fallbacks", 0)
+        enable_tracing()
+        try:
+            ens = generate_ensemble(
+                SMALL,
+                source=shared_source,
+                backend=VectorizedBackend(batch_size=2),
+            )
+        finally:
+            spans = disable_tracing()
+        np.testing.assert_array_equal(ens.matrix, serial_ensemble.matrix)
+        assert ens.coverage == serial_ensemble.coverage
+        assert get_metrics().counters()["vec.fallbacks"] == before + 2
+        batches = [s for s in spans if s.name == "ensemble.batch"]
+        assert len(batches) == 2
+        for batch in batches:
+            assert "partial mask" in batch.attrs["fallback"]
+        # the members ran for real, one span each, under their batch
+        members = [s for s in spans if s.name == "ensemble.member"]
+        assert len(members) == SMALL.n_members
+        assert not any(s.attrs.get("estimated") for s in members)
+        assert {s.parent_id for s in members} == {b.span_id for b in batches}
+
+    def test_other_batch_errors_propagate(self, shared_source, monkeypatch):
+        from repro.runtime import StatementLimitExceeded
+
+        self.refuse_batches(
+            monkeypatch, StatementLimitExceeded("statement budget exhausted")
+        )
+        with pytest.raises(StatementLimitExceeded):
+            generate_ensemble(
+                SMALL,
+                source=shared_source,
+                backend=VectorizedBackend(batch_size=2),
+            )
 
 
 def test_execution_backend_is_abstract():

@@ -53,8 +53,12 @@ class TestGeneration:
         assert again.coverage == small_ensemble.coverage
 
     def test_parallel_fanout_matches_serial(self, shared_source, small_ensemble):
-        wide = generate_ensemble(SMALL, source=shared_source, max_workers=4)
-        serial = generate_ensemble(SMALL, source=shared_source, max_workers=1)
+        wide = generate_ensemble(
+            SMALL, source=shared_source, backend="process", max_workers=4
+        )
+        serial = generate_ensemble(
+            SMALL, source=shared_source, backend="process", max_workers=1
+        )
         np.testing.assert_array_equal(wide.matrix, serial.matrix)
         np.testing.assert_array_equal(wide.matrix, small_ensemble.matrix)
 

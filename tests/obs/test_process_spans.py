@@ -29,7 +29,7 @@ def generate_span(spans):
     return span
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "vectorized"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
 def test_in_process_backends_one_span_per_member(backend):
     enable_tracing()
     generate_ensemble(SPEC, backend=backend)

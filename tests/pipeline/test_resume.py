@@ -98,7 +98,7 @@ def test_resume_after_crash_at_stage(kill_at, tmp_path, uninterrupted):
     assert report_fingerprint(resumed) == report_fingerprint(uninterrupted)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
 def test_resume_bit_identical_across_backends(
     backend, tmp_path, uninterrupted
 ):
