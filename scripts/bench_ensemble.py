@@ -16,13 +16,11 @@ Writes ``BENCH_ensemble.json`` (repo root by default) with
   a single-core runner the two scalar backends are expected to tie
   within noise.
 * ``vectorized`` — the member-batched runtime over ``VEC_MEMBERS``
-  members, measured member-cache **cold** in two variants plus warm:
-  ``kernel_fused`` (the default path: conformant kgen kernels swapped
-  into the hot loop), ``interpreted_vec`` (``REPRO_KGEN_FUSION=0``, the
-  PR 7 baseline), and ``warm`` (a second pass against a populated member
-  cache, which must re-run zero members).  The effective batch width is
-  recorded under ``batch_size``.  The strict floors are 5x the best
-  *scalar* backend for the fused number, and fused >= interpreted.
+  members: one member-cache **cold** pass (``total_s`` /
+  ``members_per_s``) and a ``warm`` pass against a populated member
+  cache, which must re-run zero members.  The effective batch width is
+  recorded under ``batch_size``.  The strict floor is 5x the best
+  *scalar* backend for the cold number.
 * ``localization`` — the whole pipeline per registered bug patch, driven
   through :func:`repro.pipeline.root_cause_pipeline` against one shared
   store: experimental runs -> ECT verdict -> coverage -> ranked backward
@@ -47,8 +45,7 @@ Run from the repo root::
 ``--strict`` exits 1 when the compiled-path speedup is below the 2x
 acceptance floor, when (given >1 CPU) the process backend does not beat
 the serial backend, when the vectorized runtime is below 5x the best
-scalar backend, when kernel-fused throughput falls below the
-interpreted-vec baseline (or the warm pass re-runs any member), when
+scalar backend, when the warm vectorized pass re-runs any member, when
 any registered patch fails to localize, or when any patch regresses
 against the pre-selection (PR 6) localization baselines — more refined
 modules than ``min(8, baseline)`` or more refinement iterations than the
@@ -131,46 +128,18 @@ def bench_backend(spec, source, backend: str, cache_dir=None) -> dict:
     }
 
 
-def bench_vectorized(source, strict: bool) -> dict:
-    """The member-batched runtime, kernel-fused vs interpreted vs warm.
+def bench_vectorized(source) -> dict:
+    """The member-batched runtime, one cold pass plus a warm pair.
 
-    Both throughput passes run member-cache *cold* — no ``cache_dir`` at
-    all, so neither measurement can absorb hits from the other (the old
-    bench measured the vectorized backend twice against shared state; the
-    second number silently benefited from warm parse/registry caches).
-    The one-time kernel extraction + conformance sweep is hoisted out of
-    the timed region (it is memoized per build, a setup cost not a
-    throughput cost), the interpreted pass disables fusion via
-    ``REPRO_KGEN_FUSION=0``, and a separate warm pair (populate a member
-    cache, then re-run against it) is recorded under ``warm`` with its
-    re-run count — which must be zero.
+    The cold pass runs with no ``cache_dir`` at all, so it cannot absorb
+    member-cache hits; the warm pair (populate a member cache, then re-run
+    against it) is recorded under ``warm`` with its re-run count — which
+    must be zero.
     """
     from repro.ensemble.backends import VectorizedBackend
-    from repro.kgen import kernel_registry_for
 
     spec = EnsembleSpec(n_members=VEC_MEMBERS, nsteps=NSTEPS)
-
-    def cold(fused: bool) -> dict:
-        if not fused:
-            os.environ["REPRO_KGEN_FUSION"] = "0"
-        try:
-            return bench_backend(spec, source, "vectorized")
-        finally:
-            os.environ.pop("REPRO_KGEN_FUSION", None)
-
-    registry = kernel_registry_for(source, spec.fp)  # hoisted setup cost
-    interpreted = cold(fused=False)
-    fused = cold(fused=True)
-    if strict and fused["members_per_s"] < interpreted["members_per_s"]:
-        # same benefit of the doubt the compiled-speedup gate gets:
-        # re-measure both cold passes once and keep the better pair
-        retry_interpreted = cold(fused=False)
-        retry_fused = cold(fused=True)
-        if (
-            retry_fused["members_per_s"] / retry_interpreted["members_per_s"]
-            > fused["members_per_s"] / interpreted["members_per_s"]
-        ):
-            interpreted, fused = retry_interpreted, retry_fused
+    cold = bench_backend(spec, source, "vectorized")
 
     with tempfile.TemporaryDirectory(prefix="bench-vec-warm-") as cache_dir:
         generate_ensemble(
@@ -182,17 +151,9 @@ def bench_vectorized(source, strict: bool) -> dict:
     return {
         "members": VEC_MEMBERS,
         "batch_size": batch if batch is not None else "auto",
-        "kernels": len(registry),
-        "kernel_fused": fused,
-        "interpreted_vec": interpreted,
         "warm": warm,
-        "fused_vs_interpreted": round(
-            fused["members_per_s"] / interpreted["members_per_s"], 2
-        ),
-        # headline numbers stay at the top level (and stay the fused path,
-        # which is what `backend="vectorized"` now runs by default)
-        "total_s": fused["total_s"],
-        "members_per_s": fused["members_per_s"],
+        "total_s": cold["total_s"],
+        "members_per_s": cold["members_per_s"],
     }
 
 
@@ -296,7 +257,7 @@ def main() -> int:
         scalar_backends, key=lambda n: backends[n]["members_per_s"]
     )
 
-    vec = bench_vectorized(source, strict)
+    vec = bench_vectorized(source)
     vec["speedup_vs_best_scalar"] = round(
         vec["members_per_s"] / backends[best_scalar]["members_per_s"], 2
     )
@@ -379,19 +340,6 @@ def main() -> int:
             f"members/s) is below {VEC_SPEEDUP_FLOOR}x the best scalar "
             f"backend ({best_scalar}: "
             f"{backends[best_scalar]['members_per_s']} members/s)",
-            file=sys.stderr,
-        )
-        failed = True
-    if (
-        vec["kernel_fused"]["members_per_s"]
-        < vec["interpreted_vec"]["members_per_s"]
-    ):
-        print(
-            "WARNING: kernel-fused vectorized throughput "
-            f"({vec['kernel_fused']['members_per_s']} members/s) fell "
-            "below the interpreted-vec baseline "
-            f"({vec['interpreted_vec']['members_per_s']} members/s) — "
-            "fusion must never cost throughput",
             file=sys.stderr,
         )
         failed = True

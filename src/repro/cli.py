@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="batch-width bound for the vectorized backend (sets "
             "REPRO_VEC_BATCH for this process; bit-identical at any "
-            "width, it only trades memory against fusion)",
+            "width, it only trades memory against per-pass overhead)",
         )
         p.add_argument(
             "--members", type=int, default=None, help="override ensemble size"

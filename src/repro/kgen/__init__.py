@@ -16,6 +16,11 @@ bit-for-bit, nrms = 0).  Anything outside the vectorizable subset raises
 :class:`KernelError` at extraction time instead of generating a kernel
 that silently disagrees.
 
+As in the paper's KGEN workflow, this is an offline tool: kernels are
+extracted and checked against the model, never executed in its place —
+the member-batched runtime (:mod:`repro.runtime.vec`) interprets every
+call.
+
 >>> from repro.kgen import extract_kernel, verify_kernel
 >>> k = extract_kernel(None, "wv_saturation", "qsat_water")
 >>> report = verify_kernel(k, ranges=(("t", 200.0, 320.0), ("p", 1e4, 1e5)))
@@ -26,7 +31,6 @@ True
 from .extract import (
     DEFAULT_KERNEL_TARGETS,
     Kernel,
-    KernelAccounting,
     KernelError,
     KernelReport,
     KernelTarget,
@@ -35,24 +39,15 @@ from .extract import (
     nrms,
     verify_kernel,
 )
-from .registry import (
-    KernelRegistry,
-    build_kernel_registry,
-    kernel_registry_for,
-)
 
 __all__ = [
     "DEFAULT_KERNEL_TARGETS",
     "Kernel",
-    "KernelAccounting",
     "KernelError",
-    "KernelRegistry",
     "KernelReport",
     "KernelTarget",
-    "build_kernel_registry",
     "extract_default_kernels",
     "extract_kernel",
-    "kernel_registry_for",
     "nrms",
     "verify_kernel",
 ]

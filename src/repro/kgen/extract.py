@@ -21,15 +21,6 @@ generated at all.  Generated kernels are *candidates* until
 :func:`verify_kernel` has measured their normalized RMS deviation from
 the scalar interpreter over a sample grid and found it within the
 conformance bound.
-
-Kernels double as drop-in bodies for the member-batched runtime
-(:mod:`repro.runtime.vec`): every generated function takes a keyword-only
-``_acct`` hook (default ``None``, zero cost when absent) through which it
-replays the vectorized interpreter's per-statement accounting — shared
-statement counter, per-member mask corrections, per-line coverage — so a
-fused call site stays bit-identical to the interpreted body *including*
-``statements_executed`` and coverage counts.  See
-:class:`KernelAccounting`.
 """
 
 from __future__ import annotations
@@ -57,12 +48,11 @@ from ..fortran.ast_nodes import (
 from ..errors import ReproError
 from ..model.builder import ModelConfig, ModelSource, build_model_source
 from ..runtime.interpreter import Frame, Interpreter
-from ..runtime.values import Scope, StatementLimitExceeded
+from ..runtime.values import Scope
 
 __all__ = [
     "DEFAULT_KERNEL_TARGETS",
     "Kernel",
-    "KernelAccounting",
     "KernelError",
     "KernelReport",
     "KernelTarget",
@@ -121,102 +111,13 @@ _SCALAR_INITS = {"real": "0.0", "integer": "0", "logical": "False"}
 _UNROLL_LIMIT = 64
 
 
-# --------------------------------------------------------------------------- #
-# Accounting replay (the hook fused kernels drive)
-# --------------------------------------------------------------------------- #
-class KernelAccounting:
-    """Replays the vectorized interpreter's statement accounting.
-
-    A generated kernel calls ``_acct.hit(filename, line, mask)`` once per
-    executed statement; ``hit`` mirrors
-    :meth:`repro.runtime.vec.VecNodeCompiler._account_fn` exactly: the
-    shared ``statements_executed`` counter advances (with the statement
-    budget checked), under a member mask the per-member
-    ``_extra_statements`` corrections and per-line coverage counts absorb
-    the mask, and a statement no member executes (an untaken branch)
-    accounts nothing — matching the interpreted runtime, which never
-    enters an all-false branch.  Dependency kernels called under a branch
-    mask receive a derived accounting context (:meth:`under`), so nested
-    kernels account under the combined mask like an interpreted callee
-    executing under ``interp._mask``.
-    """
-
-    __slots__ = ("interp", "mask")
-
-    def __init__(self, interp, mask: Optional[np.ndarray] = None):
-        self.interp = interp
-        self.mask = mask
-
-    def under(self, mask) -> "KernelAccounting":
-        """A derived context whose statements also run under ``mask``."""
-        if mask is None:
-            return self
-        m = np.asarray(mask, dtype=bool)
-        if self.mask is not None:
-            m = self.mask & m
-        return KernelAccounting(self.interp, m)
-
-    def hit(self, filename: str, line: int, mask=None) -> None:
-        interp = self.interp
-        m = self.mask
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            m = mask if m is None else (m & mask)
-        om = interp._mask
-        if om is not None:
-            m = om if m is None else (m & om)
-        if m is not None and m.ndim == 0:
-            if not bool(m):
-                return  # a branch no member takes: never executed
-            m = None
-        limit = interp.max_statements
-        if m is None:
-            n = interp.statements_executed + 1
-            interp.statements_executed = n
-            if n > limit:
-                raise StatementLimitExceeded(
-                    f"statement budget of {limit} exhausted "
-                    f"(in fused kernel at {filename}:{line})"
-                )
-            cov = interp._cov_counts
-            if cov is not None and line > 0:
-                key = (filename, line)
-                cov[key] = cov.get(key, 0) + 1
-            return
-        mi = np.broadcast_to(m, (interp.n_members,))
-        if not mi.any():
-            return  # ditto, member-varying shape
-        n = interp.statements_executed + 1
-        interp.statements_executed = n
-        if n > limit:
-            raise StatementLimitExceeded(
-                f"statement budget of {limit} exhausted "
-                f"(in fused kernel at {filename}:{line})"
-            )
-        mi = mi.astype(np.int64)
-        interp._extra_statements += mi - 1
-        cov = interp._cov_counts
-        if cov is not None and line > 0:
-            key = (filename, line)
-            cov[key] = cov.get(key, 0) + mi
-
-
-def _sub_acct(acct: Optional[KernelAccounting], mask):
-    """Derive a dependency-call accounting context (None passes through)."""
-    return None if acct is None else acct.under(mask)
-
-
 @dataclass
 class Kernel:
     """One generated, executable numpy kernel.
 
-    ``fn(*args, _acct=None)`` evaluates the kernel; functions return their
-    result value, elemental subroutines return a tuple of their
+    ``fn(*args)`` evaluates the kernel; functions return their result
+    value, elemental subroutines return a tuple of their
     ``intent(out)``/``intent(inout)`` dummies (``out_names`` order).
-    ``source_modules`` names every module the generated code depends on —
-    the defining module, recursively extracted callees' modules, and
-    modules whose constants were baked in as literals — so callers can
-    refuse kernels whose inputs a source patch may have changed.
     """
 
     module: str
@@ -225,14 +126,13 @@ class Kernel:
     source: str
     fn: Callable
     out_names: list[str] = field(default_factory=list)
-    source_modules: frozenset[str] = frozenset()
 
     @property
     def is_subroutine(self) -> bool:
         return bool(self.out_names)
 
-    def __call__(self, *args, **kwargs):
-        return self.fn(*args, **kwargs)
+    def __call__(self, *args):
+        return self.fn(*args)
 
 
 @dataclass
@@ -296,12 +196,6 @@ class _Extractor:
         self.locals: set[str] = set()
         self.lines: list[str] = []
         self._mask_n = 0
-        #: branch mask (as a source expression) the statement currently
-        #: being emitted runs under — dependency-kernel calls anywhere in
-        #: its expressions must account under it
-        self._stmt_mask: Optional[str] = None
-        #: modules the generated code depends on (constants + callees)
-        self.source_modules: set[str] = {module}
 
     # ------------------------------------------------------- expressions
     def expr(self, node: Expr) -> str:
@@ -369,12 +263,7 @@ class _Extractor:
                     _deps=self.deps,
                 )
                 self.deps[sub.name] = dep
-            self.source_modules |= set(dep.source_modules)
-            # the callee's statements account under the call site's mask,
-            # exactly like an interpreted callee running under interp._mask
-            mask = self._stmt_mask
-            acct = "_acct" if mask is None else f"_sub_acct(_acct, {mask})"
-            return f"_k_{sub.name}({', '.join(args)}, _acct={acct})"
+            return f"_k_{sub.name}({', '.join(args)})"
         raise KernelError(
             f"cannot extract reference {node.name!r} (array subscript, "
             "unknown function, or unsupported intrinsic)"
@@ -394,8 +283,6 @@ class _Extractor:
             raise KernelError(
                 f"unresolvable name {name!r} in {self.module!r}"
             )
-        if scope.name:
-            self.source_modules.add(scope.name)
         value = scope.get(rname)
         if isinstance(value, (bool, np.bool_)):
             return "True" if value else "False"
@@ -442,16 +329,6 @@ class _Extractor:
         )
 
     # -------------------------------------------------------- statements
-    def _hit(self, stmt: Stmt, mask: Optional[str], indent: str) -> None:
-        """Emit the accounting call replaying this statement's execution."""
-        loc = stmt.location
-        args = f"{loc.filename!r}, {int(loc.line)}"
-        if mask is not None:
-            args += f", {mask}"
-        self.lines.append(
-            f"{indent}if _acct is not None: _acct.hit({args})"
-        )
-
     def emit(self, stmts: list[Stmt], mask: Optional[str], indent: str):
         for stmt in stmts:
             if isinstance(stmt, Assignment):
@@ -479,12 +356,7 @@ class _Extractor:
             raise KernelError(
                 f"assignment to non-local {name!r} at {stmt.location}"
             )
-        self._hit(stmt, mask, indent)
-        prev_mask, self._stmt_mask = self._stmt_mask, mask
-        try:
-            value = self.expr(stmt.value)
-        finally:
-            self._stmt_mask = prev_mask
+        value = self.expr(stmt.value)
         if mask is None:
             self.lines.append(f"{indent}{name} = {value}")
         else:
@@ -493,48 +365,23 @@ class _Extractor:
             )
 
     def _emit_if(self, stmt: IfBlock, mask: Optional[str], indent: str):
-        # one accounting hit for the if statement itself, under the
-        # enclosing mask (branch bodies account per statement below);
-        # conditions are evaluated under the enclosing mask too
-        self._hit(stmt, mask, indent)
-        prev_mask, self._stmt_mask = self._stmt_mask, mask
-        try:
-            self._emit_if_branches(stmt, mask, indent)
-        finally:
-            self._stmt_mask = prev_mask
-
-    def _emit_if_branches(
-        self, stmt: IfBlock, mask: Optional[str], indent: str
-    ):
         remaining: Optional[str] = mask
-        first = True
         for cond, body in stmt.branches:
             if cond is None:
                 # else branch: everything still remaining
-                branch = remaining if remaining is not None else "True"
-                if branch == "True":
-                    self.emit(body, None, indent)
-                else:
-                    self.emit(body, branch, indent)
+                self.emit(body, remaining, indent)
                 return
             n = self._mask_n
             self._mask_n += 1
-            cond_src = self.expr(cond)
-            if first and remaining is None:
-                self.lines.append(f"{indent}_m{n} = np.asarray({cond_src})")
-            else:
-                self.lines.append(
-                    f"{indent}_m{n} = np.asarray({cond_src}) & {remaining}"
-                    if remaining is not None
-                    else f"{indent}_m{n} = np.asarray({cond_src})"
-                )
+            cond_src = f"np.asarray({self.expr(cond)})"
+            if remaining is not None:
+                cond_src += f" & {remaining}"
+            self.lines.append(f"{indent}_m{n} = {cond_src}")
             self.emit(body, f"_m{n}", indent)
-            prev = remaining
-            if prev is None:
+            if remaining is None:
                 remaining = f"~_m{n}"
             else:
-                remaining = f"(~_m{n} & {prev})"
-            first = False
+                remaining = f"(~_m{n} & {remaining})"
 
     def _emit_do(self, stmt: DoLoop, mask: Optional[str], indent: str):
         """Unroll a bounded do loop with compile-time-constant bounds.
@@ -562,9 +409,6 @@ class _Extractor:
                 f"do loop at {stmt.location} spans {count} iterations — "
                 f"beyond the {_UNROLL_LIMIT}-iteration unrolling bound"
             )
-        # the do statement accounts once per loop execution (as in the
-        # interpreter's _build_do); body statements account per iteration
-        self._hit(stmt, mask, indent)
         value = start
         for _ in range(count):
             self.lines.append(f"{indent}{stmt.var} = {value}")
@@ -654,7 +498,7 @@ def extract_kernel(
     ex.locals = set(sub.args) | set(decls)
     if sub.is_function:
         ex.locals.add(sub.result)
-    header = f"def _kernel({', '.join(in_args)}, *, _acct=None):"
+    header = f"def _kernel({', '.join(in_args)}):"
     ex.lines.append(header)
     for name, (base_type, intent) in decls.items():
         if name in in_args:
@@ -678,7 +522,7 @@ def extract_kernel(
         ex.lines.append(f"    return ({', '.join(out_names)},)")
     text = "\n".join(ex.lines) + "\n"
 
-    namespace: dict = {"np": np, "_sub_acct": _sub_acct}
+    namespace: dict = {"np": np}
     for dep_name, dep in ex.deps.items():
         namespace[f"_k_{dep_name}"] = dep.fn
     exec(compile(text, f"<kernel {module}::{function}>", "exec"), namespace)
@@ -689,7 +533,6 @@ def extract_kernel(
         source=text,
         fn=namespace["_kernel"],
         out_names=out_names,
-        source_modules=frozenset(ex.source_modules),
     )
 
 
@@ -728,6 +571,37 @@ def _reference_outputs(
     return tuple(float(scratch.scope.get(name)) for name in kernel.out_names)
 
 
+def _sample_columns(kernel: Kernel, samples: dict) -> list:
+    """The kernel's argument columns, checked to form one non-empty grid.
+
+    Raises ``ValueError`` naming the argument when a column is missing,
+    not 1-D, of a different length than the others, or empty — a kernel
+    measured on no samples would otherwise come out vacuously conformant.
+    """
+    columns = []
+    for name in kernel.arg_names:
+        if name not in samples:
+            raise ValueError(
+                f"no sample column or range for argument {name!r} of "
+                f"kernel {kernel.module}::{kernel.function}"
+            )
+        column = np.asarray(samples[name], dtype=np.float64)
+        if column.ndim != 1:
+            raise ValueError(
+                f"samples for argument {name!r} must be 1-D, got shape "
+                f"{column.shape}"
+            )
+        columns.append(column)
+    lengths = dict(zip(kernel.arg_names, map(len, columns)))
+    if len(set(lengths.values())) > 1:
+        listing = ", ".join(f"{n!r} has {k}" for n, k in lengths.items())
+        raise ValueError(f"sample columns differ in length: {listing}")
+    if columns and not len(columns[0]):
+        names = ", ".join(repr(n) for n in kernel.arg_names)
+        raise ValueError(f"no samples for argument(s) {names}")
+    return columns
+
+
 def verify_kernel(
     kernel: Kernel,
     source=None,
@@ -742,19 +616,16 @@ def verify_kernel(
 
     ``samples`` maps argument names to equal-length 1-D arrays; without it,
     ``ranges`` (``(name, lo, hi)`` triples, e.g. from a
-    :class:`KernelTarget`) drive a deterministic uniform draw.  Subroutine
+    :class:`KernelTarget`) drive a deterministic uniform draw.  The grid
+    is checked before anything runs: a kernel argument without a column
+    or range, ragged or non-1-D columns, or an empty grid raise
+    ``ValueError`` naming the argument.  Subroutine
     kernels compare every returned output against the interpreter's
     copy-back values; the reported ``nrms`` is the worst output's.  The
     kernel is conformant when ``nrms <= tol`` — the default bound of
     ``1e-12`` admits only reassociation-level deviations, and in practice
     the extracted kernels reproduce the interpreter bit-for-bit.
     """
-    if isinstance(source, Interpreter):
-        interp = source
-    else:
-        if source is None or isinstance(source, ModelConfig):
-            source = build_model_source(source)
-        interp = Interpreter(source.parse(), collect_coverage=False)
     if samples is None:
         if ranges is None:
             raise ValueError("verify_kernel needs samples or ranges")
@@ -763,8 +634,15 @@ def verify_kernel(
             name: rng.uniform(lo, hi, size=n_samples)
             for name, lo, hi in ranges
         }
-    columns = [np.asarray(samples[name], float) for name in kernel.arg_names]
-    count = len(columns[0]) if columns else 0
+    columns = _sample_columns(kernel, samples)
+    # an argument-free kernel is a constant: one evaluation measures it
+    count = len(columns[0]) if columns else 1
+    if isinstance(source, Interpreter):
+        interp = source
+    else:
+        if source is None or isinstance(source, ModelConfig):
+            source = build_model_source(source)
+        interp = Interpreter(source.parse(), collect_coverage=False)
     raw = kernel.fn(*columns)
     got = raw if kernel.is_subroutine else (raw,)
     got = tuple(
@@ -779,7 +657,7 @@ def verify_kernel(
         )
         for j, ref in enumerate(refs):
             want[j, i] = ref
-    worst = max(nrms(g, w) for g, w in zip(got, want)) if count else 0.0
+    worst = max(nrms(g, w) for g, w in zip(got, want))
     return KernelReport(
         kernel=kernel, n_samples=count, nrms=worst, tol=tol
     )

@@ -284,71 +284,6 @@ class VecNodeCompiler(NodeCompiler):
 
         return account
 
-    # ----------------------------------------------------- kernel fusion
-    def _specialize_apply(self, node: Apply, frame) -> Callable:
-        """Swap a conformant kgen kernel in for an elemental function call.
-
-        The swap happens at call-site specialization time and only when
-        every gate holds: the interpreter carries a
-        :class:`~repro.kgen.registry.KernelRegistry`, the name resolves to
-        an ``elemental`` function (not an array or subroutine), the call is
-        fully positional, and the registry holds a verified kernel for the
-        resolved ``(module, function)``.  Even then each *execution*
-        re-checks runtime shapes: the kernel runs only for batch-scalar
-        ``(n,)``/scalar arguments, and anything else — plain model arrays,
-        model-shaped batches — takes the interpreted elemental path and
-        counts a ``kgen.fallbacks``.  Accounting is replayed through the
-        kernel's ``_acct`` hook, so statement counts and coverage stay
-        bit-identical to interpretation.
-        """
-        interp = self.interp
-        base = NodeCompiler._specialize_apply(self, node, frame)
-        registry = interp.kernels
-        if registry is None or node.keywords:
-            return base
-        if interp._lookup_var(frame, node.name) is not None:
-            return base
-        resolved = interp._lookup_proc(frame.module, node.name, frozenset())
-        if resolved is None:
-            return base
-        target_mrt, sub = resolved
-        if (
-            not sub.is_function
-            or "elemental" not in sub.prefixes
-            or len(node.args) != len(sub.args)
-        ):
-            return base
-        kernel = registry.lookup(target_mrt.node.name, sub.name)
-        if kernel is None:
-            return base
-        arg_fns = [self.expr(a) for a in node.args]
-        fn = kernel.fn
-        dispatch = interp._dispatch_elemental
-
-        def run(f):
-            values = [a(f) for a in arg_fns]
-            fusable = False
-            for v in values:
-                if isinstance(v, MemberBatch):
-                    if np.asarray(v).ndim != 1:
-                        fusable = False
-                        break
-                    fusable = True
-                elif isinstance(v, np.ndarray):
-                    fusable = False
-                    break
-            if not fusable:
-                # scalar or model-array call: interpret, exactly like the
-                # elemental guard in _call_subprogram (args already
-                # evaluated once, so side effects and accounting match)
-                interp.kernel_fallbacks += 1
-                return dispatch(target_mrt, sub, values, f)
-            interp.kernel_calls += 1
-            out = fn(*values, _acct=interp._kernel_acct)
-            return np.asarray(out).view(MemberBatch)
-
-        return run
-
     # ----------------------------------------------------- control flow
     def _build_if(self, node: IfBlock) -> Callable:
         interp = self.interp
@@ -773,13 +708,6 @@ class VecInterpreter(Interpreter):
     batch width ``n_members``.  The member axis is invisible to model
     code; per-member values enter through the ``cam_init`` arguments
     (``pertlim``/``seed`` batches) and the per-member PRNG streams.
-
-    ``kernels`` optionally carries a
-    :class:`~repro.kgen.registry.KernelRegistry`; call sites whose
-    resolved elemental function has a verified kernel execute the fused
-    numpy body instead of interpreting (see
-    :meth:`VecNodeCompiler._specialize_apply`), counted in
-    ``kernel_calls``/``kernel_fallbacks``.
     """
 
     _compiler_factory = VecNodeCompiler
@@ -792,7 +720,6 @@ class VecInterpreter(Interpreter):
         collect_coverage: bool = True,
         max_statements: int = 50_000_000,
         compile: bool = True,
-        kernels=None,
     ):
         if not compile:
             raise ValueError(
@@ -809,14 +736,6 @@ class VecInterpreter(Interpreter):
         self._extra_statements = np.zeros(self.n_members, dtype=np.int64)
         #: member-divergent `if` conditions seen (batch collapsed to a mask)
         self.mask_divergences = 0
-        #: verified-kernel registry (None => interpret everything)
-        self.kernels = kernels
-        #: fused kernel executions / interpreted fallbacks at kernel sites
-        self.kernel_calls = 0
-        self.kernel_fallbacks = 0
-        from ..kgen.extract import KernelAccounting
-
-        self._kernel_acct = KernelAccounting(self)
         super().__init__(
             asts,
             fp=fp,
@@ -1137,7 +1056,7 @@ def _member_value(value, m: int) -> np.ndarray:
     return np.asarray(value)
 
 
-def run_model_batch(configs, source=None, kernels="auto"):
+def run_model_batch(configs, source=None):
     """Run every member of ``configs`` in one vectorized evaluation.
 
     The configs must agree on the model build, ``nsteps`` and fp model —
@@ -1149,15 +1068,7 @@ def run_model_batch(configs, source=None, kernels="auto"):
     budget with each lane's own budget re-checked afterwards.  Returns
     one :class:`~repro.runtime.RunResult` per config, each bit-identical
     to what :func:`repro.runtime.run_model` produces for the same config.
-
-    ``kernels`` selects kernel fusion: ``"auto"`` (default) builds or
-    reuses the memoized conformant-kernel registry for this source build
-    and fp model (disabled when the ``REPRO_KGEN_FUSION`` environment
-    variable is ``0``), ``None`` interprets everything, and an explicit
-    :class:`~repro.kgen.registry.KernelRegistry` is used as given.
     """
-    import os
-
     from ..model.builder import build_model_source
     from ..model.registry import iter_output_fields
     from . import RunResult
@@ -1186,14 +1097,6 @@ def run_model_batch(configs, source=None, kernels="auto"):
         )
     asts = source.parse()
 
-    if kernels == "auto":
-        if os.environ.get("REPRO_KGEN_FUSION", "").strip() == "0":
-            kernels = None
-        else:
-            from ..kgen.registry import kernel_registry_for
-
-            kernels = kernel_registry_for(source, head.fp)
-
     collect_coverage = any(c.collect_coverage for c in configs)
     budget = max(c.max_statements for c in configs)
     config_shapes = {(c.collect_coverage, c.max_statements) for c in configs}
@@ -1204,7 +1107,6 @@ def run_model_batch(configs, source=None, kernels="auto"):
         fp=head.fp,
         collect_coverage=collect_coverage,
         max_statements=budget,
-        kernels=kernels,
     )
     pert = np.array(
         [float(c.pertlim) for c in configs], dtype=np.float64
@@ -1271,8 +1173,4 @@ def run_model_batch(configs, source=None, kernels="auto"):
     metrics.inc("interpreter.statements", total_statements)
     if len(config_shapes) > 1:
         metrics.inc("vec.fused_configs", len(config_shapes) - 1)
-    if interp.kernel_calls:
-        metrics.inc("kgen.kernel_calls", interp.kernel_calls)
-    if interp.kernel_fallbacks:
-        metrics.inc("kgen.fallbacks", interp.kernel_fallbacks)
     return results

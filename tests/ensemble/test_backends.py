@@ -320,7 +320,7 @@ class TestVectorizedFallback:
 
     @staticmethod
     def refuse_batches(monkeypatch, error):
-        def run_model_batch(configs, source=None, kernels="auto"):
+        def run_model_batch(configs, source=None):
             raise error
 
         monkeypatch.setattr(

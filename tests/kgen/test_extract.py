@@ -91,6 +91,11 @@ contains
     real, intent(inout) :: x
     x = x + 1.0
   end subroutine bump
+
+  function doubled_scale() result(y)
+    real :: y
+    y = scale + scale
+  end function doubled_scale
 end module synth
 """
 
@@ -187,6 +192,12 @@ class TestDefaultTargets:
         assert "_k_goffgratch_svp" in kernel.source
 
 
+@pytest.fixture(scope="module")
+def qsat_kernel():
+    """A two-argument (``t``, ``p``) kernel from the control build."""
+    return extract_kernel(None, "wv_saturation", "qsat_water")
+
+
 class TestVerification:
     def test_nrms_zero_for_identical(self):
         a = np.asarray([1.0, 2.0, 3.0])
@@ -202,7 +213,51 @@ class TestVerification:
     def test_nrms_zero_reference_uses_unit_scale(self):
         assert nrms(np.asarray([3.0]), np.asarray([0.0])) == 3.0
 
-    def test_verify_requires_samples_or_ranges(self, synth_interp):
-        kernel = extract_kernel(synth_interp, "synth", "piecewise")
-        with pytest.raises(ValueError, match="samples or ranges"):
-            verify_kernel(kernel, synth_interp)
+    @pytest.mark.parametrize(
+        ("grid", "match"),
+        [
+            ({}, "samples or ranges"),
+            ({"samples": {"t": [250.0]}}, "for argument 'p'"),
+            ({"ranges": (("t", 200.0, 300.0),)}, "for argument 'p'"),
+            (
+                {"samples": {"t": [250.0, 260.0], "p": [1e4]}},
+                "'t' has 2, 'p' has 1",
+            ),
+            (
+                {"samples": {"t": [250.0] * 3, "p": [1e4] * 2}},
+                "'t' has 3, 'p' has 2",
+            ),
+            ({"samples": {"t": [], "p": []}}, "no samples for argument"),
+            (
+                {
+                    "ranges": (("t", 200.0, 300.0), ("p", 1e4, 1e5)),
+                    "n_samples": 0,
+                },
+                "no samples for argument",
+            ),
+            (
+                {"samples": {"t": [[250.0]], "p": [[1e4]]}},
+                "argument 't' must be 1-D",
+            ),
+        ],
+        ids=[
+            "neither",
+            "samples-missing-p",
+            "ranges-missing-p",
+            "lengths-2-1",
+            "lengths-3-2",
+            "empty-samples",
+            "empty-ranges",
+            "not-1d",
+        ],
+    )
+    def test_verify_requires_samples_or_ranges(self, qsat_kernel, grid, match):
+        # the grid is checked before the reference model is even built
+        with pytest.raises(ValueError, match=match):
+            verify_kernel(qsat_kernel, **grid)
+
+    def test_argument_free_kernel_is_measured_once(self, synth_interp):
+        kernel = extract_kernel(synth_interp, "synth", "doubled_scale")
+        report = verify_kernel(kernel, synth_interp, samples={})
+        assert report.n_samples == 1
+        assert report.nrms == 0.0

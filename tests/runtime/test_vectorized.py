@@ -13,9 +13,14 @@ Three layers of conformance:
   constructs that cannot be expressed under a partial member mask.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.model import ModelConfig, build_model_source, list_patches
 from repro.runtime import (
     FPConfig,
@@ -190,100 +195,9 @@ end module m
 """
 
 
-def _batch(values):
-    return np.asarray(values, dtype=np.float64).view(MemberBatch)
-
-
-def _vec(src=DIVERGE_SRC, seeds=(1, 2, 3)):
-    return VecInterpreter.from_source(src, seeds=list(seeds))
-
-
-class TestMaskedDivergence:
-    def test_three_way_branch_blends_per_member(self):
-        interp = _vec()
-        got = interp.call("m", "classify", [_batch([0.5, 1.5, 2.5])])
-        np.testing.assert_array_equal(
-            np.asarray(got), [0.5, 11.5, 102.5]
-        )
-
-    def test_matches_scalar_interpreter_member_by_member(self):
-        from repro.runtime.interpreter import Interpreter
-
-        xs = [0.5, 1.5, 2.5]
-        got = _vec().call("m", "classify", [_batch(xs)])
-        for m, x in enumerate(xs):
-            scalar = Interpreter.from_source(DIVERGE_SRC)
-            assert np.asarray(got)[m] == scalar.call("m", "classify", [x])
-
-    def test_nested_divergence(self):
-        got = _vec().call("m", "nested", [_batch([-1.0, 5.0, 20.0])])
-        np.testing.assert_array_equal(np.asarray(got), [0.0, 1.0, 2.0])
-
-    def test_uniform_condition_takes_fast_path(self):
-        got = _vec().call("m", "classify", [_batch([3.0, 4.0, 5.0])])
-        np.testing.assert_array_equal(np.asarray(got), [103.0, 104.0, 105.0])
-
-    def test_masked_array_element_store(self):
-        got = _vec(seeds=(1, 2)).call("m", "fill_array", [_batch([0.5, 2.0])])
-        # member 0: 0.5*(1+2+3+4); member 1: 2+(-1)+6+8
-        np.testing.assert_array_equal(np.asarray(got), [5.0, 15.0])
-
-    def test_per_member_statement_accounting(self):
-        from repro.runtime.interpreter import Interpreter
-
-        xs = [0.5, 1.5, 2.5]
-        interp = _vec()
-        interp.call("m", "classify", [_batch(xs)])
-        for m, x in enumerate(xs):
-            scalar = Interpreter.from_source(DIVERGE_SRC)
-            scalar.call("m", "classify", [x])
-            assert interp.member_statements(m) == scalar.statements_executed
-
-    def test_per_member_coverage(self):
-        from repro.runtime.interpreter import Interpreter
-
-        xs = [0.5, 1.5, 2.5]
-        interp = _vec()
-        interp.call("m", "classify", [_batch(xs)])
-        for m, x in enumerate(xs):
-            scalar = Interpreter.from_source(DIVERGE_SRC)
-            scalar.call("m", "classify", [x])
-            assert interp.member_coverage(m).counts == scalar.coverage.counts
-
-
-class TestSafetyRails:
-    def test_flow_under_mask_refused(self):
-        with pytest.raises(VectorizationError, match="return"):
-            _vec(seeds=(1, 2)).call("m", "flow_rail", [_batch([0.5, 2.0])])
-
-    def test_flow_uniform_path_allowed(self):
-        got = _vec(seeds=(1, 2)).call("m", "flow_rail", [_batch([2.0, 3.0])])
-        np.testing.assert_array_equal(np.asarray(got), [0.0, 0.0])
-
-    def test_member_varying_do_bounds_refused(self):
-        with pytest.raises(VectorizationError, match="do-loop bounds"):
-            _vec(seeds=(1, 2)).call("m", "bounds_rail", [_batch([1.0, 3.0])])
-
-    def test_uniform_do_bounds_allowed(self):
-        got = _vec(seeds=(1, 2)).call("m", "bounds_rail", [_batch([3.0, 3.0])])
-        # int(x) promotes to a batch, so bounds stay member-varying in
-        # representation only when values differ; equal values still batch
-        np.testing.assert_array_equal(np.asarray(got), [3.0, 3.0])
-
-    def test_requires_compiled_path(self):
-        with pytest.raises(ValueError, match="compile"):
-            VecInterpreter.from_source(
-                DIVERGE_SRC, seeds=[1, 2], compile=False
-            )
-
-    def test_requires_at_least_one_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            VecInterpreter.from_source(DIVERGE_SRC, seeds=[])
-
-
-# --------------------------------------------------------------------------- #
-# kernel fusion in the hot path
-# --------------------------------------------------------------------------- #
+#: elemental functions reached through three call shapes: ``drive`` passes
+#: a batch-scalar actual, ``drive_array`` a member-uniform model array and
+#: ``drive_const`` a uniform scalar
 FUSE_SRC = """
 module fusemod
   implicit none
@@ -331,140 +245,147 @@ end module fusemod
 """
 
 
+def _batch(values):
+    return np.asarray(values, dtype=np.float64).view(MemberBatch)
+
+
+def _vec(src=DIVERGE_SRC, seeds=(1, 2, 3)):
+    return VecInterpreter.from_source(src, seeds=list(seeds))
+
+
+#: (source, module, function) compared member by member with the scalar
+#: interpreter: a three-way divergent branch, and an elemental function
+#: under each call shape
+SCALAR_CASES = pytest.mark.parametrize(
+    ("src", "module", "function"),
+    [
+        (DIVERGE_SRC, "m", "classify"),
+        (FUSE_SRC, "fusemod", "drive"),
+        (FUSE_SRC, "fusemod", "drive_array"),
+        (FUSE_SRC, "fusemod", "drive_const"),
+    ],
+    ids=["classify", "drive", "drive_array", "drive_const"],
+)
+
+
+class TestMaskedDivergence:
+    def test_three_way_branch_blends_per_member(self):
+        interp = _vec()
+        got = interp.call("m", "classify", [_batch([0.5, 1.5, 2.5])])
+        np.testing.assert_array_equal(
+            np.asarray(got), [0.5, 11.5, 102.5]
+        )
+
+    @SCALAR_CASES
+    def test_matches_scalar_interpreter_member_by_member(
+        self, src, module, function
+    ):
+        from repro.runtime.interpreter import Interpreter
+
+        xs = [0.5, 1.5, 2.5]
+        got = _vec(src).call(module, function, [_batch(xs)])
+        for m, x in enumerate(xs):
+            scalar = Interpreter.from_source(src)
+            assert np.asarray(got)[m] == scalar.call(module, function, [x])
+
+    def test_nested_divergence(self):
+        got = _vec().call("m", "nested", [_batch([-1.0, 5.0, 20.0])])
+        np.testing.assert_array_equal(np.asarray(got), [0.0, 1.0, 2.0])
+
+    def test_uniform_condition_takes_fast_path(self):
+        got = _vec().call("m", "classify", [_batch([3.0, 4.0, 5.0])])
+        np.testing.assert_array_equal(np.asarray(got), [103.0, 104.0, 105.0])
+
+    def test_masked_array_element_store(self):
+        got = _vec(seeds=(1, 2)).call("m", "fill_array", [_batch([0.5, 2.0])])
+        # member 0: 0.5*(1+2+3+4); member 1: 2+(-1)+6+8
+        np.testing.assert_array_equal(np.asarray(got), [5.0, 15.0])
+
+    @SCALAR_CASES
+    def test_per_member_statement_accounting(self, src, module, function):
+        from repro.runtime.interpreter import Interpreter
+
+        xs = [0.5, 1.5, 2.5]
+        interp = _vec(src)
+        interp.call(module, function, [_batch(xs)])
+        for m, x in enumerate(xs):
+            scalar = Interpreter.from_source(src)
+            scalar.call(module, function, [x])
+            assert interp.member_statements(m) == scalar.statements_executed
+
+    @SCALAR_CASES
+    def test_per_member_coverage(self, src, module, function):
+        from repro.runtime.interpreter import Interpreter
+
+        xs = [0.5, 1.5, 2.5]
+        interp = _vec(src)
+        interp.call(module, function, [_batch(xs)])
+        for m, x in enumerate(xs):
+            scalar = Interpreter.from_source(src)
+            scalar.call(module, function, [x])
+            assert interp.member_coverage(m).counts == scalar.coverage.counts
+
+
+class TestSafetyRails:
+    def test_flow_under_mask_refused(self):
+        with pytest.raises(VectorizationError, match="return"):
+            _vec(seeds=(1, 2)).call("m", "flow_rail", [_batch([0.5, 2.0])])
+
+    def test_flow_uniform_path_allowed(self):
+        got = _vec(seeds=(1, 2)).call("m", "flow_rail", [_batch([2.0, 3.0])])
+        np.testing.assert_array_equal(np.asarray(got), [0.0, 0.0])
+
+    def test_member_varying_do_bounds_refused(self):
+        with pytest.raises(VectorizationError, match="do-loop bounds"):
+            _vec(seeds=(1, 2)).call("m", "bounds_rail", [_batch([1.0, 3.0])])
+
+    def test_uniform_do_bounds_allowed(self):
+        got = _vec(seeds=(1, 2)).call("m", "bounds_rail", [_batch([3.0, 3.0])])
+        # int(x) promotes to a batch, so bounds stay member-varying in
+        # representation only when values differ; equal values still batch
+        np.testing.assert_array_equal(np.asarray(got), [3.0, 3.0])
+
+    def test_requires_compiled_path(self):
+        with pytest.raises(ValueError, match="compile"):
+            VecInterpreter.from_source(
+                DIVERGE_SRC, seeds=[1, 2], compile=False
+            )
+
+    def test_requires_at_least_one_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            VecInterpreter.from_source(DIVERGE_SRC, seeds=[])
+
+
+def test_runtime_does_not_import_kgen():
+    """Kernel extraction is an offline tool: a member-batched run must not
+    pull :mod:`repro.kgen` into the process."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.runtime import MemberBatch\n"
+        "from repro.runtime.vec import VecInterpreter\n"
+        f"interp = VecInterpreter.from_source({DIVERGE_SRC!r}, "
+        "seeds=[1, 2, 3])\n"
+        "x = np.asarray([0.5, 1.5, 2.5]).view(MemberBatch)\n"
+        "interp.call('m', 'classify', [x])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.kgen')))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def _counter(name):
     from repro.obs import get_metrics
 
     return get_metrics().counters().get(name, 0)
-
-
-class TestKernelFusion:
-    """The registry-backed fast path is bit-identical and falls back safely."""
-
-    @pytest.fixture(scope="class")
-    def registry(self):
-        from repro.kgen import KernelRegistry, extract_kernel, verify_kernel
-        from repro.runtime.interpreter import Interpreter
-
-        scalar = Interpreter.from_source(FUSE_SRC, collect_coverage=False)
-        registry = KernelRegistry()
-        for function in ("warm", "dampen"):
-            kernel = extract_kernel(scalar, "fusemod", function)
-            report = verify_kernel(
-                kernel, scalar, ranges=(("x", -2.0, 3.0),)
-            )
-            assert report.nrms == 0.0
-            assert registry.add(kernel, report)
-        return registry
-
-    def test_fused_call_is_bit_identical_and_counted(self, registry):
-        xs = [0.5, 1.5, 2.5]
-        fused = VecInterpreter.from_source(
-            FUSE_SRC, seeds=[1, 2, 3], kernels=registry
-        )
-        got = fused.call("fusemod", "drive", [_batch(xs)])
-        assert fused.kernel_calls > 0
-        assert fused.kernel_fallbacks == 0
-        plain = VecInterpreter.from_source(FUSE_SRC, seeds=[1, 2, 3])
-        want = plain.call("fusemod", "drive", [_batch(xs)])
-        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
-        # accounting is replayed through the kernel: statement counts and
-        # per-member coverage must not notice the swap
-        for m in range(len(xs)):
-            assert fused.member_statements(m) == plain.member_statements(m)
-            assert (
-                fused.member_coverage(m).counts
-                == plain.member_coverage(m).counts
-            )
-
-    def test_array_actual_falls_back_to_interpretation(self, registry):
-        xs = [0.5, 2.0]
-        fused = VecInterpreter.from_source(
-            FUSE_SRC, seeds=[1, 2], kernels=registry
-        )
-        got = fused.call("fusemod", "drive_array", [_batch(xs)])
-        # the elemental call sees a member-uniform model array (integer
-        # locals stay plain), not a batch-scalar: it must interpret,
-        # never run the kernel on model-shaped data
-        assert fused.kernel_fallbacks > 0
-        assert fused.kernel_calls == 0
-        plain = VecInterpreter.from_source(FUSE_SRC, seeds=[1, 2])
-        want = plain.call("fusemod", "drive_array", [_batch(xs)])
-        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
-
-    def test_uniform_scalar_actual_falls_back(self, registry):
-        xs = [0.5, 2.0]
-        fused = VecInterpreter.from_source(
-            FUSE_SRC, seeds=[1, 2], kernels=registry
-        )
-        got = fused.call("fusemod", "drive_const", [_batch(xs)])
-        # warm(2.0) carries no member axis: nothing to vectorize over
-        assert fused.kernel_fallbacks > 0
-        assert fused.kernel_calls == 0
-        plain = VecInterpreter.from_source(FUSE_SRC, seeds=[1, 2])
-        want = plain.call("fusemod", "drive_const", [_batch(xs)])
-        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
-
-    def test_no_registry_means_no_kernel_bookkeeping(self):
-        plain = VecInterpreter.from_source(FUSE_SRC, seeds=[1, 2])
-        plain.call("fusemod", "drive", [_batch([0.5, 2.0])])
-        assert plain.kernel_calls == 0
-        assert plain.kernel_fallbacks == 0
-
-
-class TestModelKernelFusion:
-    """run_model_batch drives the default kernels over the real model."""
-
-    @pytest.fixture(scope="class")
-    def control_source(self):
-        source = build_model_source(ModelConfig())
-        source.parse()
-        return source
-
-    def _configs(self, n=2):
-        return [
-            RunConfig(model=ModelConfig(), nsteps=1, pertlim=1e-14, seed=s)
-            for s in SEEDS[:n]
-        ]
-
-    def test_auto_registry_executes_kernels(self, control_source):
-        before = _counter("kgen.kernel_calls")
-        run_model_batch(self._configs(), source=control_source)
-        assert _counter("kgen.kernel_calls") > before
-
-    @pytest.mark.parametrize(
-        "target",
-        [("wv_saturation", "qsat_water"), ("radsw", "gravity_norm")],
-        ids=lambda t: f"{t[0]}.{t[1]}",
-    )
-    def test_each_default_kernel_executes(self, control_source, target):
-        # one single-kernel registry per target proves at least two
-        # *distinct* kernels actually run in the model's hot path
-        from repro.kgen import KernelRegistry, kernel_registry_for
-
-        full = kernel_registry_for(control_source, FPConfig())
-        kernel = full.lookup(*target)
-        assert kernel is not None
-        solo = KernelRegistry()
-        assert solo.add(kernel, full.reports[target])
-        before = _counter("kgen.kernel_calls")
-        batch = run_model_batch(
-            self._configs(), source=control_source, kernels=solo
-        )
-        assert _counter("kgen.kernel_calls") > before
-        for config, run in zip(self._configs(), batch):
-            _assert_member_matches(
-                run_model(config, source=control_source), run
-            )
-
-    def test_env_kill_switch_disables_fusion(self, control_source, monkeypatch):
-        monkeypatch.setenv("REPRO_KGEN_FUSION", "0")
-        before = _counter("kgen.kernel_calls")
-        batch = run_model_batch(self._configs(), source=control_source)
-        assert _counter("kgen.kernel_calls") == before
-        for config, run in zip(self._configs(), batch):
-            _assert_member_matches(
-                run_model(config, source=control_source), run
-            )
 
 
 # --------------------------------------------------------------------------- #
