@@ -10,17 +10,13 @@ Writes ``BENCH_ensemble.json`` (repo root by default) with
   coverage on;
 * ``speedup`` — ``dispatch_s / compiled_s`` (the PR acceptance floor is 2x);
 * ``backends`` — ``members_per_s`` of the same cached-off ensemble
-  generation through every registered execution backend (``process``,
-  ``serial``, ``vectorized``).  On a multi-core machine the process pool
-  (per-worker parsed-source cache) must come out ahead of ``serial``; on
-  a single-core runner the two scalar backends are expected to tie
-  within noise.
+  generation on both execution backends (``serial``, ``vectorized``).
 * ``vectorized`` — the member-batched runtime over ``VEC_MEMBERS``
   members: one member-cache **cold** pass (``total_s`` /
   ``members_per_s``) and a ``warm`` pass against a populated member
-  cache, which must re-run zero members.  The effective batch width is
-  recorded under ``batch_size``.  The strict floor is 5x the best
-  *scalar* backend for the cold number.
+  cache, which must re-run zero members.  The strict floor for the cold
+  number is 5x the ``serial`` backend, the scalar reference
+  (``speedup_vs_serial``).
 * ``localization`` — the whole pipeline per registered bug patch, driven
   through :func:`repro.pipeline.root_cause_pipeline` against one shared
   store: experimental runs -> ECT verdict -> coverage -> ranked backward
@@ -43,19 +39,15 @@ Run from the repo root::
     PYTHONPATH=src python scripts/bench_ensemble.py [output.json] [--strict]
 
 ``--strict`` exits 1 when the compiled-path speedup is below the 2x
-acceptance floor, when (given >1 CPU) the process backend does not beat
-the serial backend, when the vectorized runtime is below 5x the best
-scalar backend, when the warm vectorized pass re-runs any member, when
-any registered patch fails to localize, or when any patch regresses
-against the pre-selection (PR 6) localization baselines — more refined
-modules than ``min(8, baseline)`` or more refinement iterations than the
-baseline took — the
-regression gate CI applies on its newest-Python matrix entry.  Checks a
-runner cannot meaningfully make (the process-vs-serial ordering on a
-single CPU) are skipped, and every skip is recorded with its reason under
-``strict_skips`` in the JSON.  Wall-clock *numbers* stay ungated
-everywhere (shared runners are too noisy); only the speedup ratios, the
-backend ordering and the localization outcome are.
+acceptance floor, when the vectorized runtime is below 5x the serial
+backend, when the warm vectorized pass re-runs any member, when any
+registered patch fails to localize, or when any patch regresses against
+the pre-selection localization baselines — more refined modules than
+``min(8, baseline)`` or more refinement iterations than the baseline
+took — the regression gate CI applies on its newest-Python matrix
+entry.  Wall-clock *numbers* stay ungated everywhere (shared
+runners are too noisy); only the speedup ratios and the localization
+outcome are.
 """
 
 from __future__ import annotations
@@ -68,7 +60,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.ensemble import EnsembleSpec, generate_ensemble, list_backends
+from repro.ensemble import EnsembleSpec, generate_ensemble
+from repro.ensemble.backends import BACKENDS
 from repro.experiments import get_experiment
 from repro.model import list_patches
 from repro.model.builder import ModelConfig, build_model_source
@@ -82,7 +75,7 @@ ENSEMBLE_MEMBERS = 8
 #: batch width of the dedicated vectorized measurement — wide enough to
 #: amortize per-statement numpy overhead over the member axis
 VEC_MEMBERS = 128
-#: strict floor: vectorized throughput vs the best scalar backend
+#: strict floor: vectorized throughput vs the serial backend
 VEC_SPEEDUP_FLOOR = 5.0
 #: accepted-ensemble size of the localization bench (the smallest at which
 #: every registered patch is both detected and sliced correctly)
@@ -136,8 +129,6 @@ def bench_vectorized(source) -> dict:
     against it) is recorded under ``warm`` with its re-run count — which
     must be zero.
     """
-    from repro.ensemble.backends import VectorizedBackend
-
     spec = EnsembleSpec(n_members=VEC_MEMBERS, nsteps=NSTEPS)
     cold = bench_backend(spec, source, "vectorized")
 
@@ -147,10 +138,8 @@ def bench_vectorized(source) -> dict:
         )
         warm = bench_backend(spec, source, "vectorized", cache_dir=cache_dir)
 
-    batch = VectorizedBackend().effective_batch_size()
     return {
         "members": VEC_MEMBERS,
-        "batch_size": batch if batch is not None else "auto",
         "warm": warm,
         "total_s": cold["total_s"],
         "members_per_s": cold["members_per_s"],
@@ -249,33 +238,16 @@ def main() -> int:
 
     spec = EnsembleSpec(n_members=ENSEMBLE_MEMBERS, nsteps=NSTEPS)
     backends = {
-        name: bench_backend(spec, source, name) for name in list_backends()
+        name: bench_backend(spec, source, name) for name in BACKENDS
     }
-    best_backend = max(backends, key=lambda n: backends[n]["members_per_s"])
-    scalar_backends = [n for n in backends if n != "vectorized"]
-    best_scalar = max(
-        scalar_backends, key=lambda n: backends[n]["members_per_s"]
-    )
 
     vec = bench_vectorized(source)
-    vec["speedup_vs_best_scalar"] = round(
-        vec["members_per_s"] / backends[best_scalar]["members_per_s"], 2
+    vec["speedup_vs_serial"] = round(
+        vec["members_per_s"] / backends["serial"]["members_per_s"], 2
     )
 
     with tempfile.TemporaryDirectory(prefix="bench-localize-") as store_dir:
         localization, pipeline = bench_localization(store_dir)
-
-    multi_core = (os.cpu_count() or 1) > 1
-    strict_skips: list[dict] = []
-    if not multi_core:
-        strict_skips.append(
-            {
-                "check": "process_beats_serial",
-                "reason": "single-CPU runner: the process pool cannot be "
-                "expected to beat the serial backend without a second "
-                "core",
-            }
-        )
 
     payload = {
         "benchmark": "repro-ensemble-interpreter",
@@ -286,13 +258,9 @@ def main() -> int:
         "speedup": round(speedup, 2),
         "ensemble_members": ENSEMBLE_MEMBERS,
         "backends": backends,
-        "best_backend": best_backend,
-        "best_scalar_backend": best_scalar,
-        "ensemble_members_per_s": backends[best_backend]["members_per_s"],
         "vectorized": vec,
         "localization": localization,
         "pipeline": pipeline,
-        "strict_skips": strict_skips,
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -314,32 +282,11 @@ def main() -> int:
             file=sys.stderr,
         )
         failed = True
-    if (
-        "process" in backends
-        and "serial" in backends
-        and backends["process"]["members_per_s"]
-        <= backends["serial"]["members_per_s"]
-    ):
-        print(
-            "WARNING: process backend "
-            f"({backends['process']['members_per_s']} members/s) did not "
-            f"beat serial backend "
-            f"({backends['serial']['members_per_s']} members/s)"
-            + (
-                ""
-                if multi_core
-                else " — check skipped on this single-CPU machine "
-                "(see strict_skips)"
-            ),
-            file=sys.stderr,
-        )
-        failed = failed or multi_core
-    if vec["speedup_vs_best_scalar"] < VEC_SPEEDUP_FLOOR:
+    if vec["speedup_vs_serial"] < VEC_SPEEDUP_FLOOR:
         print(
             f"WARNING: vectorized backend ({vec['members_per_s']} "
-            f"members/s) is below {VEC_SPEEDUP_FLOOR}x the best scalar "
-            f"backend ({best_scalar}: "
-            f"{backends[best_scalar]['members_per_s']} members/s)",
+            f"members/s) is below {VEC_SPEEDUP_FLOOR}x the serial backend "
+            f"({backends['serial']['members_per_s']} members/s)",
             file=sys.stderr,
         )
         failed = True

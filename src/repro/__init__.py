@@ -69,13 +69,9 @@ _LAZY_EXPORTS: dict[str, tuple[str, str]] = {
     "CoverageReport": ("repro.coverage", "CoverageReport"),
     # ensemble / ECT / selection
     "Ensemble": ("repro.ensemble", "Ensemble"),
-    "EnsembleGenerator": ("repro.ensemble", "EnsembleGenerator"),
     "EnsembleSpec": ("repro.ensemble", "EnsembleSpec"),
-    "ExecutionBackend": ("repro.ensemble", "ExecutionBackend"),
     "RunArtifact": ("repro.ensemble", "RunArtifact"),
     "generate_ensemble": ("repro.ensemble", "generate_ensemble"),
-    "get_backend": ("repro.ensemble", "get_backend"),
-    "list_backends": ("repro.ensemble", "list_backends"),
     "EctConfig": ("repro.ect", "EctConfig"),
     "EctResult": ("repro.ect", "EctResult"),
     "UltraFastECT": ("repro.ect", "UltraFastECT"),

@@ -62,20 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend",
-            default=None,
-            help="execution backend for member fan-outs "
-            "(serial/process/vectorized; default: vectorized)",
-        )
-        p.add_argument(
-            "--max-workers", type=int, default=None, help="pool width"
-        )
-        p.add_argument(
-            "--vec-batch",
-            default=None,
-            metavar="N",
-            help="batch-width bound for the vectorized backend (sets "
-            "REPRO_VEC_BATCH for this process; bit-identical at any "
-            "width, it only trades memory against per-pass overhead)",
+            default="vectorized",
+            help="where the accepted ensemble runs: vectorized (one "
+            "member-batched pass) or serial (the scalar reference); "
+            "bit-identical either way (default: %(default)s)",
         )
         p.add_argument(
             "--members", type=int, default=None, help="override ensemble size"
@@ -253,52 +243,26 @@ def _print_stage_table(result, out) -> None:
         )
 
 
-#: exit code for bad experiment/backend names or sizes — distinct from
-#: exit 1, which means "ran fine but did not localize"
+#: exit code for bad experiment/backend names, sizes or run counts —
+#: distinct from exit 1, which means "ran fine but did not localize"
 EX_USAGE = 2
 
 
 def _validate_names(args) -> Optional[str]:
-    """Resolve the experiment, compile its pipeline, and check the backend
-    and batch-size knobs up front — flags and ``REPRO_ENSEMBLE_BACKEND`` /
-    ``REPRO_VEC_BATCH`` alike; the error message (naming every known
-    candidate) on a bad one, else None."""
-    from .ensemble.backends import (
-        VectorizedBackend,
-        get_backend,
-        validate_batch_size,
-    )
+    """Resolve the experiment and compile its pipeline up front; the error
+    message (naming every known candidate) on a bad name, size or run
+    count, else None."""
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
     try:
-        # compiling checks sizes, e.g. a refinement ensemble larger than
-        # the accepted one
-        root_cause_pipeline(_resolve_experiment(args))
-        backend = get_backend(args.backend, max_workers=args.max_workers)
-        if getattr(args, "vec_batch", None) is not None:
-            validate_batch_size(args.vec_batch, "--vec-batch")
-        elif isinstance(backend, VectorizedBackend):
-            # no --vec-batch to override it: the environment's width rules
-            backend.effective_batch_size()
-    # unknown backends and bad batch sizes raise ValueError subclasses
+        # compiling checks the backend name and the sizes, e.g. a
+        # refinement ensemble larger than the accepted one
+        root_cause_pipeline(_resolve_experiment(args), backend=args.backend)
+    # unknown backends and bad sizes raise ValueError subclasses
     except (UnknownExperimentError, ValueError) as exc:
         return str(exc)
     return None
-
-
-def _apply_vec_batch(args) -> None:
-    """Export a validated ``--vec-batch`` as ``REPRO_VEC_BATCH`` so every
-    vectorized pass in this process picks the width up at run time."""
-    if getattr(args, "vec_batch", None) is None:
-        return
-    import os
-
-    from .ensemble.backends import VEC_BATCH_ENV_VAR, validate_batch_size
-
-    os.environ[VEC_BATCH_ENV_VAR] = str(
-        validate_batch_size(args.vec_batch, "--vec-batch")
-    )
 
 
 def _cmd_run(args, out) -> int:
@@ -309,7 +273,6 @@ def _cmd_run(args, out) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EX_USAGE
-    _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     metrics_before = get_metrics().counters()
     spans = []
@@ -320,7 +283,6 @@ def _cmd_run(args, out) -> int:
             _resolve_experiment(args),
             store_dir=args.store,
             backend=args.backend,
-            max_workers=args.max_workers,
         ).run()
     finally:
         if tracing:
@@ -357,7 +319,6 @@ def _cmd_sweep(args, out) -> int:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             return EX_USAGE
-    _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     documents, failures = {}, []
     try:
@@ -371,7 +332,6 @@ def _cmd_sweep(args, out) -> int:
                     _resolve_experiment(sweep_args),
                     store_dir=args.store,
                     backend=args.backend,
-                    max_workers=args.max_workers,
                 ).run()
             finally:
                 if tracing:

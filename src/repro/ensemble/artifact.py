@@ -4,9 +4,9 @@ A :class:`RunArtifact` is the single currency between the execution
 backends, the member cache and the downstream pipeline stages: the output
 snapshots (end-of-run and ``@first``), the run's :class:`CoverageTrace`,
 the execution counters, and the content hash (``config_key``) of the
-configuration that produced it.  Backends return artifacts (so worker
-processes never ship interpreter internals across the pipe), the cache
-stores and loads them verbatim, and ``generate_ensemble`` rehydrates them
+configuration that produced it.  Backends return artifacts (plain
+arrays and counters, never interpreter internals), the cache stores and
+loads them verbatim, and ``generate_ensemble`` rehydrates them
 into :class:`~repro.runtime.RunResult` values — which keeps coverage
 cached alongside outputs instead of being recomputed or dropped on
 incremental re-runs.

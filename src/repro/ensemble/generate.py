@@ -4,12 +4,11 @@
 into N member runs.  It is a *coordinator*: member configs are derived from
 the spec, members already present in the content-addressed artifact cache
 are loaded (coverage included — a cache hit preserves the member's
-:class:`CoverageTrace`), and the remaining misses are fanned out through a
-pluggable :class:`~repro.ensemble.backends.ExecutionBackend`
-(``vectorized`` by default — one member-batched pass for the whole
-ensemble — or ``serial`` / ``process`` on the scalar interpreter).  Every
-backend produces bit-identical members, so the backend choice never
-changes the science.
+:class:`CoverageTrace`), and the remaining misses run on one of two
+backends (:mod:`repro.ensemble.backends`): ``vectorized`` by default — one
+member-batched pass for the whole ensemble — or ``serial``, the scalar
+reference.  Both produce bit-identical members, so the backend choice
+never changes the science.
 
 The collected :class:`Ensemble` is the statistical object the ECT layer
 consumes: a ``(n_members, n_variables)`` matrix of global-mean output
@@ -33,11 +32,11 @@ from ..model.builder import ModelSource, build_model_source
 from ..obs import get_metrics, get_tracer
 from ..runtime import CoverageTrace, RunConfig, RunResult
 from .artifact import RunArtifact
-from .backends import ExecutionBackend, get_backend
+from .backends import DEFAULT_BACKEND, check_backend, run_members
 from .cache import MemberCache, member_cache_key
 from .spec import EnsembleSpec
 
-__all__ = ["Ensemble", "EnsembleGenerator", "generate_ensemble"]
+__all__ = ["Ensemble", "generate_ensemble"]
 
 #: suffix marking the end-of-first-step snapshot half of the vector
 FIRST_SUFFIX = "@first"
@@ -115,8 +114,7 @@ def generate_ensemble(
     n: Optional[int] = None,
     source: Optional[ModelSource] = None,
     cache_dir: Optional[str | os.PathLike] = None,
-    backend: "ExecutionBackend | str | None" = None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Ensemble:
     """Run (or load) every member of ``spec`` and stack the result matrix.
@@ -131,27 +129,23 @@ def generate_ensemble(
         (``generate_ensemble(n=30)``).
     source:
         An already-built :class:`ModelSource` matching ``spec.model``; built
-        once here when omitted and shared (with its parse cache) by the
-        backend's workers.
+        once here when omitted and shared (with its parse cache) by every
+        member run.
     cache_dir:
         Directory of the content-addressed member artifact cache.  Omit to
         disable caching.  Cached members keep their coverage: incremental
         re-runs never drop or recompute a member's trace.
     backend:
-        Execution backend for the cache-miss fan-out: a registered name
-        (``"serial"``, ``"process"``, ``"vectorized"``) or a
-        pre-configured :class:`ExecutionBackend` instance.  ``None`` falls
-        back to ``spec.backend``, then the ``REPRO_ENSEMBLE_BACKEND``
-        environment variable, then ``"vectorized"``.  All backends are
-        bit-identical; ``vectorized`` runs the members in one batched
-        pass (falling back to the scalar path for a batch it cannot
-        express), ``serial`` is the scalar reference.
-    max_workers:
-        Pool width of the ``process`` backend (the others ignore it).
+        ``"vectorized"`` (the default) runs the cache misses in one
+        batched pass, falling back to the scalar path for a batch it
+        cannot express; ``"serial"`` is the scalar reference.  Both are
+        bit-identical; any other name raises
+        :class:`~repro.ensemble.backends.UnknownBackendError`.
     progress:
         Optional ``callback(done, total)`` invoked as members complete
         (cache hits included).
     """
+    check_backend(backend)
     spec = spec or EnsembleSpec()
     if n is not None:
         spec = dataclasses.replace(spec, n_members=n)
@@ -162,22 +156,8 @@ def generate_ensemble(
             "the provided ModelSource was built from a different ModelConfig "
             "than spec.model"
         )
-    source.parse()  # warm the shared AST cache once, outside any pool
+    source.parse()  # warm the shared AST cache once, before any member
 
-    exec_backend = get_backend(
-        backend if backend is not None else spec.backend,
-        max_workers=max_workers,
-    )
-    if spec.vec_batch is not None:
-        from .backends import VectorizedBackend
-
-        if (
-            isinstance(exec_backend, VectorizedBackend)
-            and exec_backend.batch_size is None
-        ):
-            # the spec's *where* knob configures the backend unless the
-            # caller already pinned a width on the instance
-            exec_backend = VectorizedBackend(batch_size=spec.vec_batch)
     cache = MemberCache(cache_dir) if cache_dir is not None else None
     configs = spec.member_configs()
     total = len(configs)
@@ -193,7 +173,7 @@ def generate_ensemble(
     metrics = get_metrics()
     with get_tracer().span(
         "ensemble.generate",
-        lambda: {"members": total, "backend": exec_backend.describe(),
+        lambda: {"members": total, "backend": backend,
                  "cached": cache is not None},
     ) as gen_span:
         # phase 1: satisfy what the artifact cache already holds
@@ -208,9 +188,9 @@ def generate_ensemble(
                     continue
             misses.append((index, config))
 
-        # phase 2: fan the misses out through the execution backend
+        # phase 2: run the misses on the chosen backend
         if misses:
-            for index, artifact in exec_backend.run_members(source, misses):
+            for index, artifact in run_members(source, misses, backend):
                 artifacts[index] = artifact
                 if cache is not None:
                     cache.store_artifact(artifact)
@@ -220,10 +200,6 @@ def generate_ensemble(
         gen_span.annotate(members_run=len(misses),
                           members_cached=total - len(misses))
 
-    if any(a is None for a in artifacts):  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"backend {exec_backend.describe()} lost ensemble members"
-        )
     members: list[RunResult] = [
         artifact.to_result(config)
         for artifact, config in zip(artifacts, configs)
@@ -234,7 +210,7 @@ def generate_ensemble(
     coverage = CoverageTrace().merged(*(r.coverage for r in members))
     sd = matrix.std(axis=0, ddof=1)
     stats = {
-        "backend": exec_backend.describe(),
+        "backend": backend,
         "statements_per_member": [r.statements_executed for r in members],
         "invariant_variables": [
             names[j] for j in range(len(names)) if sd[j] == 0.0
@@ -250,61 +226,3 @@ def generate_ensemble(
         cache_misses=cache.misses if cache is not None else 0,
         stats=stats,
     )
-
-
-class EnsembleGenerator:
-    """OO facade over :func:`generate_ensemble` for repeated generation.
-
-    Holds the shared :class:`ModelSource`, the backend selection and the
-    cache directory so successive calls (e.g. an accepted ensemble plus
-    batches of experimental runs in the same process) reuse the parse
-    cache and the disk cache.
-    """
-
-    def __init__(
-        self,
-        spec: Optional[EnsembleSpec] = None,
-        cache_dir: Optional[str | os.PathLike] = None,
-        backend: "ExecutionBackend | str | None" = None,
-        max_workers: Optional[int] = None,
-    ):
-        self.spec = spec or EnsembleSpec()
-        self.cache_dir = cache_dir
-        self.backend = backend
-        self.max_workers = max_workers
-        self._source = build_model_source(self.spec.model)
-
-    @property
-    def source(self) -> ModelSource:
-        return self._source
-
-    def generate(self, n: Optional[int] = None) -> Ensemble:
-        """Generate (or incrementally load) the accepted ensemble."""
-        return generate_ensemble(
-            self.spec,
-            n=n,
-            source=self._source,
-            cache_dir=self.cache_dir,
-            backend=self.backend,
-            max_workers=self.max_workers,
-        )
-
-    def experimental_runs(
-        self,
-        count: int = 3,
-        model=None,
-        fp=None,
-    ) -> list[RunResult]:
-        """``count`` experimental runs with held-out seeds (see spec)."""
-        from ..runtime import run_model
-
-        runs = []
-        for i in range(count):
-            config = self.spec.experimental_config(i, model=model, fp=fp)
-            exp_source = (
-                self._source
-                if config.model == self.spec.model
-                else build_model_source(config.model)
-            )
-            runs.append(run_model(config, source=exp_source))
-        return runs

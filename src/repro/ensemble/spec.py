@@ -42,25 +42,6 @@ class EnsembleSpec:
     fp: FPConfig = field(default_factory=FPConfig)
     collect_coverage: bool = True
     max_statements: int = 50_000_000
-    #: execution-backend name for the member fan-out (``"serial"``,
-    #: ``"process"`` or ``"vectorized"`` — see
-    #: :mod:`repro.ensemble.backends`).  ``generate_ensemble``'s
-    #: ``backend=`` argument overrides it; ``None`` defers to the
-    #: ``REPRO_ENSEMBLE_BACKEND`` environment variable, then
-    #: ``"vectorized"``.  The backend only chooses *where* members run:
-    #: every backend produces bit-identical ensembles, so it is excluded
-    #: from pipeline stage cache keys (see ``__config_token_exclude__``).
-    backend: str | None = None
-    #: batch-width bound for the ``vectorized`` backend (``None`` = defer
-    #: to the ``REPRO_VEC_BATCH`` environment variable, then "one batch
-    #: per uniform group").  A *where* knob like ``backend``: every batch
-    #: width produces bit-identical members, so it is excluded from
-    #: pipeline stage cache keys (see ``__config_token_exclude__``).
-    vec_batch: int | None = None
-
-    #: fields :func:`repro.pipeline.core.config_token` must skip — knobs
-    #: that change *where/how wide* members run but never their bits
-    __config_token_exclude__ = frozenset({"backend", "vec_batch"})
 
     def __post_init__(self) -> None:
         if isinstance(self.n_members, bool) or not isinstance(
@@ -69,10 +50,6 @@ class EnsembleSpec:
             raise ValueError(
                 f"n_members must be an int, got {type(self.n_members).__name__}"
             )
-        if self.vec_batch is not None:
-            from .backends import validate_batch_size
-
-            validate_batch_size(self.vec_batch, "EnsembleSpec.vec_batch")
         if self.n_members < 2:
             raise ValueError(
                 f"an ensemble needs at least 2 members, got {self.n_members}"

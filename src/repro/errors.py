@@ -22,8 +22,8 @@ match.
 Two usage conventions the CLI maps onto exit codes (tested in
 ``tests/test_errors.py``):
 
-* *usage errors* — unknown experiment/backend names, bad batch or
-  ensemble sizes — exit ``2`` (``EX_USAGE``) before any work runs;
+* *usage errors* — unknown experiment/backend names, bad ensemble
+  sizes or run counts — exit ``2`` (``EX_USAGE``) before any work runs;
 * *analysis outcomes* — the pipeline ran but did not localize — exit
   ``1``; these are not exceptions at all.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "FortranFrontEndError",
     "FortranRuntimeError",
     "InfeasibleSelectionError",
-    "InvalidBatchSizeError",
     "KernelError",
     "PatchError",
     "PipelineError",
@@ -75,7 +74,6 @@ _ERROR_EXPORTS: dict[str, tuple[str, str]] = {
     "UnknownPatchError": ("repro.model.patches", "UnknownPatchError"),
     "UnknownExperimentError": ("repro.experiments", "UnknownExperimentError"),
     "UnknownBackendError": ("repro.ensemble.backends", "UnknownBackendError"),
-    "InvalidBatchSizeError": ("repro.ensemble.backends", "InvalidBatchSizeError"),
     "StoreError": ("repro.pipeline.store", "StoreError"),
     "PipelineError": ("repro.pipeline.core", "PipelineError"),
     "StageError": ("repro.pipeline.core", "StageError"),

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..ect import EctConfig
+from ..ensemble.backends import DEFAULT_BACKEND
 from ..ensemble.spec import EnsembleSpec
 from ..errors import ReproError
 from ..model.builder import ModelConfig
@@ -68,9 +69,7 @@ class ExperimentSpec:
     (None = the control build); ``fma`` turns on global FMA contraction
     in the experimental runs' FP model.  The remaining fields parameterize
     the pipeline stages; ``ect`` / ``refine`` / ``selection`` default to
-    the library defaults when None.  ``backend`` is a *where* knob (never
-    part of any cache key) naming the default execution backend for this
-    experiment's member fan-outs.
+    the library defaults when None.
     """
 
     name: str
@@ -83,7 +82,6 @@ class ExperimentSpec:
     pertlim: float = 1.0e-14
     base_seed: int = 9100
     collect_coverage: bool = False
-    backend: Optional[str] = None
     ect: Optional[EctConfig] = None
     refine: Optional[RefinementConfig] = None
     #: optimization-based culprit selection knobs (None = defaults)
@@ -186,17 +184,13 @@ def run_experiment(
     experiment: "ExperimentSpec | str",
     *,
     store_dir=None,
-    backend=None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> "PipelineResult":
     """Compile and run (or resume) one experiment's pipeline."""
     from ..pipeline import RootCauseAnalysis
 
     return RootCauseAnalysis(
-        experiment,
-        store_dir=store_dir,
-        backend=backend,
-        max_workers=max_workers,
+        experiment, store_dir=store_dir, backend=backend
     ).run()
 
 
@@ -204,8 +198,7 @@ def run_sweep(
     experiments: "list[ExperimentSpec | str] | None" = None,
     *,
     store_dir=None,
-    backend=None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> "dict[str, PipelineResult]":
     """Run several experiments against one shared store.
 
@@ -224,7 +217,6 @@ def run_sweep(
             get_experiment(e) if isinstance(e, str) else e,
             store_dir=store_dir,
             backend=backend,
-            max_workers=max_workers,
         )
         for e in (experiments if experiments is not None else list_experiments())
     ]

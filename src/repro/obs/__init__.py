@@ -4,8 +4,8 @@ Three pieces, threaded through every layer of the stack:
 
 * :mod:`repro.obs.trace` — hierarchical :class:`Span`s with a
   context-manager/decorator API on a process-global :class:`Tracer`
-  (thread-local stacks, pickle-safe worker span collection, zero
-  overhead while disabled).
+  (thread-local stacks, span-id-deduplicated adoption, zero overhead
+  while disabled).
 * :mod:`repro.obs.metrics` — always-on counters/gauges/histograms in a
   :class:`MetricsRegistry` unifying the store / member-cache /
   interpreter / refinement telemetry under one dotted namespace.

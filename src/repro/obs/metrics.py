@@ -7,7 +7,7 @@ dotted namespace:
 =========================  ==================================================
 ``store.hits/misses/writes``        pipeline artifact-store traffic
 ``member_cache.hits/misses``        per-member run-artifact cache traffic
-``ensemble.members_run/_cached``    fan-out volume per ensemble generation
+``ensemble.members_run/_cached``    member volume per ensemble generation
 ``interpreter.runs/statements``     scalar-interpreter work
 ``vec.batches/mask_collapses``      vectorized-runtime work and divergence
 ``vec.fallbacks``                   vectorized batches re-run scalar
@@ -17,9 +17,7 @@ dotted namespace:
 
 Metrics are always on: increments are lock-guarded dict ops, far below
 noise on any instrumented path, so there is no enable/disable knob to
-get wrong.  Counters in process-backend *workers* land in the worker's
-registry and are not shipped back — fan-out volume is still accounted
-in the parent via the ``ensemble.*`` counters.
+get wrong.
 
 The snapshot/delta pair turns the registry into per-region telemetry:
 ``before = m.snapshot()`` ... ``m.counter_delta(before)`` yields only

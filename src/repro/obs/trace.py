@@ -4,8 +4,8 @@ A :class:`Span` is one timed region of the root-cause workflow — a
 pipeline stage, one ensemble member, one refinement iteration — with a
 name, free-form ``attrs``, wall and CPU time, and a parent id that
 reconstructs the hierarchy.  The :class:`Tracer` keeps a *thread-local*
-span stack (concurrent backend workers nest correctly without seeing
-each other) and a process-wide list of finished spans.
+span stack (spans opened on different threads nest correctly without
+seeing each other) and a process-wide list of finished spans.
 
 The tracer is **disabled by default and free when disabled**: ``span()``
 returns a shared no-op handle before evaluating any attributes — pass
@@ -13,13 +13,10 @@ returns a shared no-op handle before evaluating any attributes — pass
 tracing is on.  Enabling happens explicitly (``enable_tracing()``, or the
 CLI's ``--trace`` / ``--profile`` flags).
 
-Spans produced inside :class:`~repro.ensemble.backends.ProcessBackend`
-workers cannot reach the parent tracer through memory; workers build
-them standalone with :meth:`Span.measure` (no tracer involved, so a
-``fork`` child never double-records through inherited tracer state) and
-ship them back pickled next to the run artifact.  The parent calls
-:meth:`Tracer.adopt`, which deduplicates by span id — a span arrives in
-the trace exactly once no matter how results are retried or replayed.
+Spans built outside a ``with tracer.span(...)`` block — the estimated
+per-member spans of a member-batched ensemble pass — enter the trace
+through :meth:`Tracer.adopt`, which deduplicates by span id, so a span
+arrives in the trace exactly once however often it is handed over.
 """
 
 from __future__ import annotations
@@ -74,8 +71,8 @@ def runtime_info() -> dict:
     }
 
 
-#: process-local monotonic span counter; ids embed the pid, so ids from
-#: forked/spawned workers can never collide with the parent's
+#: process-local monotonic span counter; ids embed the pid, so traces of
+#: different processes appended to one file can never collide
 _COUNTER = itertools.count(1)
 
 
@@ -124,38 +121,6 @@ class Span:
             pid=int(doc.get("pid", 0)),
             thread_id=int(doc.get("thread_id", 0)),
         )
-
-    @classmethod
-    def measure(
-        cls,
-        name: str,
-        fn: Callable[[], Any],
-        *,
-        parent_id: Optional[str] = None,
-        attrs: Optional[Mapping] = None,
-    ) -> tuple["Span", Any]:
-        """Run ``fn`` and return ``(span, value)`` without any tracer.
-
-        The process-backend worker path: the span is built standalone
-        (ids still embed the pid, so they stay globally unique), pickled
-        back with the result, and adopted by the parent tracer.
-        """
-        start = time.time()
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        value = fn()
-        span = cls(
-            name=name,
-            span_id=new_span_id(),
-            parent_id=parent_id,
-            start=start,
-            wall_s=time.perf_counter() - wall0,
-            cpu_s=time.process_time() - cpu0,
-            attrs=dict(attrs or {}),
-            pid=os.getpid(),
-            thread_id=threading.get_ident(),
-        )
-        return span, value
 
 
 class _NullHandle:
@@ -325,14 +290,12 @@ class Tracer:
                 self._finished.append(span)
 
     def adopt(self, spans) -> int:
-        """Merge externally produced spans (worker processes, batch
-        backends); duplicates — by span id — are dropped.  Returns the
-        number actually added."""
+        """Merge externally built :class:`Span` objects (the vectorized
+        backend's estimated member spans); duplicates — by span id — are
+        dropped.  Returns the number actually added."""
         added = 0
         with self._lock:
             for span in spans:
-                if isinstance(span, Mapping):
-                    span = Span.from_dict(span)
                 if span.span_id not in self._seen:
                     self._seen.add(span.span_id)
                     self._finished.append(span)

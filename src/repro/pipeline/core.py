@@ -79,22 +79,14 @@ def config_token(value: Any) -> Any:
     """A deterministic JSON-safe token of a (possibly nested) config value.
 
     Dataclasses (``EnsembleSpec``, ``EctConfig``, ``RefinementConfig``,
-    ...) are expanded field by field — a knob added to a config in a later
-    PR automatically changes every key it participates in, the same
-    regression-proofing the member cache applies to ``FPConfig``.  A
-    dataclass may opt *where*-knobs out by naming them in a
-    ``__config_token_exclude__`` class attribute (e.g.
-    ``EnsembleSpec.vec_batch``, the vectorized batch width): excluded
-    fields never enter a cache key, so turning such a knob keeps every
-    artifact shareable — which is only sound for knobs that cannot change
-    the bits a stage produces.
+    ...) are expanded field by field — a knob added to a config later
+    automatically changes every key it participates in, the same
+    regression-proofing the member cache applies to ``FPConfig``.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        exclude = getattr(type(value), "__config_token_exclude__", ())
         return {
             f.name: config_token(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.name not in exclude
         }
     if isinstance(value, Mapping):
         return {str(k): config_token(v) for k, v in sorted(value.items())}

@@ -43,6 +43,7 @@ import numpy as np
 from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
 from ..ect import EctConfig, EctResult, UltraFastECT
 from ..ensemble import Ensemble, generate_ensemble, member_cache_key
+from ..ensemble.backends import DEFAULT_BACKEND, check_backend
 from ..ensemble.spec import EnsembleSpec
 from ..graphs import build_metagraph
 from ..model.builder import ModelConfig, ModelSource, build_model_source
@@ -147,17 +148,19 @@ def make_ensemble_stage(
     *,
     name: str = "control_ensemble",
     source_input: str = "control_source",
-    backend=None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Stage:
-    """The accepted-ensemble stage over the pluggable backend registry.
+    """The accepted-ensemble stage, run on ``backend``.
 
-    The backend and pool width are *where* knobs, not *what* knobs — every
-    backend is bit-identical — so they stay out of the cache key.  The
-    stage payload is the member key list plus the stacked matrix; a hit
-    rehydrates every member from the member cache (raising a store miss,
-    and thus re-running, if any artifact is gone).
+    The backend is a *where* knob, not a *what* knob — ``vectorized`` and
+    ``serial`` are bit-identical — so it stays out of the cache key; an
+    unknown name raises :class:`~repro.ensemble.UnknownBackendError` here,
+    before any stage runs.  The stage payload is the member key list plus
+    the stacked matrix; a hit rehydrates every member from the member
+    cache (raising a store miss, and thus re-running, if any artifact is
+    gone).
     """
+    check_backend(backend)
 
     def member_keys(source: ModelSource) -> list[str]:
         return [
@@ -171,7 +174,6 @@ def make_ensemble_stage(
             source=inputs[source_input],
             cache_dir=ctx.member_cache_dir,
             backend=backend,
-            max_workers=max_workers,
         )
         ctx.count_members(ensemble.cache_hits, ensemble.cache_misses)
         ctx.annotate(
@@ -726,30 +728,31 @@ def root_cause_pipeline(
     experiment: "ExperimentSpec",
     *,
     store_dir=None,
-    backend=None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Pipeline:
     """Compile one experiment into the full root-cause DAG.
 
-    ``backend`` / ``max_workers`` choose *where* members run (falling back
-    to the experiment's own backend field) and never enter cache keys:
-    all backends are bit-identical, so artifacts are shared across them.
-    A refinement ensemble larger than the accepted one raises
+    ``backend`` chooses *where* the accepted ensemble runs and never
+    enters a cache key: both backends are bit-identical, so artifacts are
+    shared across them.  An unknown backend, fewer than one experimental
+    run, or a refinement ensemble larger than the accepted one raises
     ``ValueError`` here, before any stage runs.
     """
     spec = experiment.ensemble_spec()
     refine = experiment.refine or RefinementConfig()
     refine.check_fits(spec.n_members)
+    if experiment.n_runs < 1:
+        raise ValueError(
+            f"an experiment needs at least one experimental run, got "
+            f"n_runs={experiment.n_runs}"
+        )
     exp_model = experiment.experimental_model()
     exp_fp = experiment.experimental_fp()
-    backend = backend if backend is not None else experiment.backend
 
     stages = [
         make_source_stage("control_source", spec.model),
         make_metagraph_stage(),
-        make_ensemble_stage(
-            spec, backend=backend, max_workers=max_workers
-        ),
+        make_ensemble_stage(spec, backend=backend),
     ]
     if exp_model == spec.model:
         source_input = "control_source"
@@ -784,8 +787,7 @@ def accepted_ensemble(
     spec: Optional[EnsembleSpec] = None,
     *,
     store_dir=None,
-    backend=None,
-    max_workers: Optional[int] = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Ensemble:
     """Generate (or resume from the store) one accepted ensemble.
 
@@ -798,9 +800,7 @@ def accepted_ensemble(
     pipeline = Pipeline(
         [
             make_source_stage("control_source", spec.model),
-            make_ensemble_stage(
-                spec, backend=backend, max_workers=max_workers
-            ),
+            make_ensemble_stage(spec, backend=backend),
         ],
         store_dir=store_dir,
     )
@@ -827,8 +827,7 @@ class RootCauseAnalysis:
         experiment: "ExperimentSpec | str",
         *,
         store_dir=None,
-        backend=None,
-        max_workers: Optional[int] = None,
+        backend: str = DEFAULT_BACKEND,
     ):
         if isinstance(experiment, str):
             from ..experiments import get_experiment
@@ -839,7 +838,6 @@ class RootCauseAnalysis:
             experiment,
             store_dir=store_dir,
             backend=backend,
-            max_workers=max_workers,
         )
 
     def run(self) -> PipelineResult:

@@ -323,15 +323,8 @@ class MemberBatch(np.ndarray):
     scalar broadcasts against an array.
 
     Plain ndarrays (member-uniform model values) broadcast from the right,
-    exactly as numpy would without the member axis.
-
-    The leading axis is really a *(config, member) lane* axis: nothing in
-    the batched runtime requires two lanes to come from the same run
-    configuration, only that lanes agree on whatever shapes the shared
-    evaluation (the model build, ``nsteps``, the fp model).  A
-    cross-config batch is therefore just a ``MemberBatch`` whose lanes
-    map to heterogeneous configs; use :meth:`lane` to slice one config's
-    value back out.
+    exactly as numpy would without the member axis.  Use :meth:`lane` to
+    slice one member's value back out.
     """
 
     # win ufunc dispatch against plain ndarrays regardless of operand order
@@ -350,13 +343,13 @@ class MemberBatch(np.ndarray):
         return np.asarray(self)[m]
 
     def lane(self, m: int) -> np.ndarray:
-        """Lane ``m``'s model-space value as an independent copy.
+        """Member ``m``'s model-space value as an independent copy.
 
         Unlike :meth:`member` this never aliases the batch, so a
-        per-config result sliced from a cross-config batch — including a
-        scalar-promoted ``(n,)`` slot, where ``member`` would hand back a
-        0-d view into shared storage — can outlive and never write back
-        into the fused evaluation."""
+        per-member result sliced out of it — including a scalar-promoted
+        ``(n,)`` slot, where ``member`` would hand back a 0-d view into
+        shared storage — can outlive and never write back into the
+        batched evaluation."""
         return np.asarray(self)[m].copy()
 
     def _lifted(self, target_model_ndim: int) -> np.ndarray:

@@ -39,6 +39,7 @@ that share everything but ``pertlim`` and ``seed``, and slices one
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,6 +80,7 @@ __all__ = [
     "VEC_INTRINSICS",
     "VecInterpreter",
     "VecNodeCompiler",
+    "batch_key",
     "run_model_batch",
 ]
 
@@ -1056,18 +1058,21 @@ def _member_value(value, m: int) -> np.ndarray:
     return np.asarray(value)
 
 
+def batch_key(config):
+    """Everything ``config`` must share with its batch: the config with
+    its per-member ``pertlim`` and ``seed`` blanked out."""
+    return dataclasses.replace(config, pertlim=0.0, seed=0)
+
+
 def run_model_batch(configs, source=None):
     """Run every member of ``configs`` in one vectorized evaluation.
 
-    The configs must agree on the model build, ``nsteps`` and fp model —
-    those shape the single fused evaluation — while ``pertlim``/``seed``
-    vary per (config, member) lane and ``collect_coverage`` /
-    ``max_statements`` may differ per lane too: coverage is gathered when
-    any lane wants it (lanes that opted out still get an empty trace, as
-    in their scalar runs) and the batch runs under the widest statement
-    budget with each lane's own budget re-checked afterwards.  Returns
-    one :class:`~repro.runtime.RunResult` per config, each bit-identical
-    to what :func:`repro.runtime.run_model` produces for the same config.
+    The configs must agree on everything except ``pertlim`` and ``seed``
+    (model build, nsteps, fp model, coverage flag, statement budget) —
+    exactly the shape of an :class:`~repro.ensemble.EnsembleSpec`'s member
+    configs; anything else raises :class:`ValueError`.  Returns one
+    :class:`~repro.runtime.RunResult` per config, each bit-identical to
+    what :func:`repro.runtime.run_model` produces for the same config.
     """
     from ..model.builder import build_model_source
     from ..model.registry import iter_output_fields
@@ -1077,17 +1082,13 @@ def run_model_batch(configs, source=None):
     if not configs:
         raise ValueError("run_model_batch needs at least one RunConfig")
     head = configs[0]
-    for config in configs[1:]:
-        if (
-            config.model != head.model
-            or config.nsteps != head.nsteps
-            or config.fp != head.fp
-        ):
-            raise ValueError(
-                "run_model_batch members must share the model build, "
-                "nsteps and fp model (pertlim, seed, coverage flag and "
-                "statement budget may vary per lane)"
-            )
+    shared = batch_key(head)
+    if any(batch_key(config) != shared for config in configs[1:]):
+        raise ValueError(
+            "run_model_batch members must share the model build, nsteps, "
+            "fp model, coverage flag and statement budget (only pertlim "
+            "and seed may vary)"
+        )
     if source is None:
         source = build_model_source(head.model)
     elif source.config != head.model:
@@ -1097,16 +1098,12 @@ def run_model_batch(configs, source=None):
         )
     asts = source.parse()
 
-    collect_coverage = any(c.collect_coverage for c in configs)
-    budget = max(c.max_statements for c in configs)
-    config_shapes = {(c.collect_coverage, c.max_statements) for c in configs}
-
     interp = VecInterpreter(
         asts,
         seeds=[int(c.seed) for c in configs],
         fp=head.fp,
-        collect_coverage=collect_coverage,
-        max_statements=budget,
+        collect_coverage=head.collect_coverage,
+        max_statements=head.max_statements,
     )
     pert = np.array(
         [float(c.pertlim) for c in configs], dtype=np.float64
@@ -1130,7 +1127,6 @@ def run_model_batch(configs, source=None):
 
     prng_draws = interp.prng.total_draws()
     results = []
-    total_statements = 0
     for m, config in enumerate(configs):
         outputs = {
             name: _member_value(interp.history.fields[name], m)
@@ -1140,25 +1136,12 @@ def run_model_batch(configs, source=None):
             name: _member_value(interp.history.first[name], m)
             for name in names
         }
-        statements = interp.member_statements(m)
-        if statements > config.max_statements:
-            # the batch ran under the widest lane budget; a lane whose own
-            # budget was exceeded must fail exactly as its scalar run would
-            raise StatementLimitExceeded(
-                f"statement budget of {config.max_statements} exhausted "
-                f"for batch lane {m} (executed {statements})"
-            )
-        total_statements += statements
         results.append(
             RunResult(
                 config=config,
                 outputs=outputs,
-                coverage=(
-                    interp.member_coverage(m)
-                    if config.collect_coverage
-                    else CoverageTrace()
-                ),
-                statements_executed=statements,
+                coverage=interp.member_coverage(m),
+                statements_executed=interp.member_statements(m),
                 prng_draws=prng_draws,
                 first_outputs=first_outputs,
             )
@@ -1170,7 +1153,7 @@ def run_model_batch(configs, source=None):
     metrics.inc("vec.batches")
     metrics.inc("vec.members", len(configs))
     metrics.inc("vec.mask_collapses", interp.mask_divergences)
-    metrics.inc("interpreter.statements", total_statements)
-    if len(config_shapes) > 1:
-        metrics.inc("vec.fused_configs", len(config_shapes) - 1)
+    metrics.inc(
+        "interpreter.statements", sum(r.statements_executed for r in results)
+    )
     return results

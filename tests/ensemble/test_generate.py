@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ensemble import (
-    EnsembleGenerator,
-    EnsembleSpec,
-    generate_ensemble,
-    member_cache_key,
-)
+from repro.ensemble import EnsembleSpec, generate_ensemble, member_cache_key
 from repro.model import ModelConfig, build_model_source
-from repro.runtime import CoverageTrace, run_model
+from repro.runtime import CoverageTrace
 
 SMALL = EnsembleSpec(n_members=4, nsteps=1)
 
@@ -52,20 +47,8 @@ class TestGeneration:
         np.testing.assert_array_equal(again.matrix, small_ensemble.matrix)
         assert again.coverage == small_ensemble.coverage
 
-    def test_parallel_fanout_matches_serial(self, shared_source, small_ensemble):
-        wide = generate_ensemble(
-            SMALL, source=shared_source, backend="process", max_workers=4
-        )
-        serial = generate_ensemble(
-            SMALL, source=shared_source, backend="process", max_workers=1
-        )
-        np.testing.assert_array_equal(wide.matrix, serial.matrix)
-        np.testing.assert_array_equal(wide.matrix, small_ensemble.matrix)
-
     def test_n_override(self, shared_source):
-        ens = generate_ensemble(
-            SMALL, n=2, source=shared_source, max_workers=1
-        )
+        ens = generate_ensemble(SMALL, n=2, source=shared_source)
         assert ens.n_members == 2
 
     def test_mismatched_source_rejected(self):
@@ -189,17 +172,3 @@ class TestDiskCache:
         )
         assert ens.n_members == 4
         assert np.isfinite(ens.matrix).all()
-
-
-class TestEnsembleGenerator:
-    def test_generator_facade(self, tmp_path):
-        gen = EnsembleGenerator(SMALL, cache_dir=tmp_path)
-        ens = gen.generate()
-        assert ens.n_members == 4
-        runs = gen.experimental_runs(count=2)
-        assert len(runs) == 2
-        # experimental runs come from held-out seeds, never member seeds
-        member_seeds = {c.seed for c in SMALL.member_configs()}
-        assert all(r.config.seed not in member_seeds for r in runs)
-        # vectors align with the ensemble variable layout
-        assert ens.run_vector(runs[0]).shape == (len(ens.variable_names),)

@@ -139,3 +139,9 @@ class TestSweep:
     def test_sweep_resolves_names(self, tmp_path):
         with pytest.raises(UnknownExperimentError):
             run_sweep(["warpdrive"], store_dir=tmp_path)
+
+    def test_sweep_compiles_every_experiment_before_running(self, tmp_path):
+        runless = get_experiment("goffgratch").with_(n_runs=0)
+        with pytest.raises(ValueError, match="n_runs=0"):
+            run_sweep(["wsubbug", runless], store_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []  # wsubbug never ran

@@ -1,19 +1,16 @@
-"""Cross-process span collection and resume semantics.
+"""Member span collection and resume semantics.
 
 The contract: every ensemble member produces exactly one
-``ensemble.member`` span in the *parent* trace, with a stable parent id
-(the enclosing ``ensemble.generate`` span), whether it ran inline, in a
-pool thread, or in a ``fork``/``spawn`` worker process — and a
-killed-mid-stage resume never duplicates member spans, because the
-resumed stages are cache hits that run no members at all.
+``ensemble.member`` span in the trace, under the enclosing
+``ensemble.generate`` span, whether it ran on the serial path or inside
+a member-batched pass — and a killed-mid-stage resume never duplicates
+member spans, because the resumed stages are cache hits that run no
+members at all.
 """
-
-import os
 
 import pytest
 
 from repro.ensemble import EnsembleSpec, generate_ensemble
-from repro.ensemble.backends import ProcessBackend
 from repro.obs import disable_tracing, enable_tracing
 from repro.pipeline import StageError
 
@@ -48,31 +45,6 @@ def test_in_process_backends_one_span_per_member(backend):
         assert parent_ids == {generate_span(spans).span_id}
     # exactly once: all span ids distinct
     assert len({s.span_id for s in members}) == SPEC.n_members
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_process_workers_ship_spans_exactly_once(start_method):
-    import multiprocessing
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} unavailable on this platform")
-    enable_tracing()
-    generate_ensemble(
-        SPEC,
-        backend=ProcessBackend(max_workers=2, mp_context=start_method),
-    )
-    spans = disable_tracing()
-    members = member_spans(spans)
-    assert len(members) == SPEC.n_members
-    assert len({s.span_id for s in members}) == SPEC.n_members
-    # stable parent: every worker span nests under the one generate span
-    assert {s.parent_id for s in members} == {generate_span(spans).span_id}
-    # the spans really were produced in worker processes
-    assert all(s.pid != os.getpid() for s in members)
-    # worker pids are embedded in the span ids, so ids can never collide
-    # with the parent's even though each process counts from 1
-    for span in members:
-        assert span.span_id.startswith(f"{span.pid:x}-")
 
 
 def killed_pipeline(pipeline, kill_at):

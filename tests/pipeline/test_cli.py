@@ -94,7 +94,8 @@ class TestBadNames:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "quantum" in err and "vectorized" in err
+        assert "quantum" in err and "serial" in err and "vectorized" in err
+        assert list(tmp_path.iterdir()) == []  # nothing ran
 
     def test_sweep_validates_every_name_before_running(
         self, tmp_path, capsys

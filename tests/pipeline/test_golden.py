@@ -1,11 +1,14 @@
-"""Localization reports pinned byte for byte.
+"""Localization reports and stage keys pinned byte for byte.
 
 The six experiments run at small scale against one shared store; each
 report's ``to_json()`` must equal its file under ``golden/``.  The files
 pin the analysis tail (communities, selection, refinement, report): a
-change there that moves any report shows up here.
+change there that moves any report shows up here.  ``golden/keys.json``
+pins every experiment's ``{stage: key}``: a change that re-keys a stage
+leaves every store filled before it cold, so it must be deliberate.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,12 @@ def sweep(tmp_path_factory):
 def test_report_matches_golden(sweep, name):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert sweep[name]["report"].to_json() + "\n" == expected
+
+
+def test_stage_keys_match_golden(sweep):
+    expected = json.loads((GOLDEN / "keys.json").read_text())
+    keys = {
+        name: {record.name: record.key for record in result.records}
+        for name, result in sweep.items()
+    }
+    assert keys == expected

@@ -4,7 +4,7 @@ The contract under test: after an interrupted run, re-running the same
 pipeline against the same store (a) serves every stage completed before
 the failure from cache, (b) re-runs no member simulation those stages
 already paid for, and (c) produces final outputs bit-identical to an
-uninterrupted run — for every execution backend.
+uninterrupted run — on both execution backends.
 """
 
 import dataclasses
@@ -98,15 +98,13 @@ def test_resume_after_crash_at_stage(kill_at, tmp_path, uninterrupted):
     assert report_fingerprint(resumed) == report_fingerprint(uninterrupted)
 
 
-@pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
 def test_resume_bit_identical_across_backends(
     backend, tmp_path, uninterrupted
 ):
     """Crash mid-pipeline, resume on ``backend``: same bits as serial."""
     store = tmp_path / "store"
-    healthy = root_cause_pipeline(
-        EXPERIMENT, store_dir=store, backend=backend, max_workers=2
-    )
+    healthy = root_cause_pipeline(EXPERIMENT, store_dir=store, backend=backend)
     with pytest.raises(StageError):
         killed_pipeline(healthy, "ect").run()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsembleSpec, generate_ensemble
+from repro.ensemble import EnsembleSpec, UnknownBackendError, generate_ensemble
 from repro.experiments import get_experiment
 from repro.pipeline import RootCauseAnalysis, accepted_ensemble, root_cause_pipeline
 from repro.refine import RefinementConfig
@@ -79,6 +79,15 @@ class TestRootCausePipeline:
         with pytest.raises(ValueError, match="of 16 members .* of 6 members"):
             root_cause_pipeline(get_experiment("wsubbug").with_(members=6))
 
+    def test_no_experimental_runs_fails_at_compile(self):
+        for n_runs in (0, -1):
+            with pytest.raises(ValueError, match=f"n_runs={n_runs}"):
+                root_cause_pipeline(SMALL_EXPERIMENT.with_(n_runs=n_runs))
+
+    def test_unknown_backend_fails_at_compile(self):
+        with pytest.raises(UnknownBackendError, match="quantum"):
+            root_cause_pipeline(SMALL_EXPERIMENT, backend="quantum")
+
     def test_control_experiment_has_no_patched_source(self):
         from repro.experiments import ExperimentSpec
 
@@ -123,10 +132,10 @@ class TestRootCausePipeline:
 
     def test_backend_choice_does_not_change_stage_keys(self):
         serial = root_cause_pipeline(SMALL_EXPERIMENT, backend="serial")
-        process = root_cause_pipeline(
-            SMALL_EXPERIMENT, backend="process", max_workers=2
+        vectorized = root_cause_pipeline(
+            SMALL_EXPERIMENT, backend="vectorized"
         )
-        assert serial.keys() == process.keys()
+        assert serial.keys() == vectorized.keys()
 
     def test_experiment_knobs_change_stage_keys(self):
         base = root_cause_pipeline(SMALL_EXPERIMENT).keys()

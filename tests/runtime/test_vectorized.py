@@ -13,6 +13,7 @@ Three layers of conformance:
   constructs that cannot be expressed under a partial member mask.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -125,6 +126,16 @@ def test_batch_validates_uniformity():
         )
     with pytest.raises(ValueError, match="at least one"):
         run_model_batch([])
+
+
+def test_batch_rejects_configs_differing_beyond_pertlim_and_seed():
+    """The coverage flag and the statement budget are shared by the whole
+    batch, like the model build, nsteps and fp model."""
+    base = RunConfig(nsteps=1, pertlim=1e-14, seed=SEEDS[0])
+    for knob in ({"collect_coverage": False}, {"max_statements": 10}):
+        other = dataclasses.replace(base, seed=SEEDS[1], **knob)
+        with pytest.raises(ValueError, match="share"):
+            run_model_batch([base, other])
 
 
 # --------------------------------------------------------------------------- #
@@ -382,14 +393,8 @@ def test_runtime_does_not_import_kgen():
     assert done.stdout.strip() == "[]"
 
 
-def _counter(name):
-    from repro.obs import get_metrics
-
-    return get_metrics().counters().get(name, 0)
-
-
 # --------------------------------------------------------------------------- #
-# cross-config lanes
+# per-member lanes
 # --------------------------------------------------------------------------- #
 class TestMemberBatchLane:
     def test_lane_is_an_independent_copy(self):
@@ -410,42 +415,3 @@ class TestMemberBatchLane:
         view = mb.member(2)
         assert float(view) == 3.0
 
-
-class TestHeterogeneousLanes:
-    """run_model_batch accepts configs differing beyond the model/fp/nsteps."""
-
-    def test_mixed_coverage_lanes_match_scalar(self):
-        model = ModelConfig()
-        source = build_model_source(model)
-        configs = [
-            RunConfig(
-                model=model, nsteps=1, pertlim=1e-14, seed=SEEDS[0],
-                collect_coverage=True,
-            ),
-            RunConfig(
-                model=model, nsteps=1, pertlim=1e-14, seed=SEEDS[1],
-                collect_coverage=False,
-            ),
-        ]
-        before = _counter("vec.fused_configs")
-        batch = run_model_batch(configs, source=source)
-        assert _counter("vec.fused_configs") == before + 1
-        for config, run in zip(configs, batch):
-            _assert_member_matches(run_model(config, source=source), run)
-        assert batch[0].coverage.counts != {}
-        assert batch[1].coverage.counts == {}
-
-    def test_per_lane_statement_budget_enforced(self):
-        from repro.runtime import StatementLimitExceeded
-
-        model = ModelConfig()
-        source = build_model_source(model)
-        configs = [
-            RunConfig(model=model, nsteps=1, pertlim=1e-14, seed=SEEDS[0]),
-            RunConfig(
-                model=model, nsteps=1, pertlim=1e-14, seed=SEEDS[1],
-                max_statements=10,
-            ),
-        ]
-        with pytest.raises(StatementLimitExceeded):
-            run_model_batch(configs, source=source)

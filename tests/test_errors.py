@@ -83,25 +83,14 @@ class TestCliExitCodes:
             # 6 accepted members (TestRun in tests/pipeline/test_cli.py
             # runs the fitting --members 6 --refine-members 4)
             (["run", "wsubbug", "--members", "6"], "of 16 members"),
-            (["run", "wsubbug", "--vec-batch", "0"], "--vec-batch"),
+            # an ECT needs experimental runs to test
+            (["run", "wsubbug", "--runs", "0"], "n_runs=0"),
             (["sweep", "wsubbug", "goffgratch", "--members", "6"],
              "of 6 members"),
-            # knobs from the environment are checked as early as flags;
-            # leading NAME=value words are set as in a shell command line
-            (["REPRO_ENSEMBLE_BACKEND=quantum", "run", "wsubbug"], "quantum"),
-            (["REPRO_ENSEMBLE_BACKEND=quantum", "sweep", "wsubbug"],
-             "quantum"),
-            (["REPRO_VEC_BATCH=banana", "run", "wsubbug"], "banana"),
-            (["REPRO_VEC_BATCH=banana", "sweep", "wsubbug"], "banana"),
+            (["sweep", "wsubbug", "--runs", "-1"], "n_runs=-1"),
         ],
     )
-    def test_usage_errors_exit_2(
-        self, argv, fragment, tmp_path, capsys, monkeypatch
-    ):
-        while "=" in argv[0]:
-            name, value = argv[0].split("=", 1)
-            monkeypatch.setenv(name, value)
-            argv = argv[1:]
+    def test_usage_errors_exit_2(self, argv, fragment, tmp_path, capsys):
         code, text = self.invoke(argv + ["--store", str(tmp_path)])
         assert code == 2
         assert text == ""
