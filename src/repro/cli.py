@@ -195,10 +195,11 @@ def _profile_rows(result, top: int = 10) -> list:
 
     # prefer the accepted ensemble's merged member coverage; fall back to
     # the dedicated instrumented coverage run (the ensemble members run
-    # with coverage off in most experiment specs)
+    # with coverage off in most experiment specs).  Indexing the result
+    # decodes a stage a warm run left in the store.
     coverage = None
     for key in ("control_ensemble", "coverage_run"):
-        candidate = getattr(result.outputs.get(key), "coverage", None)
+        candidate = getattr(result[key], "coverage", None)
         if candidate is not None and candidate.counts:
             coverage = candidate
             break
@@ -207,12 +208,12 @@ def _profile_rows(result, top: int = 10) -> list:
     per_file: dict[str, int] = {}
     for (fname, _line), count in coverage.counts.items():
         per_file[fname] = per_file.get(fname, 0) + int(count)
-    names: dict[str, str] = {}
-    source = result.outputs.get("control_source")
-    if source is not None:
-        from .slicing.seeds import module_file_map
+    from .slicing.seeds import module_file_map
 
-        names = {fname: mod for mod, fname in module_file_map(source).items()}
+    names = {
+        fname: mod
+        for mod, fname in module_file_map(result["control_source"]).items()
+    }
     wall = sum(rec.wall_s for rec in result.records)
     return hot_modules(per_file, wall, top=top, module_names=names)
 

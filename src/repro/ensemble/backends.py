@@ -79,7 +79,8 @@ def run_members(
     """Yield ``(index, artifact)`` for every ``(index, config)`` job,
     running them on ``backend``.
 
-    ``source`` is the shared built+parsed model every job runs against.
+    ``source`` is the shared built model every job runs against; the first
+    run parses it, the rest reuse its cached ASTs.
     """
     if check_backend(backend) == "serial":
         for index, config in jobs:

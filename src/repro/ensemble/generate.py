@@ -156,7 +156,6 @@ def generate_ensemble(
             "the provided ModelSource was built from a different ModelConfig "
             "than spec.model"
         )
-    source.parse()  # warm the shared AST cache once, before any member
 
     cache = MemberCache(cache_dir) if cache_dir is not None else None
     configs = spec.member_configs()

@@ -14,7 +14,8 @@ True
 
 ``ModelSource.parse()`` preprocesses with the compset's macros and caches the
 ASTs, so the metagraph builder (:mod:`repro.graphs`), the runtime and the
-slicer all share one parse of the tree.
+slicer all share one parse of the tree.  Building is cheap and parsing is
+not, so nothing parses until a consumer first needs the ASTs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 from ..fortran import parse_source
 from ..fortran.ast_nodes import ModuleNode, SourceFileAST
+from ..obs import get_metrics, get_tracer
 from .patches import get_patch
 from .registry import CompsetSpec, get_compset, iter_module_specs
 from . import modules as _modules
@@ -100,19 +102,24 @@ class ModelSource:
 
         Only compiled files are parsed by default — uncompiled files are not
         part of the executable and therefore not part of the digraph.  The
-        result for the default call is cached.
+        result for the default call is cached.  A call that actually
+        parses runs under a ``model.parse`` span and counts one
+        ``model.parses``.
         """
         if include_uncompiled:
-            return {
-                name: parse_source(text, filename=name, macros=self.macros)
-                for name, text in self.files.items()
-            }
+            return self._parse(self.files)
         if self._asts is None:
-            self._asts = {
-                name: parse_source(text, filename=name, macros=self.macros)
-                for name, text in self.compiled_sources().items()
-            }
+            self._asts = self._parse(self.compiled_sources())
         return self._asts
+
+    def _parse(self, files: dict[str, str]) -> dict[str, SourceFileAST]:
+        with get_tracer().span("model.parse", {"files": len(files)}):
+            asts = {
+                name: parse_source(text, filename=name, macros=self.macros)
+                for name, text in files.items()
+            }
+        get_metrics().inc("model.parses")
+        return asts
 
     def modules(self) -> dict[str, ModuleNode]:
         """Mapping of Fortran module name -> parsed module (compiled files)."""

@@ -4,9 +4,9 @@ The paper's workflow — build patched CAM source → perturbed accepted
 ensemble → UF-ECT verdict → coverage-filtered backward slice → module
 communities → set-cover selection → community-guided refinement →
 culprit report — as a typed stage DAG with
-content-hashed cache keys, topological execution, a per-stage on-disk
-artifact store, resume-from-cache and structured per-stage
-timing/status records.
+content-hashed cache keys, demand-driven execution (keys first, then a
+pull from the sinks), a per-stage on-disk artifact store,
+resume-from-cache and structured per-stage timing/status records.
 
 Layers:
 

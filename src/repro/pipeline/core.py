@@ -1,5 +1,5 @@
-"""The typed stage DAG: content-hashed cache keys, topological execution,
-resume-from-cache, per-stage timing/status records.
+"""The typed stage DAG: content-hashed cache keys, demand-driven
+execution, resume-from-cache, per-stage timing/status records.
 
 A :class:`Stage` is one unit of the root-cause workflow — "generate the
 accepted ensemble", "run the consistency test" — with a name, the names of
@@ -18,13 +18,16 @@ of the DAG resumes from cache bit-identically.  Stage functions are
 assumed pure given their params and inputs; the params mapping is that
 contract.
 
-:class:`Pipeline` executes the stages in dependency order (deterministic:
-declaration order breaks ties), consulting the store before running each
-cacheable stage, and returns a :class:`PipelineResult` whose
-:class:`StageRecord` list says for every stage whether it was a cache
-``hit`` or ``ran``, how long it took, and how many store / member-cache
-hits and misses it saw — the observability that makes resume semantics
-testable.
+:meth:`Pipeline.run` computes every key first (evaluating only the
+``fingerprint`` stages), then pulls from the sinks: a stage is needed
+only when a consumer must run, its entry being absent or undecodable.
+Needed stages decode or run in dependency order (declaration order breaks
+ties), so a warm run reads only the sink entries.  Its
+:class:`PipelineResult` decodes other stages on first access, and its
+:class:`StageRecord` list says for every stage whether it ``ran``, was a
+cache ``hit``, was ``skipped`` or raised an ``error``, how long it took,
+and its store / member-cache hits and misses — the observability that
+makes resume semantics testable.
 """
 
 from __future__ import annotations
@@ -107,7 +110,10 @@ class Stage:
     ctx, inputs) -> value``; ``fingerprint(value)``, when given, replaces the
     stage key as this stage's contribution to downstream keys (used by
     non-cacheable stages whose *content* matters downstream, e.g. the
-    built model source contributing its content digest).
+    built model source contributing its content digest).  A fingerprint
+    stage is evaluated before any downstream key is known, on every run,
+    so it must stay cheap.  ``decode`` sees only the inputs already
+    evaluated, which always include the fingerprint stages.
     """
 
     name: str
@@ -165,7 +171,9 @@ class StageRecord:
 
     name: str
     key: str
-    #: ``"hit"`` (decoded from the store without running) or ``"ran"``
+    #: ``"ran"``; ``"hit"`` (decoded from the store, or left there untouched
+    #: with ``store_hits == 0``); ``"skipped"`` (not needed and not stored:
+    #: no span, function not called); or ``"error"``
     status: str = "ran"
     cacheable: bool = True
     wall_s: float = 0.0
@@ -235,20 +243,29 @@ class StageContext:
 
 @dataclass
 class PipelineResult:
-    """Stage values plus the per-stage execution records of one run."""
+    """Stage values plus the per-stage execution records of one run.
+
+    ``outputs`` holds the stages the run evaluated; indexing ``pull``s any
+    other stage on first access, decoding it from the same store.
+    """
 
     outputs: dict[str, Any]
     records: list[StageRecord]
     store_stats: Optional[dict] = None
     terminal: str = ""
+    pull: Optional[Callable[[str], Any]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __getitem__(self, stage: str) -> Any:
+        if stage not in self.outputs and self.pull is not None:
+            return self.pull(stage)
         return self.outputs[stage]
 
     @property
     def value(self) -> Any:
         """The terminal stage's value (the last stage in dependency order)."""
-        return self.outputs[self.terminal]
+        return self[self.terminal]
 
     def record(self, stage: str) -> StageRecord:
         for rec in self.records:
@@ -284,7 +301,7 @@ class PipelineResult:
 
 
 class Pipeline:
-    """Topologically executed stage DAG over one artifact store.
+    """Demand-driven stage DAG over one artifact store (module docstring).
 
     ``store_dir`` roots both caches: ``<store_dir>/stages`` holds the
     per-stage payloads, ``<store_dir>/members`` the run-level member
@@ -310,6 +327,10 @@ class Pipeline:
                     f"stage {stage.name!r} consumes unknown stages: {unknown}"
                 )
         self.stages = tuple(self._topological(stages, by_name))
+        self._consumers = {
+            s.name: [c.name for c in self.stages if s.name in c.inputs]
+            for s in self.stages
+        }
         self.store_dir = Path(store_dir) if store_dir is not None else None
 
     @staticmethod
@@ -366,81 +387,120 @@ class Pipeline:
         return out
 
     def run(self) -> PipelineResult:
-        """Execute the DAG, resuming every cacheable stage the store holds."""
+        """Compute every key, then decode or run what the sinks need."""
         store = member_cache = None
         if self.store_dir is not None:
             store = ArtifactStore(self.store_dir / "stages")
             member_cache = MemberCache(self.store_dir / "members")
 
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer, metrics = get_tracer(), get_metrics()
+        by_name = {stage.name: stage for stage in self.stages}
+        # status "" marks a stage this run has not touched yet
+        records = {
+            s.name: StageRecord(s.name, "", status="", cacheable=s.cacheable)
+            for s in self.stages
+        }
         values: dict[str, Any] = {}
-        fingerprints: dict[str, str] = {}
-        records: list[StageRecord] = []
+
+        def tally() -> dict:
+            """The clock and every counter a record books, as of now."""
+            return {
+                **metrics.counters(),
+                "wall_s": time.perf_counter(),
+                "store_hits": store.hits if store else 0,
+                "store_misses": store.misses if store else 0,
+                "member_hits": member_cache.hits if member_cache else 0,
+                "member_misses": member_cache.misses if member_cache else 0,
+            }
+
+        def since(before: dict) -> dict:
+            return {k: v - before.get(k, 0) for k, v in tally().items()}
+
+        def settle(record: StageRecord, before: dict, upstream: dict) -> None:
+            """Book what moved since ``before``, less the upstream pulls."""
+            moved = {k: v - upstream.get(k, 0) for k, v in since(before).items()}
+            for name in ("wall_s", "store_hits", "store_misses",
+                         "member_hits", "member_misses"):
+                setattr(record, name, getattr(record, name) + moved.pop(name))
+            record.metrics = {k: v for k, v in moved.items() if v}
+
+        def pull(name: str) -> Any:
+            if name not in values:
+                evaluate(by_name[name])
+            return values[name]
+
+        def evaluate(stage: Stage) -> None:
+            """Decode ``stage`` from the store, else pull its inputs and run it."""
+            record = records[stage.name]
+            ctx = StageContext(record, member_cache)
+            span = tracer.span(f"stage:{stage.name}", {"key": record.key[:12]})
+            record.span_id = span.span_id
+            before, upstream = tally(), {}
+            with span:
+                payload = value = None
+                if store is not None and stage.cacheable:
+                    payload = store.load(record.key)
+                known = {i: values[i] for i in stage.inputs if i in values}
+                try:
+                    decoded = payload is not None
+                    value = stage.decode(payload, ctx, known) if decoded else None
+                except (StoreError, ValueError, KeyError, IndexError):
+                    decoded = False  # treat as a miss and recompute
+                if decoded:
+                    record.status = "hit"
+                else:
+                    mark = tally()
+                    inputs = {i: pull(i) for i in stage.inputs}
+                    upstream = since(mark)
+                    try:
+                        value = stage.func(ctx, **inputs)
+                    except Exception as exc:
+                        record.status = "error"
+                        settle(record, before, upstream)
+                        span.annotate(status="error")
+                        touched = [records[s.name] for s in self.stages
+                                   if records[s.name].status]
+                        raise StageError(stage.name, exc, touched) from exc
+                    record.status = "ran"
+                    if store is not None and stage.cacheable:
+                        store.save(record.key, stage.encode(value, ctx, inputs))
+                span.annotate(status=record.status)
+            settle(record, before, upstream)
+            values[stage.name] = value
+
+        stored: set[str] = set()
         with tracer.span(
             "pipeline.run",
             lambda: {"stages": len(self.stages), "cached": store is not None},
         ):
+            # keys first: only fingerprint stages are evaluated to know them
+            fingerprints: dict[str, str] = {}
             for stage in self.stages:
                 key = stage.key({i: fingerprints[i] for i in stage.inputs})
-                record = StageRecord(
-                    name=stage.name, key=key, cacheable=stage.cacheable
-                )
-                ctx = StageContext(record, member_cache)
-                inputs = {i: values[i] for i in stage.inputs}
-                span = tracer.span(f"stage:{stage.name}", {"key": key[:12]})
-                record.span_id = span.span_id
-                metrics_before = metrics.counters()
-                started = time.perf_counter()
-                store_h0 = store.hits if store else 0
-                store_m0 = store.misses if store else 0
-                member_h0 = member_cache.hits if member_cache else 0
-                member_m0 = member_cache.misses if member_cache else 0
-
-                with span:
-                    value, decoded = None, False
-                    if store is not None and stage.cacheable:
-                        payload = store.load(key)
-                        if payload is not None:
-                            try:
-                                value = stage.decode(payload, ctx, inputs)
-                                decoded = True
-                            except (StoreError, ValueError, KeyError, IndexError):
-                                decoded = False  # treat as a miss and recompute
-                    if decoded:
-                        record.status = "hit"
-                    else:
-                        try:
-                            value = stage.func(ctx, **inputs)
-                        except Exception as exc:
-                            record.status = "error"
-                            record.wall_s = time.perf_counter() - started
-                            record.metrics = metrics.counter_delta(metrics_before)
-                            span.annotate(status="error")
-                            records.append(record)
-                            raise StageError(stage.name, exc, records) from exc
-                        record.status = "ran"
-                        if store is not None and stage.cacheable:
-                            store.save(key, stage.encode(value, ctx, inputs))
-                    span.annotate(status=record.status)
-
-                values[stage.name] = value
-                fingerprints[stage.name] = (
-                    stage.fingerprint(value) if stage.fingerprint else key
-                )
-                record.wall_s = time.perf_counter() - started
-                record.metrics = metrics.counter_delta(metrics_before)
-                if store is not None:
-                    record.store_hits += store.hits - store_h0
-                    record.store_misses += store.misses - store_m0
-                if member_cache is not None:
-                    record.member_hits += member_cache.hits - member_h0
-                    record.member_misses += member_cache.misses - member_m0
-                records.append(record)
+                records[stage.name].key = fingerprints[stage.name] = key
+                if stage.fingerprint is not None:
+                    fingerprints[stage.name] = stage.fingerprint(pull(stage.name))
+                if store is not None and stage.cacheable and key in store:
+                    stored.add(stage.name)
+            # then pull: walking back from the sinks, a stage is needed
+            # when a consumer must run, and must run itself when unstored
+            needed, must_run = [], set()
+            for stage in reversed(self.stages):
+                users = self._consumers[stage.name]
+                if not users or any(u in must_run for u in users):
+                    needed.append(stage.name)
+                    if stage.name not in stored:
+                        must_run.add(stage.name)
+            for name in reversed(needed):
+                pull(name)
+        for record in records.values():
+            if not record.status:
+                record.status = "hit" if record.name in stored else "skipped"
 
         return PipelineResult(
             outputs=values,
-            records=records,
+            records=list(records.values()),
             store_stats=store.stats() if store is not None else None,
             terminal=self.stages[-1].name,
+            pull=pull,
         )

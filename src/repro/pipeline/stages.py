@@ -22,7 +22,12 @@ Two cache granularities cooperate:
   ``<store>/stages`` under the stage's content-hashed key, so a resumed
   pipeline skips even the cheap recomputation and its records say so.
 
-Rehydration notes: a cache-hit ensemble is rebuilt member-by-member from
+The pipeline pulls: a warm run decodes only the ``report`` entry, and
+every other stage is rehydrated on first access to its value (see
+:mod:`repro.pipeline.core`).  The source stages only build their trees;
+the metagraph, the model runs and the slicer parse on first use.
+
+Rehydration notes: a decoded ensemble is rebuilt member-by-member from
 the member cache (bit-identical matrix, merged coverage); a cache-hit
 :class:`~repro.slicing.RankedSlice` carries its modules / ranking /
 weights but drops the per-variable ``slices`` detail; a cache-hit
@@ -111,21 +116,17 @@ def _load_cached_runs(
 
 # ------------------------------------------------------------ source stages
 def make_source_stage(name: str, model: ModelConfig) -> Stage:
-    """Build + parse one :class:`ModelSource` (cheap, never cached on disk).
+    """Build one :class:`ModelSource` (cheap, never cached on disk).
 
     The stage fingerprints with the built tree's content digest, so any
     model-source or patch change transitively invalidates every
-    downstream stage key.
+    downstream stage key.  It only builds the tree: every run evaluates
+    it to compute the keys, and the first consumer that needs ASTs
+    parses.
     """
-
-    def func(ctx: StageContext) -> ModelSource:
-        source = build_model_source(model)
-        source.parse()
-        return source
-
     return Stage(
         name=name,
-        func=func,
+        func=lambda ctx: build_model_source(model),
         params={"model": model},
         cacheable=False,
         fingerprint=lambda source: source.content_digest(),

@@ -12,7 +12,8 @@ Anything JSON-serializable rides along as a single-element string array
 under a reserved key (:func:`json_payload` / :func:`payload_json`), so
 stage adapters can mix structured metadata (module lists, weights,
 refinement steps) with bulk arrays (ensemble matrices, PC scores) in one
-payload.
+payload.  Every entry also carries the key it was saved under, so a
+valid file copied or renamed onto another key loads as a miss.
 
 The store counts ``hits`` / ``misses`` / ``writes``; the pipeline surfaces
 per-stage deltas in its :class:`~repro.pipeline.core.StageRecord` values,
@@ -44,6 +45,8 @@ __all__ = [
 
 #: reserved payload key carrying the JSON side-channel
 JSON_KEY = "__json__"
+#: reserved payload key naming the store key an entry was saved under
+OWNER_KEY = "__key__"
 
 
 class StoreError(ReproError, ValueError):
@@ -96,7 +99,7 @@ def json_payload(
         ) from exc
     payload: dict[str, np.ndarray] = {JSON_KEY: np.array([text])}
     for name, value in (arrays or {}).items():
-        if name == JSON_KEY:
+        if name in (JSON_KEY, OWNER_KEY):
             raise StoreError(f"array name {name!r} is reserved")
         payload[name] = np.asarray(value)
     return payload
@@ -136,8 +139,10 @@ class ArtifactStore:
     def load(self, key: str) -> Optional[dict[str, np.ndarray]]:
         """The payload stored under ``key``, or None on miss/corruption.
 
-        Arrays are materialized before the file closes, so the returned
-        mapping is independent of the store.
+        An entry that does not name ``key`` as its own (copied or renamed
+        from another key, or written before entries carried their key) is
+        a miss too.  Arrays are materialized before the file closes, so
+        the returned mapping is independent of the store.
         """
         path = self._path(key)
         if not path.exists():
@@ -146,8 +151,12 @@ class ArtifactStore:
         try:
             with np.load(path, allow_pickle=False) as data:
                 payload = {name: np.asarray(data[name]) for name in data.files}
+            owner = payload.pop(OWNER_KEY)
         except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError):
             self._miss()
+            return None
+        if owner.shape != (1,) or str(owner[0]) != key:
+            self._miss()  # never serve an entry under another key
             return None
         self.hits += 1
         get_metrics().inc("store.hits")
@@ -158,7 +167,9 @@ class ArtifactStore:
         get_metrics().inc("store.misses")
 
     def save(self, key: str, payload: Mapping[str, np.ndarray]) -> None:
-        """Persist ``payload`` under ``key`` (atomic write)."""
+        """Persist ``payload`` under ``key`` (atomic write), stamped with
+        ``key`` itself so :meth:`load` can tell a misplaced entry."""
+        payload = {**payload, OWNER_KEY: np.array([key])}
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp-", suffix=".npz"
         )

@@ -1,5 +1,7 @@
 """Shared expensive fixtures for the integration suites."""
 
+import sys
+
 import pytest
 
 from repro.ensemble import EnsembleSpec
@@ -22,3 +24,33 @@ def accepted_ensemble_30(tmp_path_factory):
 
     store = tmp_path_factory.mktemp("accepted-ensemble-store")
     return accepted_ensemble(ACCEPTED_SPEC, store_dir=store)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(function)``: a list receiving one entry per call.
+
+    The ``count_calls`` helper of ``tests/experiments/test_experiments.py``
+    as a fixture that also reaches class attributes, so a method such as
+    ``MemberCache.load_artifact`` is counted as well as a function every
+    ``repro`` module imported by name.
+    """
+
+    def install(function) -> list:
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "repro" or module is None:
+                continue
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in (module, *classes):
+                for attr, value in list(vars(owner).items()):
+                    if value is function:
+                        monkeypatch.setattr(owner, attr, recording)
+        return calls
+
+    return install

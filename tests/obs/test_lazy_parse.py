@@ -1,0 +1,98 @@
+"""Lazy parsing stays attributed, and a warm run costs one store read.
+
+The source stages only build their trees, so the parse moves to whichever
+stage first needs ASTs: ``ModelSource.parse()`` opens a ``model.parse``
+span and counts ``model.parses`` on the call that actually parses.  A
+warm re-run reads the one ``report`` entry and parses nothing, while
+``--profile`` still decodes what it needs from the store.
+"""
+
+import io
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.model import ModelConfig, build_model_source
+from repro.obs import disable_tracing, enable_tracing, get_metrics, read_trace
+
+RUN_ARGS = [
+    "--members", "6",
+    "--nsteps", "1",
+    "--refine-members", "4",
+    "--backend", "serial",
+]
+
+
+def invoke(argv) -> dict:
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    return json.loads(out.getvalue())
+
+
+def test_parse_is_one_span_and_one_count_per_actual_parse():
+    source = build_model_source(ModelConfig())
+    enable_tracing()
+    first = source.parse()
+    assert source.parse() is first  # cached: no second span or count
+    spans = disable_tracing()
+    (span,) = [s for s in spans if s.name == "model.parse"]
+    assert span.attrs["files"] == len(source.compiled_files)
+    assert get_metrics().counters()["model.parses"] == 1
+
+
+class TestColdThenWarm:
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("lazy-parse-store"))
+
+    @pytest.fixture(scope="class")
+    def cold(self, store, tmp_path_factory):
+        trace = str(tmp_path_factory.mktemp("lazy-parse-trace") / "t.jsonl")
+        doc = invoke(["run", "wsubbug", "--store", store, "--trace", trace,
+                      "--profile", "--json", *RUN_ARGS])
+        return doc, read_trace(trace)
+
+    def test_cold_run_parses_each_tree_once_under_a_consumer(self, cold):
+        doc, spans = cold
+        assert doc["metrics"]["model.parses"] == 2  # control + patched
+        by_id = {s.span_id: s for s in spans}
+
+        def owning_stage(span):
+            while not span.name.startswith("stage:"):
+                span = by_id[span.parent_id]
+            return span.name
+
+        parses = [s for s in spans if s.name == "model.parse"]
+        assert len(parses) == 2
+        owners = {owning_stage(s) for s in parses}
+        assert not owners & {"stage:control_source", "stage:patched_source"}
+
+    def test_warm_run_reads_one_entry(self, cold, store):
+        doc = invoke(["run", "wsubbug", "--store", store, "--json", *RUN_ARGS])
+        assert doc["metrics"]["store.hits"] == 1
+        assert not [k for k in doc["metrics"]
+                    if k.startswith("member_cache.") or k == "model.parses"]
+        assert doc["report"] == cold[0]["report"]
+        # every stage is listed and every cacheable one is a hit
+        assert [s["name"] for s in doc["stages"]] == \
+            [s["name"] for s in cold[0]["stages"]]
+        assert all(s["status"] == "hit" for s in doc["stages"] if s["cacheable"])
+
+    def test_warm_profile_matches_the_cold_one(self, cold, store):
+        doc = invoke(["run", "wsubbug", "--store", store, "--profile",
+                      "--json", *RUN_ARGS])
+        assert doc["profile"], "warm --profile found no coverage"
+        assert [r["module"] for r in doc["profile"]] == \
+            [r["module"] for r in cold[0]["profile"]]
+
+
+def test_ensemble_served_from_the_member_cache_parses_nothing(tmp_path):
+    from repro.ensemble import EnsembleSpec, generate_ensemble
+
+    spec = EnsembleSpec(n_members=2, nsteps=1)
+    generate_ensemble(spec, cache_dir=tmp_path)
+    before = get_metrics().counters()
+    again = generate_ensemble(spec, cache_dir=tmp_path)
+    assert again.cache_hits == 2
+    assert "model.parses" not in get_metrics().counter_delta(before)

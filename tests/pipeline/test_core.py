@@ -194,11 +194,12 @@ class TestCaching:
 
         second = self.three_stage(tmp_path, calls).run()
         assert [r.status for r in second.records] == ["hit"] * 3
-        assert second.outputs == first.outputs
-        assert calls == ["a", "c"]  # nothing re-ran
-        # records carry the store traffic
-        assert all(r.store_hits == 1 for r in second.records)
+        # records carry the store traffic: only the sinks b and c are
+        # read; upstream a stays in the store untouched
+        assert [r.store_hits for r in second.records] == [0, 1, 1]
         assert all(r.store_misses == 0 for r in second.records)
+        assert [second[n] for n in "abc"] == [first[n] for n in "abc"]
+        assert calls == ["a", "c"]  # nothing re-ran
 
     def test_no_store_always_runs(self):
         calls = []
@@ -249,6 +250,93 @@ class TestCaching:
         Pipeline([src], store_dir=tmp_path).run()
         Pipeline([src], store_dir=tmp_path).run()
         assert calls == ["src", "src"]
+
+
+class TestPull:
+    """Keys first, then pull from the sinks: a stage is touched only when
+    a consumer of it must run."""
+
+    @staticmethod
+    def counted(stage, calls):
+        def func(ctx, **kwargs):
+            calls.append(stage.name)
+            return stage.func(ctx, **kwargs)
+
+        return dataclasses.replace(stage, func=func)
+
+    def two_sinks(self, store, calls):
+        """``a`` feeds the two sinks ``b`` and ``c``."""
+        return Pipeline(
+            [
+                self.counted(value_stage("a", 1), calls),
+                self.counted(value_stage("b", 0, inputs=("a",),
+                                         combine=lambda a: a + 1), calls),
+                self.counted(value_stage("c", 0, inputs=("a",),
+                                         combine=lambda a: a * 10), calls),
+            ],
+            store_dir=store,
+        )
+
+    def test_cold_run_runs_both_sinks(self, tmp_path):
+        calls = []
+        result = self.two_sinks(tmp_path, calls).run()
+        assert calls == ["a", "b", "c"]
+        assert [r.status for r in result.records] == ["ran"] * 3
+        assert (result["b"], result["c"]) == (2, 10)
+        # a needed stage the store did not hold counts one miss itself
+        assert [r.store_misses for r in result.records] == [1, 1, 1]
+
+    def test_warm_run_loads_only_the_sink_entries(self, tmp_path):
+        calls = []
+        self.two_sinks(tmp_path, calls).run()
+        warm = self.two_sinks(tmp_path, calls).run()
+        assert warm.store_stats["hits"] == 2
+        upstream = warm.record("a")
+        assert (upstream.status, upstream.store_hits) == ("hit", 0)
+        assert upstream.span_id == "" and upstream.wall_s == 0.0
+        assert "a" not in warm.outputs
+        assert (warm["b"], warm["c"]) == (2, 10)
+        # an untouched stage decodes from the store on first access
+        assert warm["a"] == 1
+        assert calls == ["a", "b", "c"]  # nothing re-ran
+
+    def test_unneeded_non_cacheable_stage_is_skipped(self, tmp_path):
+        calls = []
+
+        def pipeline():
+            src = Stage(name="src", func=lambda ctx: 3, cacheable=False)
+            return Pipeline(
+                [
+                    self.counted(src, calls),
+                    value_stage("sink", 0, inputs=("src",),
+                                combine=lambda src: src * 2),
+                ],
+                store_dir=tmp_path,
+            )
+
+        pipeline().run()
+        warm = pipeline().run()
+        assert [r.status for r in warm.records] == ["skipped", "hit"]
+        assert warm.record("src").span_id == ""
+        assert calls == ["src"]  # the warm run never called it
+        assert warm["sink"] == 6
+
+    def test_sink_whose_decode_fails_reruns_on_decoded_inputs(self, tmp_path):
+        calls = []
+        self.two_sinks(tmp_path, calls).run()
+        stages = list(self.two_sinks(tmp_path, calls).stages)
+        stages[1] = dataclasses.replace(
+            stages[1],
+            decode=lambda payload, ctx, inputs: (_ for _ in ()).throw(
+                ValueError("stale payload")
+            ),
+        )
+        result = Pipeline(stages, store_dir=tmp_path).run()
+        assert [r.status for r in result.records] == ["hit", "ran", "hit"]
+        assert calls == ["a", "b", "c", "b"]  # only the broken sink re-ran
+        assert result["b"] == 2
+        # the pulled input is booked on its own record, not the sink's
+        assert [r.store_hits for r in result.records] == [1, 1, 1]
 
 
 class TestFailure:

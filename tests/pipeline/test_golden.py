@@ -9,11 +9,13 @@ leaves every store filled before it cold, so it must be deliberate.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import get_experiment, list_experiments, run_sweep
+from repro.pipeline import RootCauseAnalysis
 from repro.refine import RefinementConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,3 +46,28 @@ def test_stage_keys_match_golden(sweep):
         for name, result in sweep.items()
     }
     assert keys == expected
+
+
+def test_entry_copied_onto_another_key_is_not_served(tmp_path):
+    """A warm run trusts the one entry it reads, so a valid entry copied
+    onto another experiment's key must load as a miss: that experiment
+    re-runs ``report`` from its decoded inputs."""
+    specs = {
+        name: get_experiment(name).with_(
+            members=6, nsteps=1, refine=RefinementConfig(members=4)
+        )
+        for name in ("wsubbug", "goffgratch")
+    }
+    filled = run_sweep(list(specs.values()), store_dir=tmp_path)
+    stages = tmp_path / "stages"
+    theirs = filled["wsubbug"].record("report").key
+    ours = filled["goffgratch"].record("report").key
+    shutil.copyfile(stages / f"{theirs}.npz", stages / f"{ours}.npz")
+
+    result = RootCauseAnalysis(specs["goffgratch"], store_dir=tmp_path).run()
+    report = result.record("report")
+    assert (report.status, report.store_misses) == ("ran", 1)
+    assert result.record("ect").store_hits == 1  # decoded, not recomputed
+    assert sum(r.member_misses for r in result.records) == 0
+    expected = (GOLDEN / "goffgratch.json").read_text()
+    assert result["report"].to_json() + "\n" == expected

@@ -130,6 +130,30 @@ class TestRootCausePipeline:
         assert second["ranked_slice"].modules == first["ranked_slice"].modules
         assert second["refined"].modules == first["refined"].modules
 
+    def test_warm_run_reads_one_entry_and_parses_nothing(
+        self, small_run, count_calls
+    ):
+        from repro.ensemble.cache import MemberCache
+        from repro.fortran import parse_source
+
+        store, first = small_run
+        parses = count_calls(parse_source)
+        loads = count_calls(MemberCache.load_artifact)
+        warm = RootCauseAnalysis(
+            SMALL_EXPERIMENT, store_dir=store, backend="serial"
+        ).run()
+        assert (len(parses), len(loads)) == (0, 0)
+        assert warm.store_stats["hits"] == 1
+        assert warm.counters()["store_hits"] == 1
+        assert warm.record("report").store_hits == 1
+        assert warm.record("metagraph").status == "skipped"
+        # an upstream value is still there, decoded on first access
+        np.testing.assert_array_equal(
+            warm["control_ensemble"].matrix,
+            first["control_ensemble"].matrix,
+        )
+        assert len(loads) == SMALL_EXPERIMENT.members
+
     def test_backend_choice_does_not_change_stage_keys(self):
         serial = root_cause_pipeline(SMALL_EXPERIMENT, backend="serial")
         vectorized = root_cause_pipeline(

@@ -137,3 +137,30 @@ def test_loaded_arrays_survive_store_deletion(tmp_path):
     loaded = store.load("k")
     (tmp_path / "k.npz").unlink()
     np.testing.assert_array_equal(loaded["a"], np.ones(4))
+
+
+class TestEntriesCarryTheirKey:
+    """A valid entry is served only under the key it was saved under."""
+
+    def test_entry_copied_onto_another_key_is_a_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("k1", json_payload({"x": 1}))
+        (tmp_path / "k2.npz").write_bytes((tmp_path / "k1.npz").read_bytes())
+        assert store.load("k2") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert payload_json(store.load("k1")) == {"x": 1}
+
+    def test_entry_without_a_key_is_a_miss(self, tmp_path):
+        np.savez_compressed(tmp_path / "k.npz", **json_payload({"x": 1}))
+        store = ArtifactStore(tmp_path)
+        assert store.load("k") is None
+        assert store.misses == 1
+
+    def test_loaded_payload_hides_the_key(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("k", json_payload({}, arrays={"a": np.ones(2)}))
+        assert set(store.load("k")) == {"__json__", "a"}
+
+    def test_key_array_name_is_reserved(self):
+        with pytest.raises(StoreError, match="reserved"):
+            json_payload({}, arrays={"__key__": np.zeros(1)})
