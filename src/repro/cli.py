@@ -192,18 +192,18 @@ def _profile_rows(result, top: int = 10) -> list:
     so profiling adds no hot-path instrumentation at all.
     """
     from .obs import hot_modules
+    from .runtime import CoverageTrace
 
     # prefer the accepted ensemble's merged member coverage; fall back to
-    # the dedicated instrumented coverage run (the ensemble members run
+    # the experimental runs' merged coverage (the ensemble members run
     # with coverage off in most experiment specs).  Indexing the result
     # decodes a stage a warm run left in the store.
-    coverage = None
-    for key in ("control_ensemble", "coverage_run"):
-        candidate = getattr(result[key], "coverage", None)
-        if candidate is not None and candidate.counts:
-            coverage = candidate
-            break
-    if coverage is None:
+    coverage = result["control_ensemble"].coverage
+    if not coverage.counts:
+        coverage = CoverageTrace().merged(
+            *(run.coverage for run in result["experimental_runs"])
+        )
+    if not coverage.counts:
         return []
     per_file: dict[str, int] = {}
     for (fname, _line), count in coverage.counts.items():

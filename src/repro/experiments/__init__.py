@@ -95,8 +95,8 @@ class ExperimentSpec:
         Always the unpatched default-FP build: the ensemble defines the
         accepted distribution, the change under test only enters the
         experimental runs.  Member coverage is off by default — slicing
-        evidence comes from the pipeline's dedicated instrumented
-        coverage run, not from the members.
+        evidence comes from the experimental runs, which the pipeline
+        always runs with coverage on, not from the members.
         """
         return EnsembleSpec(
             model=ModelConfig(),

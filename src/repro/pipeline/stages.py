@@ -13,14 +13,20 @@ cacheable, resumable, schedulable DAG nodes.
 
 Two cache granularities cooperate:
 
-* **member level** — every model run (ensemble member, experimental run,
-  coverage run) goes through the shared content-addressed
+* **member level** — every model run (ensemble member or experimental
+  run) goes through the shared content-addressed
   :class:`~repro.ensemble.cache.MemberCache` under ``<store>/members``, so
-  no simulation the store already holds is ever re-run;
+  no simulation the store already holds is ever re-run, and the runs the
+  store lacks run as one member-batched pass per stage;
 * **stage level** — each stage's *derived* product (ensemble matrix, ECT
   verdict, ranked slice, refinement trajectory, report) is one payload in
   ``<store>/stages`` under the stage's content-hashed key, so a resumed
   pipeline skips even the cheap recomputation and its records say so.
+
+The experimental runs collect coverage, and their merged trace is the
+executed-line evidence of the slice, selection and refinement stages
+(each falls back to it when given no other coverage): no stage runs the
+model just to collect coverage.
 
 The pipeline pulls: a warm run decodes only the ``report`` entry, and
 every other stage is rehydrated on first access to its value (see
@@ -41,6 +47,7 @@ preserved fields.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -48,12 +55,12 @@ import numpy as np
 from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
 from ..ect import EctConfig, EctResult, UltraFastECT
 from ..ensemble import Ensemble, generate_ensemble, member_cache_key
-from ..ensemble.backends import DEFAULT_BACKEND, check_backend
+from ..ensemble.backends import DEFAULT_BACKEND, check_backend, run_members
 from ..ensemble.spec import EnsembleSpec
 from ..graphs import build_metagraph
 from ..model.builder import ModelConfig, ModelSource, build_model_source
 from ..refine import RefinementConfig, RefinementResult, RefinementStep, refine_slice
-from ..runtime import CoverageTrace, RunConfig, RunResult, run_model
+from ..runtime import CoverageTrace, RunConfig, RunResult
 from ..selection import SelectionResult, SelectionSpec, select_culprits
 from ..slicing import RankedSlice, slice_failing_runs
 from .core import Pipeline, PipelineResult, Stage, StageContext, config_token
@@ -75,21 +82,6 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- runs
-def _cached_run(
-    ctx: StageContext, source: ModelSource, config: RunConfig
-) -> RunResult:
-    """One model run through the shared member cache (run if missing)."""
-    cache = ctx.member_cache
-    if cache is None:
-        return run_model(config, source=source)
-    key = member_cache_key(source, config)
-    result = cache.load(key, config)
-    if result is None:
-        result = run_model(config, source=source)
-        cache.store(key, result)
-    return result
-
-
 def _load_cached_runs(
     ctx: StageContext,
     source: ModelSource,
@@ -232,18 +224,43 @@ def make_experimental_runs_stage(
     n_runs: int,
     *,
     source_input: str,
+    backend: str = DEFAULT_BACKEND,
 ) -> Stage:
-    """K held-out experimental runs of the (possibly patched) build."""
+    """K held-out experimental runs of the (possibly patched) build.
+
+    The runs always collect coverage: their merged trace is the executed-
+    line evidence of slicing, selection and refinement.  Runs the member
+    cache lacks run together on ``backend`` (one member-batched pass by
+    default), which stays out of the key as for ``control_ensemble``.
+    """
+    check_backend(backend)
 
     def configs() -> list[RunConfig]:
         return [
-            spec.experimental_config(i, model=model, fp=fp)
+            dataclasses.replace(
+                spec.experimental_config(i, model=model, fp=fp),
+                collect_coverage=True,
+            )
             for i in range(n_runs)
         ]
 
     def func(ctx: StageContext, **inputs) -> list[RunResult]:
         source = inputs[source_input]
-        return [_cached_run(ctx, source, config) for config in configs()]
+        cache = ctx.member_cache
+        jobs = list(enumerate(configs()))
+        artifacts = {}
+        if cache is not None:
+            for index, config in jobs:
+                key = member_cache_key(source, config)
+                artifact = cache.load_artifact(key)
+                if artifact is not None:
+                    artifacts[index] = artifact
+        misses = [job for job in jobs if job[0] not in artifacts]
+        for index, artifact in run_members(source, misses, backend):
+            artifacts[index] = artifact
+            if cache is not None:
+                cache.store_artifact(artifact)
+        return [artifacts[index].to_result(config) for index, config in jobs]
 
     def encode(runs, ctx: StageContext, inputs) -> dict:
         source = inputs[source_input]
@@ -266,41 +283,6 @@ def make_experimental_runs_stage(
         func=func,
         inputs=(source_input,),
         params={"spec": spec, "model": model, "fp": fp, "n_runs": n_runs},
-        encode=encode,
-        decode=decode,
-    )
-
-
-def make_coverage_run_stage(
-    model: ModelConfig, fp, *, source_input: str
-) -> Stage:
-    """One single-step instrumented run of the failing configuration."""
-
-    def config() -> RunConfig:
-        kwargs = {} if fp is None else {"fp": fp}
-        return RunConfig(
-            model=model, nsteps=1, collect_coverage=True, **kwargs
-        )
-
-    def func(ctx: StageContext, **inputs) -> RunResult:
-        return _cached_run(ctx, inputs[source_input], config())
-
-    def encode(run, ctx: StageContext, inputs) -> dict:
-        return json_payload(
-            {"run_keys": [member_cache_key(inputs[source_input], config())]}
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> RunResult:
-        meta = payload_json(payload)
-        return _load_cached_runs(
-            ctx, inputs[source_input], [config()], list(meta["run_keys"])
-        )[0]
-
-    return Stage(
-        name="coverage_run",
-        func=func,
-        inputs=(source_input,),
-        params={"model": model, "fp": fp, "nsteps": 1},
         encode=encode,
         decode=decode,
     )
@@ -380,7 +362,6 @@ def make_slice_stage(
         control_ensemble,
         experimental_runs,
         ect,
-        coverage_run,
         metagraph,
         control_source,
     ) -> RankedSlice:
@@ -389,7 +370,6 @@ def make_slice_stage(
             experimental_runs,
             graph=metagraph,
             source=control_source,
-            coverage=coverage_run.coverage,
             ect_result=ect,
             top_k=top_k,
             decay=decay,
@@ -429,7 +409,6 @@ def make_slice_stage(
             "control_ensemble",
             "experimental_runs",
             "ect",
-            "coverage_run",
             "metagraph",
             "control_source",
         ),
@@ -495,7 +474,6 @@ def make_selection_stage(
         control_ensemble,
         experimental_runs,
         ect,
-        coverage_run,
         metagraph,
         control_source,
         ranked_slice,
@@ -506,7 +484,6 @@ def make_selection_stage(
             experimental_runs,
             graph=metagraph,
             source=control_source,
-            coverage=coverage_run.coverage,
             ect_result=ect,
             communities=communities,
             ranked=ranked_slice,
@@ -537,7 +514,6 @@ def make_selection_stage(
             "control_ensemble",
             "experimental_runs",
             "ect",
-            "coverage_run",
             "metagraph",
             "control_source",
             "ranked_slice",
@@ -564,7 +540,6 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
         selection,
         control_ensemble,
         experimental_runs,
-        coverage_run,
         metagraph,
         control_source,
         communities,
@@ -576,7 +551,6 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
             config=refine_config,
             graph=metagraph,
             source=control_source,
-            coverage=coverage_run.coverage,
             communities=communities,
             selection=selection,
         )
@@ -654,7 +628,6 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
             "selection",
             "control_ensemble",
             "experimental_runs",
-            "coverage_run",
             "metagraph",
             "control_source",
             "communities",
@@ -733,11 +706,12 @@ def root_cause_pipeline(
 ) -> Pipeline:
     """Compile one experiment into the full root-cause DAG.
 
-    ``backend`` chooses *where* the accepted ensemble runs and never
-    enters a cache key: both backends are bit-identical, so artifacts are
-    shared across them.  An unknown backend, fewer than one experimental
-    run, or a refinement ensemble larger than the accepted one raises
-    ``ValueError`` here, before any stage runs.
+    ``backend`` chooses *where* the accepted ensemble and the
+    experimental runs run and never enters a cache key: both backends are
+    bit-identical, so artifacts are shared across them.  An unknown
+    backend, fewer than one experimental run, or a refinement ensemble
+    larger than the accepted one raises ``ValueError`` here, before any
+    stage runs.
     """
     spec = experiment.ensemble_spec()
     refine = experiment.refine or RefinementConfig()
@@ -767,8 +741,8 @@ def root_cause_pipeline(
             exp_fp,
             experiment.n_runs,
             source_input=source_input,
+            backend=backend,
         ),
-        make_coverage_run_stage(exp_model, exp_fp, source_input=source_input),
         make_ect_stage(experiment.ect),
         make_slice_stage(),
         make_communities_stage(),

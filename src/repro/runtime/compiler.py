@@ -425,32 +425,55 @@ class NodeCompiler:
         # unknown name: legacy path raises with the right message
         return lambda f: interp._eval_apply(node, f)
 
+    def _build_find_array(self, name: str) -> Callable:
+        """Compile an array name to ``find(frame) -> (scope, rname, value)``
+        (None when no scope defines it); the owning non-local scope is
+        resolved once per site, locals are still checked first."""
+        interp = self.interp
+        cell: list[tuple] = []
+
+        def find(frame):
+            scope = frame.scope
+            container = scope.values.get(name, _MISSING)
+            if container is not _MISSING:
+                return scope, name, container
+            if cell:
+                scope, rname = cell[0]
+                container = scope.values.get(rname, _MISSING)
+                if container is not _MISSING:
+                    return scope, rname, container
+            found = interp._lookup_nonlocal(frame, name)
+            if found is None:
+                return None
+            if not cell:
+                cell.append(found)
+            scope, rname = found
+            return scope, rname, scope.values[rname]
+
+        return find
+
+    @staticmethod
+    def _load_element(container: np.ndarray, index: tuple):
+        """``container[index]``, with a single element as a Python scalar
+        (the vectorized compiler loads member batches its own way)."""
+        value = container[index]
+        if isinstance(value, np.ndarray):
+            return value
+        return value.item() if hasattr(value, "item") else value
+
     def _build_array_index(self, node: Apply) -> Callable:
         interp = self.interp
-        name = node.name
+        find = self._build_find_array(node.name)
         index_fn = self._build_index(node.args)
-        cell: list[tuple[dict, str]] = []
+        load = self._load_element
 
         def run(frame):
-            container = frame.scope.values.get(name, _MISSING)
-            if container is _MISSING:
-                if cell:
-                    container = cell[0][0].get(cell[0][1], _MISSING)
-                if container is _MISSING:
-                    found = interp._lookup_nonlocal(frame, name)
-                    if found is None:
-                        # vanished binding (e.g. absent optional): legacy path
-                        return interp._eval_apply(node, frame)
-                    scope, rname = found
-                    if not cell:
-                        cell.append((scope.values, rname))
-                    container = scope.values[rname]
-            if isinstance(container, np.ndarray):
-                value = container[index_fn(frame)]
-                if isinstance(value, np.ndarray):
-                    return value
-                return value.item() if hasattr(value, "item") else value
-            return interp._eval_apply(node, frame)
+            found = find(frame)
+            # a vanished binding (e.g. an absent optional) or a non-array
+            # takes the legacy path
+            if found is None or not isinstance(found[2], np.ndarray):
+                return interp._eval_apply(node, frame)
+            return load(found[2], index_fn(frame))
 
         return run
 
@@ -459,6 +482,7 @@ class NodeCompiler:
         base_fn = self.expr(node.base)
         component = node.component
         index_fn = self._build_index(node.args) if node.args else None
+        load = self._load_element
 
         def run(frame):
             base = base_fn(frame)
@@ -468,9 +492,7 @@ class NodeCompiler:
                 )
             value = base.get(component)
             if index_fn is not None:
-                value = value[index_fn(frame)]
-                if not isinstance(value, np.ndarray):
-                    return value.item() if hasattr(value, "item") else value
+                return load(value, index_fn(frame))
             return value
 
         return run
@@ -648,33 +670,11 @@ class NodeCompiler:
         return store
 
     def _build_store_element(self, target: Apply) -> Callable:
-        interp = self.interp
-        name = target.name
+        find = self._build_find_array(target.name)
         index_fn = self._build_index(target.args)
-        cell: list[tuple] = []
 
         def store(frame, value):
-            scope = frame.scope
-            rname = name
-            container = scope.values.get(name, _MISSING)
-            if container is _MISSING:
-                if cell:
-                    scope, rname = cell[0]
-                    container = scope.values.get(rname, _MISSING)
-                if container is _MISSING:
-                    found = interp._lookup_nonlocal(frame, name)
-                    if found is None:
-                        raise UndefinedNameError(
-                            f"assignment to unknown array {name!r}"
-                        )
-                    scope, rname = found
-                    if not cell:
-                        cell.append(found)
-                    container = scope.values[rname]
-            if not isinstance(container, np.ndarray):
-                raise FortranRuntimeError(
-                    f"subscripted assignment to non-array {rname!r}"
-                )
+            scope, rname, container = self._found_array(find, frame, target)
             index = index_fn(frame)
             if rname in scope.readonly:
                 raise IntentViolationError(
@@ -683,6 +683,21 @@ class NodeCompiler:
             container[index] = value
 
         return store
+
+    @staticmethod
+    def _found_array(find, frame, target: Apply) -> tuple:
+        """``find(frame)`` for a subscripted assignment target, which must
+        name an existing array."""
+        found = find(frame)
+        if found is None:
+            raise UndefinedNameError(
+                f"assignment to unknown array {target.name!r}"
+            )
+        if not isinstance(found[2], np.ndarray):
+            raise FortranRuntimeError(
+                f"subscripted assignment to non-array {found[1]!r}"
+            )
+        return found
 
     def _build_store_component(self, target: DerivedRef) -> Callable:
         interp = self.interp

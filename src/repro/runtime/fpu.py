@@ -33,6 +33,8 @@ from typing import Optional
 
 import numpy as np
 
+from .values import FortranRuntimeError
+
 __all__ = ["FPConfig", "FPU"]
 
 #: Dekker splitting constant for binary64: 2**27 + 1.
@@ -61,6 +63,15 @@ class FPConfig:
         if not self.fma:
             return False
         return self.fma_modules is None or module_name in self.fma_modules
+
+
+def _integer_typed(x) -> bool:
+    """An integer scalar or an integer-typed array (never a logical)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iu"
+    return isinstance(x, (int, np.integer)) and not isinstance(
+        x, (bool, np.bool_)
+    )
 
 
 def _two_sum(a, b):
@@ -132,10 +143,18 @@ class FPU:
         return self._finish(a * b)
 
     def div(self, a, b):
+        # Fortran integer division truncates toward zero, for integer
+        # scalars and integer arrays alike
         if self._both_int(a, b):
-            # Fortran integer division truncates toward zero.
+            if b == 0:
+                raise FortranRuntimeError("integer division by zero")
             q = abs(a) // abs(b)
             return -q if (a < 0) != (b < 0) else q
+        if _integer_typed(a) and _integer_typed(b):
+            if np.any(np.equal(b, 0)):
+                raise FortranRuntimeError("integer division by zero")
+            q = np.abs(a) // np.abs(b)
+            return np.where(np.less(a, 0) != np.less(b, 0), -q, q)
         return self._finish(a / b)
 
     def pow(self, a, b):

@@ -203,7 +203,7 @@ class Interpreter:
         max_statements: int = 50_000_000,
         compile: bool = True,
     ):
-        self.fpu = FPU(fp)
+        self.fpu = self._fpu_factory(fp)
         self.fp = self.fpu.config
         self.prng = PRNGStreams(seed)
         self.coverage: Optional[CoverageTrace] = (
@@ -268,6 +268,9 @@ class Interpreter:
     #: the closure compiler this interpreter builds when ``compile=True``;
     #: subclasses (the vectorized runtime) swap in their own
     _compiler_factory = NodeCompiler
+    #: the FPU class every operation routes through (the vectorized
+    #: runtime's lifts member batches)
+    _fpu_factory = FPU
 
     # ------------------------------------------------------------------ API
     @classmethod

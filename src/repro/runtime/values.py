@@ -45,6 +45,7 @@ __all__ = [
     "VectorizationError",
     "fortran_index",
     "fortran_slices",
+    "lift_batches",
 ]
 
 
@@ -352,15 +353,6 @@ class MemberBatch(np.ndarray):
         batched evaluation."""
         return np.asarray(self)[m].copy()
 
-    def _lifted(self, target_model_ndim: int) -> np.ndarray:
-        """The base array with length-1 axes inserted after the member axis
-        so its model axes right-align at ``target_model_ndim`` dims."""
-        base = np.asarray(self)
-        pad = target_model_ndim - self.model_ndim
-        if pad <= 0:
-            return base
-        return base.reshape(base.shape[:1] + (1,) * pad + base.shape[1:])
-
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         out = kwargs.get("out")
         if out is not None:
@@ -377,16 +369,7 @@ class MemberBatch(np.ndarray):
                 for x in inputs
             )
             return getattr(ufunc, method)(*plain, **kwargs)
-        target = 0
-        for x in inputs:
-            if isinstance(x, MemberBatch):
-                target = max(target, x.model_ndim)
-            elif isinstance(x, np.ndarray):
-                target = max(target, x.ndim)
-        plain = tuple(
-            x._lifted(target) if isinstance(x, MemberBatch) else x
-            for x in inputs
-        )
+        plain = lift_batches(inputs)
         result = getattr(ufunc, method)(*plain, **kwargs)
         if isinstance(result, tuple):
             return tuple(
@@ -418,5 +401,34 @@ class MemberBatch(np.ndarray):
                 key = (key,)
             dest = base[(slice(None),) + key]
         if isinstance(value, MemberBatch):
-            value = value._lifted(dest.ndim - 1)
+            (value,) = lift_batches((value,), dest.ndim - 1)
         dest[...] = value
+
+
+def lift_batches(values, model_ndim: Optional[int] = None) -> list:
+    """The member-axis lifting rule: ``values`` as plain numpy operands
+    whose broadcasting is Fortran's, member by member.
+
+    A :class:`MemberBatch` becomes its base array with length-1 axes
+    inserted after the member axis, so that its model axes right-align at
+    ``model_ndim`` model dimensions.  ``model_ndim`` defaults to the
+    highest model rank in ``values``: a batch counts the axes after its
+    member axis, a plain array all of its axes.  Plain arrays and scalars
+    pass through unchanged, because numpy broadcasts them from the right.
+    """
+    if model_ndim is None:
+        model_ndim = 0
+        for v in values:
+            if isinstance(v, np.ndarray):
+                rank = v.ndim - 1 if type(v) is MemberBatch else v.ndim
+                if rank > model_ndim:
+                    model_ndim = rank
+    out = []
+    for v in values:
+        if type(v) is MemberBatch:
+            v = v.view(np.ndarray)
+            if v.ndim <= model_ndim:
+                pad = (1,) * (model_ndim + 1 - v.ndim)
+                v = v.reshape(v.shape[:1] + pad + v.shape[1:])
+        out.append(v)
+    return out

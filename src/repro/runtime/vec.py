@@ -24,12 +24,17 @@ Design rules (enforced, not assumed):
   ``exit`` / ``cycle`` / ``stop``, PRNG draws, ``outfld`` history writes,
   member-varying loop bounds or ``select`` selectors — raise
   :class:`VectorizationError` instead of silently mixing members.
+* **Lifting happens in compiled code.**  Arithmetic, comparisons, element
+  loads and stores, ``max``/``min`` and the FPU's operations lift batch
+  operands themselves (:func:`~repro.runtime.values.lift_batches`, the one
+  statement of the member-axis rule) and run numpy on plain arrays;
+  ``MemberBatch.__array_ufunc__`` is left to the sites they do not cover.
 * **Bit-identity with the scalar interpreter.**  Every arithmetic path
-  reuses the scalar runtime's FPU (whose ufunc formulation is batch-safe),
-  the batched PRNG reproduces each member's scalar stream exactly, and
-  statement/coverage accounting tracks per-member totals under masks — the
-  conformance suite checks outputs, coverage and draw counts per member
-  against :func:`repro.runtime.run_model`.
+  runs the scalar runtime's ufuncs or FPU arithmetic on the lifted
+  operands, the batched PRNG reproduces each member's scalar stream
+  exactly, and statement/coverage accounting tracks per-member totals
+  under masks — the conformance suite checks outputs, coverage and draw
+  counts per member against :func:`repro.runtime.run_model`.
 
 The stable entry point is :func:`run_model_batch`, which mirrors
 :func:`repro.runtime.run_model` over a list of :class:`RunConfig` members
@@ -40,6 +45,7 @@ that share everything but ``pertlim`` and ``seed``, and slices one
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +63,7 @@ from ..fortran.ast_nodes import (
 )
 from .compiler import NodeCompiler, _MISSING
 from .coverage import CoverageTrace
+from .fpu import FPU
 from .interpreter import _DTYPES, Interpreter
 from .intrinsics import INTRINSIC_FUNCTIONS
 from .prng import BatchedPRNGStreams
@@ -70,14 +77,15 @@ from .values import (
     Ref,
     ScopeRef,
     StatementLimitExceeded,
-    UndefinedNameError,
     VectorizationError,
     _Cycle,
     _Exit,
+    lift_batches,
 )
 
 __all__ = [
     "VEC_INTRINSICS",
+    "VecFPU",
     "VecInterpreter",
     "VecNodeCompiler",
     "batch_key",
@@ -86,14 +94,6 @@ __all__ = [
 
 _INT_HUGE = 2147483647
 _F64_MAX = float(np.finfo(np.float64).max)
-
-
-def _lift(mask: np.ndarray, model_ndim: int) -> np.ndarray:
-    """Reshape a ``(n,)`` member mask to ``(n, 1, ..., 1)`` so it broadcasts
-    against a batch with ``model_ndim`` model axes."""
-    if model_ndim <= 0:
-        return mask
-    return mask.reshape(mask.shape + (1,) * model_ndim)
 
 
 def _model_axes(base: np.ndarray) -> tuple[int, ...]:
@@ -169,19 +169,25 @@ def _vec_all(mask):
 
 def _vec_merge(tsource, fsource, mask):
     if _any_batch(tsource, fsource, mask):
-        # np.where is not a ufunc: lift batches by hand and re-wrap
-        target = 0
-        for v in (tsource, fsource, mask):
-            if isinstance(v, MemberBatch):
-                target = max(target, v.ndim - 1)
-            elif isinstance(v, np.ndarray):
-                target = max(target, v.ndim)
-        t, f, m = (
-            v._lifted(target) if isinstance(v, MemberBatch) else v
-            for v in (tsource, fsource, mask)
-        )
-        return np.where(m, t, f).view(MemberBatch)
+        # np.where is not a ufunc: lift the batches by hand and re-wrap
+        return np.where(
+            *lift_batches((mask, tsource, fsource))
+        ).view(MemberBatch)
     return INTRINSIC_FUNCTIONS["merge"](tsource, fsource, mask)
+
+
+def _vec_extremum(name: str, ufunc):
+    base = INTRINSIC_FUNCTIONS[name]
+
+    def extremum(*args):
+        if not _any_batch(*args):
+            return base(*args)
+        out, *rest = lift_batches(args)
+        for arg in rest:
+            out = ufunc(out, arg)
+        return out.view(MemberBatch)
+
+    return extremum
 
 
 def _vec_huge(x):
@@ -232,6 +238,8 @@ VEC_INTRINSICS: dict[str, object] = {
     "any": _vec_any,
     "all": _vec_all,
     "merge": _vec_merge,
+    "max": _vec_extremum("max", np.maximum),
+    "min": _vec_extremum("min", np.minimum),
     "huge": _vec_huge,
     "gamma": _rewrap_math("gamma"),
     "erf": _rewrap_math("erf"),
@@ -240,6 +248,48 @@ VEC_INTRINSICS: dict[str, object] = {
     "reshape": _batch_unsupported("reshape"),
     "matmul": _batch_unsupported("matmul"),
     "dot_product": _batch_unsupported("dot_product"),
+}
+
+
+# --------------------------------------------------------------------------- #
+# Lifted arithmetic
+# --------------------------------------------------------------------------- #
+class VecFPU(FPU):
+    """The FPU with member batches lifted once per operation.
+
+    Each operation with a batch operand runs the scalar FPU's arithmetic
+    on the plain lifted bases (:func:`~repro.runtime.values.lift_batches`)
+    and marks the result as a batch, so the ufuncs inside flush-to-zero,
+    integer division and the FMA's Dekker split skip
+    ``MemberBatch.__array_ufunc__``.
+    """
+
+
+def _lifting(method):
+    def op(self, *args):
+        for arg in args:
+            if type(arg) is MemberBatch:
+                return method(self, *lift_batches(args)).view(MemberBatch)
+        return method(self, *args)
+
+    return op
+
+
+for _name in ("add", "sub", "mul", "div", "pow", "fma"):
+    setattr(VecFPU, _name, _lifting(getattr(FPU, _name)))
+
+#: binary operators the vectorized compiler lifts inline, with the Python
+#: operator that uniform operands keep and the ufunc that batches take
+_LIFTED_BINOPS = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "==": (operator.eq, np.equal),
+    "/=": (operator.ne, np.not_equal),
+    "<": (operator.lt, np.less),
+    "<=": (operator.le, np.less_equal),
+    ">": (operator.gt, np.greater),
+    ">=": (operator.ge, np.greater_equal),
 }
 
 
@@ -257,6 +307,66 @@ class VecNodeCompiler(NodeCompiler):
     __slots__ = ()
 
     _intrinsic_table = VEC_INTRINSICS
+
+    # ------------------------------------------------------ arithmetic
+    def _build_binop(self, node):
+        pair = _LIFTED_BINOPS.get(node.op)
+        fpu = self.interp.fpu
+        if pair is None or (
+            node.op in ("+", "-", "*")
+            and (fpu._ftz or (node.op != "*" and fpu.config.fma))
+        ):
+            # FPU-routed (division, power, FTZ, FMA): VecFPU lifts
+            return NodeCompiler._build_binop(self, node)
+        pyop, ufunc = pair
+        left = self.expr(node.left)
+        right = self.expr(node.right)
+        plain = np.ndarray
+
+        def run(frame):
+            l = left(frame)
+            r = right(frame)
+            # a batch against a scalar, or two batches of one rank, have
+            # nothing to lift: their bases go to the ufunc directly
+            if type(l) is MemberBatch:
+                if type(r) is MemberBatch:
+                    if l.ndim == r.ndim:
+                        l, r = l.view(plain), r.view(plain)
+                        return ufunc(l, r).view(MemberBatch)
+                elif not isinstance(r, plain):
+                    return ufunc(l.view(plain), r).view(MemberBatch)
+            elif type(r) is MemberBatch:
+                if not isinstance(l, plain):
+                    return ufunc(l, r.view(plain)).view(MemberBatch)
+            else:
+                return pyop(l, r)
+            return ufunc(*lift_batches((l, r))).view(MemberBatch)
+
+        return run
+
+    def _build_unary(self, node):
+        if node.op != "-":
+            return NodeCompiler._build_unary(self, node)
+        operand = self.expr(node.operand)
+
+        def run(frame):
+            value = operand(frame)
+            if type(value) is MemberBatch:
+                return np.negative(value.view(np.ndarray)).view(MemberBatch)
+            return -value
+
+        return run
+
+    @staticmethod
+    def _load_element(container, index: tuple):
+        if type(container) is not MemberBatch:
+            return NodeCompiler._load_element(container, index)
+        value = container.view(np.ndarray)[(slice(None),) + index]
+        if value.ndim == 1:
+            # a fully indexed element loads by value: the batch scalar
+            # must not alias the array's storage
+            value = value.copy()
+        return value.view(MemberBatch)
 
     # ------------------------------------------------------- accounting
     def _account_fn(self, node: Stmt) -> Callable[[], None]:
@@ -529,17 +639,12 @@ class VecNodeCompiler(NodeCompiler):
                 if isinstance(target, MemberBatch):
                     tbase = np.asarray(target)
                     tmodel = tbase.ndim - 1
-                    if isinstance(mask_val, MemberBatch):
-                        where = np.asarray(mask_val._lifted(tmodel), bool)
-                    else:
-                        where = np.asarray(mask_val, dtype=bool)
+                    where, v = lift_batches((mask_val, value), tmodel)
+                    where = np.asarray(where, dtype=bool)
                     if member is not None:
-                        where = where & _lift(member, tmodel)
-                    v = (
-                        value._lifted(tmodel)
-                        if isinstance(value, MemberBatch)
-                        else value
-                    )
+                        where = where & lift_batches(
+                            (member.view(MemberBatch),), tmodel
+                        )[0]
                     np.copyto(tbase, v, where=where, casting="unsafe")
                     continue
                 if (
@@ -609,32 +714,11 @@ class VecNodeCompiler(NodeCompiler):
 
     def _build_store_element(self, target: Apply) -> Callable:
         interp = self.interp
-        name = target.name
+        find = self._build_find_array(target.name)
         index_fn = self._build_index(target.args)
-        cell: list[tuple] = []
 
         def store(frame, value):
-            scope = frame.scope
-            rname = name
-            container = scope.values.get(name, _MISSING)
-            if container is _MISSING:
-                if cell:
-                    scope, rname = cell[0]
-                    container = scope.values.get(rname, _MISSING)
-                if container is _MISSING:
-                    found = interp._lookup_nonlocal(frame, name)
-                    if found is None:
-                        raise UndefinedNameError(
-                            f"assignment to unknown array {name!r}"
-                        )
-                    scope, rname = found
-                    if not cell:
-                        cell.append(found)
-                    container = scope.values[rname]
-            if not isinstance(container, np.ndarray):
-                raise FortranRuntimeError(
-                    f"subscripted assignment to non-array {rname!r}"
-                )
+            scope, rname, container = self._found_array(find, frame, target)
             index = index_fn(frame)
             if rname in scope.readonly:
                 raise IntentViolationError(
@@ -713,6 +797,7 @@ class VecInterpreter(Interpreter):
     """
 
     _compiler_factory = VecNodeCompiler
+    _fpu_factory = VecFPU
 
     def __init__(
         self,
@@ -766,22 +851,12 @@ class VecInterpreter(Interpreter):
         """Member-aware store into a whole-variable slot, promoting scalar
         slots to ``(n,)`` batches on the first member-varying write."""
         if isinstance(current, MemberBatch):
-            if mask is None:
-                scope.store(rname, value)  # writes through; __setitem__ lifts
-                return
             if rname in scope.readonly:
                 raise IntentViolationError(
                     f"cannot assign to read-only name {rname!r} in scope "
                     f"{scope.name!r}"
                 )
-            tbase = np.asarray(current)
-            where = _lift(mask, tbase.ndim - 1)
-            v = (
-                value._lifted(tbase.ndim - 1)
-                if isinstance(value, MemberBatch)
-                else value
-            )
-            np.copyto(tbase, v, where=where, casting="unsafe")
+            self._store_into_array(current, None, value, mask, rname)
             return
         if isinstance(current, np.ndarray):
             if isinstance(value, MemberBatch) or mask is not None:
@@ -830,22 +905,17 @@ class VecInterpreter(Interpreter):
     ) -> None:
         """Member-aware element/section/whole store into an array
         (``index=None`` addresses the whole array)."""
-        if isinstance(array, MemberBatch):
+        if type(array) is MemberBatch:
+            dest = array.view(np.ndarray)
+            if index is not None:
+                dest = dest[(slice(None),) + tuple(index)]
             if mask is None:
-                if index is None:
-                    array[...] = value
-                else:
-                    array[index] = value
+                if type(value) is MemberBatch and value.ndim != dest.ndim:
+                    (value,) = lift_batches((value,), dest.ndim - 1)
+                dest[...] = value
                 return
-            base = np.asarray(array)
-            dest = (
-                base if index is None else base[(slice(None),) + tuple(index)]
-            )
-            where = _lift(mask, dest.ndim - 1)
-            v = (
-                value._lifted(dest.ndim - 1)
-                if isinstance(value, MemberBatch)
-                else value
+            where, v = lift_batches(
+                (mask.view(MemberBatch), value), dest.ndim - 1
             )
             np.copyto(dest, v, where=where, casting="unsafe")
             return

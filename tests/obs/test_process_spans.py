@@ -8,6 +8,8 @@ member spans, because the resumed stages are cache hits that run no
 members at all.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.ensemble import EnsembleSpec, generate_ensemble
@@ -19,6 +21,13 @@ SPEC = EnsembleSpec(n_members=3, nsteps=1)
 
 def member_spans(spans):
     return [s for s in spans if s.name == "ensemble.member"]
+
+
+def owning_stage(span, by_id):
+    """The name of the ``stage:`` span ``span`` runs under."""
+    while span is not None and not span.name.startswith("stage:"):
+        span = by_id.get(span.parent_id)
+    return None if span is None else span.name
 
 
 def generate_span(spans):
@@ -84,8 +93,16 @@ def test_killed_mid_stage_resume_never_duplicates_spans(tmp_path):
     with pytest.raises(StageError):
         killed_pipeline(healthy, "ect").run()
     crashed_spans = disable_tracing()
-    crashed_members = member_spans(crashed_spans)
-    assert len(crashed_members) == 4  # accepted ensemble ran pre-crash
+    # the accepted ensemble and the experimental runs ran pre-crash, each
+    # member under its own stage
+    by_id = {s.span_id: s for s in crashed_spans}
+    owners = Counter(
+        owning_stage(s, by_id) for s in member_spans(crashed_spans)
+    )
+    assert owners == {
+        "stage:control_ensemble": 4,
+        "stage:experimental_runs": 3,
+    }
 
     enable_tracing()
     resumed = healthy.run()

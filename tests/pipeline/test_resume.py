@@ -24,11 +24,10 @@ EXPERIMENT = get_experiment("wsubbug").with_(
 #: stage to kill at, with the cacheable stages that must resume as hits
 KILL_POINTS = {
     "experimental_runs": ["control_ensemble"],
-    "ect": ["control_ensemble", "experimental_runs", "coverage_run"],
+    "ect": ["control_ensemble", "experimental_runs"],
     "refined": [
         "control_ensemble",
         "experimental_runs",
-        "coverage_run",
         "ect",
         "ranked_slice",
         "communities",

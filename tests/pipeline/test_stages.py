@@ -108,7 +108,7 @@ class TestRootCausePipeline:
         ensemble_record = result.record("control_ensemble")
         assert ensemble_record.member_misses == SMALL_EXPERIMENT.members
         assert result.record("experimental_runs").member_misses == 3
-        assert result.record("coverage_run").member_misses == 1
+        assert "coverage_run" not in [r.name for r in result.records]
 
     def test_resume_is_bit_identical_and_runs_no_members(self, small_run):
         store, first = small_run
@@ -178,3 +178,40 @@ class TestRootCausePipeline:
         analysis = RootCauseAnalysis("wsubbug", store_dir=tmp_path)
         assert analysis.experiment.patch == "wsubbug"
         assert analysis.pipeline.stage("report") is not None
+
+
+class TestExperimentalRuns:
+    """No stage runs the model just for coverage: the experimental runs
+    collect it, and they run as one member-batched pass by default."""
+
+    def test_pipeline_has_no_coverage_run(self):
+        names = [s.name for s in root_cause_pipeline(SMALL_EXPERIMENT).stages]
+        assert "coverage_run" not in names
+
+    def test_runs_carry_coverage(self, small_run):
+        _, result = small_run
+        runs = result["experimental_runs"]
+        assert len(runs) == SMALL_EXPERIMENT.n_runs
+        assert all(run.config.collect_coverage for run in runs)
+        assert all(run.coverage.counts for run in runs)
+
+    def test_backends_give_identical_runs(self, small_run):
+        _, serial = small_run
+        vectorized = root_cause_pipeline(
+            SMALL_EXPERIMENT, backend="vectorized"
+        ).run()
+        record = vectorized.record("experimental_runs")
+        assert record.metrics["vec.batches"] == 1
+        assert "interpreter.runs" not in record.metrics
+        pairs = zip(serial["experimental_runs"], vectorized["experimental_runs"])
+        for want, got in pairs:
+            assert got.config == want.config
+            for name in want.outputs:
+                np.testing.assert_array_equal(got.outputs[name], want.outputs[name])
+                np.testing.assert_array_equal(
+                    got.first_outputs[name], want.first_outputs[name]
+                )
+            assert got.coverage.counts == want.coverage.counts
+            assert got.statements_executed == want.statements_executed
+            assert got.prng_draws == want.prng_draws
+        assert vectorized["report"].to_dict() == serial["report"].to_dict()

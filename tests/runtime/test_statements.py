@@ -607,6 +607,69 @@ end module m
             assert scope.get("log2") == 2, fp
 
 
+INT_DIV_SRC = """
+module m
+  implicit none
+contains
+  subroutine halve(a, r)
+    integer, intent(in) :: a(3)
+    real, intent(out) :: r(3)
+    r = a / 2
+  end subroutine halve
+
+  subroutine divide(a, b, r)
+    integer, intent(in) :: a(3), b(3)
+    real, intent(out) :: r(3)
+    r = a / b
+  end subroutine divide
+
+  function by_zero(n) result(r)
+    integer, intent(in) :: n
+    integer :: r, k
+    k = 0
+    r = n / k
+  end function by_zero
+end module m
+"""
+
+
+class TestIntegerDivision:
+    """Fortran integer division truncates toward zero for integer scalars
+    and integer arrays alike, and a zero divisor is a model error."""
+
+    def test_scalar_truncates_toward_zero(self):
+        fpu = FPU()
+        assert fpu.div(-3, 2) == -1
+        assert fpu.div(3, -2) == -1
+        assert fpu.div(7, 2) == 3
+        assert isinstance(fpu.div(7, 2), int)
+
+    def test_integer_array_by_scalar(self):
+        interp = Interpreter.from_source(INT_DIV_SRC)
+        r = np.zeros(3)
+        interp.call("m", "halve", [np.array([5, 6, 7]), r])
+        np.testing.assert_array_equal(r, [2.0, 3.0, 3.0])
+
+    def test_integer_array_by_array_keeps_sign_rule(self):
+        interp = Interpreter.from_source(INT_DIV_SRC)
+        r = np.zeros(3)
+        interp.call(
+            "m", "divide", [np.array([-3, 3, -7]), np.array([2, -2, -2]), r]
+        )
+        np.testing.assert_array_equal(r, [-1.0, -1.0, 3.0])
+
+    def test_real_operand_keeps_true_division(self):
+        np.testing.assert_array_equal(
+            FPU().div(np.array([5, 6, 7]), 2.0), [2.5, 3.0, 3.5]
+        )
+
+    def test_zero_divisor_is_a_model_error(self):
+        with pytest.raises(FortranRuntimeError, match="division by zero"):
+            run(INT_DIV_SRC, "by_zero", [3])
+        with pytest.raises(FortranRuntimeError, match="division by zero"):
+            FPU().div(np.array([1, 2]), np.array([1, 0]))
+
+
 # --------------------------------------------------------------------------- #
 # PRNG streams
 # --------------------------------------------------------------------------- #

@@ -415,3 +415,96 @@ class TestMemberBatchLane:
         view = mb.member(2)
         assert float(view) == 3.0
 
+
+
+# --------------------------------------------------------------------------- #
+# compiled batch arithmetic
+# --------------------------------------------------------------------------- #
+#: every operator the vectorized compiler lifts inline or through its FPU,
+#: with each operand pairing: batch scalar x batch array, batch x member-
+#: uniform INTEGER array, literal x batch, a comparison that splits an
+#: ``if`` between members, unary minus, mixed-rank max/min, and an element
+#: load stored elsewhere (which must not alias the array)
+ARITH_SRC = """
+module arith
+  implicit none
+  integer, parameter :: n = 4
+contains
+  function mix(x) result(total)
+    real, intent(in) :: x
+    real :: total
+    real :: a(n), b(n), c, d
+    integer :: k(n), i
+    do i = 1, n
+      a(i) = x * i
+      k(i) = 2 * i - 5
+    end do
+    b = a * x
+    b = b + k
+    b = a * x + k
+    b = 2.0 - b
+    b = b / (1.0 + x)
+    c = -x
+    if (x > 1.0) then
+      c = c * 3.0 - x
+    else
+      c = c - x * 2.0
+    end if
+    if (x == 1.5) c = c + 1.0
+    if (x /= 1.5) c = c + 2.0
+    if (x < 1.5) c = c + 4.0
+    if (x <= 1.5) c = c + 8.0
+    if (x >= 1.5) c = c + 16.0
+    b = max(b, x, 0.25)
+    a = min(a, 0.5 * x)
+    d = a(2)
+    a(2) = -1.0
+    b(3) = c
+    total = d + c + sum(a) + sum(b) + max(x, 1.0) - min(c, 0.0)
+  end function mix
+
+  function halve(x) result(y)
+    real, intent(in) :: x
+    real :: y
+    integer :: k
+    k = int(x)
+    y = k / 2
+  end function halve
+end module arith
+"""
+
+
+@pytest.mark.parametrize("fp", [FPConfig(), FPConfig(fma=True)], ids=["default", "fma"])
+@pytest.mark.parametrize("function", ["mix", "halve"])
+def test_compiled_arithmetic_matches_scalar_member_by_member(fp, function):
+    from repro.runtime.interpreter import Interpreter
+
+    xs = [0.5, 1.5, 3.0] if function == "mix" else [3.0, 5.0, 7.0]
+    got = VecInterpreter.from_source(ARITH_SRC, seeds=[1, 2, 3], fp=fp).call(
+        "arith", function, [_batch(xs)]
+    )
+    for m, x in enumerate(xs):
+        want = Interpreter.from_source(ARITH_SRC, fp=fp).call(
+            "arith", function, [x]
+        )
+        assert np.asarray(got)[m] == want, (m, x)
+    if function == "halve":
+        # Fortran integer division truncates each member toward zero
+        np.testing.assert_array_equal(np.asarray(got), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("fp", [FPConfig(), FPConfig(fma=True)], ids=["default", "fma"])
+def test_control_pass_stays_off_the_array_ufunc_path(fp, monkeypatch):
+    """Compiled arithmetic and the FPU lift batches themselves, so the
+    ``MemberBatch.__array_ufunc__`` detour serves only uncompiled sites."""
+    calls = []
+    general = MemberBatch.__array_ufunc__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return general(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemberBatch, "__array_ufunc__", counting)
+    configs = [RunConfig(nsteps=1, pertlim=1e-14, seed=s, fp=fp) for s in SEEDS]
+    run_model_batch(configs)
+    assert len(calls) < 5_000

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import get_experiment
 from repro.pipeline import RootCauseAnalysis, root_cause_pipeline
 from repro.refine import RefinementConfig
+from repro.runtime import CoverageTrace
 from repro.selection import (
     SelectionResult,
     SelectionSpec,
@@ -101,7 +102,9 @@ class TestSelectCulprits:
         kwargs = dict(
             graph=result["metagraph"],
             source=result["control_source"],
-            coverage=result["coverage_run"].coverage,
+            coverage=CoverageTrace().merged(
+                *(run.coverage for run in result["experimental_runs"])
+            ),
             ect_result=result["ect"],
             ranked=result["ranked_slice"],
         )
