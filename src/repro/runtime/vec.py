@@ -180,12 +180,13 @@ def _vec_extremum(name: str, ufunc):
     base = INTRINSIC_FUNCTIONS[name]
 
     def extremum(*args):
-        if not _any_batch(*args):
-            return base(*args)
-        out, *rest = lift_batches(args)
-        for arg in rest:
-            out = ufunc(out, arg)
-        return out.view(MemberBatch)
+        for arg in args:
+            if type(arg) is MemberBatch:
+                out, *rest = lift_batches(args)
+                for other in rest:
+                    out = ufunc(out, other)
+                return out.view(MemberBatch)
+        return base(*args)
 
     return extremum
 

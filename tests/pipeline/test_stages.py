@@ -203,11 +203,15 @@ class TestExperimentalRuns:
         record = vectorized.record("experimental_runs")
         assert record.metrics["vec.batches"] == 1
         assert "interpreter.runs" not in record.metrics
-        pairs = zip(serial["experimental_runs"], vectorized["experimental_runs"])
+        pairs = zip(
+            serial["experimental_runs"], vectorized["experimental_runs"]
+        )
         for want, got in pairs:
             assert got.config == want.config
             for name in want.outputs:
-                np.testing.assert_array_equal(got.outputs[name], want.outputs[name])
+                np.testing.assert_array_equal(
+                    got.outputs[name], want.outputs[name]
+                )
                 np.testing.assert_array_equal(
                     got.first_outputs[name], want.first_outputs[name]
                 )

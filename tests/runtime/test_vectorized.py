@@ -421,10 +421,11 @@ class TestMemberBatchLane:
 # compiled batch arithmetic
 # --------------------------------------------------------------------------- #
 #: every operator the vectorized compiler lifts inline or through its FPU,
-#: with each operand pairing: batch scalar x batch array, batch x member-
-#: uniform INTEGER array, literal x batch, a comparison that splits an
-#: ``if`` between members, unary minus, mixed-rank max/min, and an element
-#: load stored elsewhere (which must not alias the array)
+#: with each operand pairing: batch scalar x batch array, a rank-2 batch x
+#: a rank-1 batch, batch x member-uniform INTEGER array, literal x batch, a
+#: comparison that splits an ``if`` between members, unary minus,
+#: mixed-rank max/min, and an element load stored elsewhere (which must
+#: not alias the array)
 ARITH_SRC = """
 module arith
   implicit none
@@ -433,7 +434,7 @@ contains
   function mix(x) result(total)
     real, intent(in) :: x
     real :: total
-    real :: a(n), b(n), c, d
+    real :: a(n), b(n), c, d, g(2, n)
     integer :: k(n), i
     do i = 1, n
       a(i) = x * i
@@ -444,6 +445,9 @@ contains
     b = a * x + k
     b = 2.0 - b
     b = b / (1.0 + x)
+    g(1, :) = a
+    g(2, :) = b
+    g = g * b - a
     c = -x
     if (x > 1.0) then
       c = c * 3.0 - x
@@ -460,7 +464,7 @@ contains
     d = a(2)
     a(2) = -1.0
     b(3) = c
-    total = d + c + sum(a) + sum(b) + max(x, 1.0) - min(c, 0.0)
+    total = d + c + sum(a) + sum(b) + sum(g) + max(x, 1.0) - min(c, 0.0)
   end function mix
 
   function halve(x) result(y)
@@ -474,7 +478,13 @@ end module arith
 """
 
 
-@pytest.mark.parametrize("fp", [FPConfig(), FPConfig(fma=True)], ids=["default", "fma"])
+#: the default floating-point model and FMA contraction
+FP_MODES = pytest.mark.parametrize(
+    "fp", [FPConfig(), FPConfig(fma=True)], ids=["default", "fma"]
+)
+
+
+@FP_MODES
 @pytest.mark.parametrize("function", ["mix", "halve"])
 def test_compiled_arithmetic_matches_scalar_member_by_member(fp, function):
     from repro.runtime.interpreter import Interpreter
@@ -493,7 +503,7 @@ def test_compiled_arithmetic_matches_scalar_member_by_member(fp, function):
         np.testing.assert_array_equal(np.asarray(got), [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("fp", [FPConfig(), FPConfig(fma=True)], ids=["default", "fma"])
+@FP_MODES
 def test_control_pass_stays_off_the_array_ufunc_path(fp, monkeypatch):
     """Compiled arithmetic and the FPU lift batches themselves, so the
     ``MemberBatch.__array_ufunc__`` detour serves only uncompiled sites."""
@@ -505,6 +515,8 @@ def test_control_pass_stays_off_the_array_ufunc_path(fp, monkeypatch):
         return general(self, *args, **kwargs)
 
     monkeypatch.setattr(MemberBatch, "__array_ufunc__", counting)
-    configs = [RunConfig(nsteps=1, pertlim=1e-14, seed=s, fp=fp) for s in SEEDS]
+    configs = [
+        RunConfig(nsteps=1, pertlim=1e-14, seed=s, fp=fp) for s in SEEDS
+    ]
     run_model_batch(configs)
     assert len(calls) < 5_000
