@@ -193,14 +193,13 @@ class CommunityResult:
     levels: list[CommunityLevel]
     best: CommunityLevel
     _member_of: dict[str, frozenset[str]] = field(
-        default_factory=dict, repr=False
+        init=False, default_factory=dict, repr=False
     )
 
     def __post_init__(self) -> None:
-        if not self._member_of:
-            for community in self.best.communities:
-                for name in community:
-                    self._member_of[name] = community
+        for community in self.best.communities:
+            for name in community:
+                self._member_of[name] = community
 
     @property
     def communities(self) -> tuple[frozenset[str], ...]:
@@ -220,25 +219,6 @@ class CommunityResult:
 
     def __len__(self) -> int:
         return len(self.best.communities)
-
-    def to_dict(self) -> dict:
-        """The best partition, communities in order (no dendrogram)."""
-        return {
-            "communities": [sorted(c) for c in self.best.communities],
-            "modularity": self.best.modularity,
-            "removed_edges": self.best.removed_edges,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CommunityResult":
-        """Rebuild a :meth:`to_dict` result; its best partition is its
-        only level."""
-        best = CommunityLevel(
-            communities=tuple(frozenset(c) for c in data["communities"]),
-            modularity=float(data["modularity"]),
-            removed_edges=int(data["removed_edges"]),
-        )
-        return cls(levels=[best], best=best)
 
     def summary(self) -> str:
         sizes = sorted(

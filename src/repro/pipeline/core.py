@@ -43,7 +43,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from ..ensemble.cache import MemberCache, _json_safe
 from ..errors import ReproError
 from ..obs import get_metrics, get_tracer, round_wall
-from .store import ArtifactStore, StoreError, find_nonfinite
+from .store import ArtifactStore, find_nonfinite
 
 __all__ = [
     "Pipeline",
@@ -56,7 +56,9 @@ __all__ = [
     "config_token",
 ]
 
-#: bump when key derivation or payload conventions change incompatibly
+#: bump when key derivation changes incompatibly.  It governs keys only:
+#: a payload whose shape drifts is a decode miss under its own key and is
+#: recomputed once, so a codec change must not bump it
 PIPELINE_FORMAT = 1
 
 
@@ -121,7 +123,7 @@ class Stage:
     inputs: tuple[str, ...] = ()
     params: Mapping[str, Any] = field(default_factory=dict)
     cacheable: bool = True
-    encode: Optional[Callable[[Any], Mapping]] = None
+    encode: Optional[Callable[[Any, "StageContext", dict], Mapping]] = None
     decode: Optional[Callable[[Mapping, "StageContext", dict], Any]] = None
     fingerprint: Optional[Callable[[Any], str]] = None
 
@@ -191,20 +193,7 @@ class StageRecord:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "key": self.key,
-            "status": self.status,
-            "cacheable": self.cacheable,
-            "wall_s": round_wall(self.wall_s),
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "member_hits": self.member_hits,
-            "member_misses": self.member_misses,
-            "info": dict(self.info),
-            "span_id": self.span_id,
-            "metrics": dict(self.metrics),
-        }
+        return {**dataclasses.asdict(self), "wall_s": round_wall(self.wall_s)}
 
 
 class StageContext:
@@ -437,16 +426,17 @@ class Pipeline:
             record.span_id = span.span_id
             before, upstream = tally(), {}
             with span:
-                payload = value = None
+                hit = None
                 if store is not None and stage.cacheable:
-                    payload = store.load(record.key)
-                known = {i: values[i] for i in stage.inputs if i in values}
-                try:
-                    decoded = payload is not None
-                    value = stage.decode(payload, ctx, known) if decoded else None
-                except (StoreError, ValueError, KeyError, IndexError):
-                    decoded = False  # treat as a miss and recompute
-                if decoded:
+                    known = {i: values[i] for i in stage.inputs if i in values}
+                    # a 1-tuple, so a stored None is a hit too; an entry
+                    # that fails to decode is a miss and the stage runs
+                    hit = store.load(
+                        record.key,
+                        lambda payload: (stage.decode(payload, ctx, known),),
+                    )
+                if hit is not None:
+                    (value,) = hit
                     record.status = "hit"
                 else:
                     mark = tally()

@@ -29,20 +29,15 @@ executed-line evidence of the slice, selection and refinement stages
 model just to collect coverage.
 
 The pipeline pulls: a warm run decodes only the ``report`` entry, and
-every other stage is rehydrated on first access to its value (see
+every other stage is decoded on first access to its value (see
 :mod:`repro.pipeline.core`).  The source stages only build their trees;
 the metagraph, the model runs and the slicer parse on first use.
 
-Rehydration notes: a decoded ensemble is rebuilt member-by-member from
-the member cache (bit-identical matrix, merged coverage); a cache-hit
-:class:`~repro.slicing.RankedSlice` carries its modules / ranking /
-weights but drops the per-variable ``slices`` detail; a cache-hit
-:class:`~repro.analysis.CommunityResult` carries the modularity-optimal
-partition but not the dendrogram; a cache-hit
-:class:`~repro.refine.RefinementResult` drops the fitted ``communities``
-and baseline ``verdict`` objects (the pipeline's own ``ect`` stage is the
-verdict of record).  Downstream stages and reports only consume the
-preserved fields.
+Every stage value from ``ect`` on is a dataclass stored by the one stage
+codec (:func:`~repro.pipeline.store.encode_dataclass`), so a hit decodes
+to exactly the value the stage computed.  Only ``control_ensemble`` and
+``experimental_runs`` keep their own ``encode``/``decode``: their payload
+is member-cache keys, and a hit rebuilds every run from the member cache.
 """
 
 from __future__ import annotations
@@ -59,12 +54,14 @@ from ..ensemble.backends import DEFAULT_BACKEND, check_backend, run_members
 from ..ensemble.spec import EnsembleSpec
 from ..graphs import build_metagraph
 from ..model.builder import ModelConfig, ModelSource, build_model_source
-from ..refine import RefinementConfig, RefinementResult, RefinementStep, refine_slice
+from ..refine import RefinementConfig, RefinementResult, refine_slice
+from ..reporting import LocalizationReport, build_report
 from ..runtime import CoverageTrace, RunConfig, RunResult
 from ..selection import SelectionResult, SelectionSpec, select_culprits
 from ..slicing import RankedSlice, slice_failing_runs
-from .core import Pipeline, PipelineResult, Stage, StageContext, config_token
+from .core import Pipeline, PipelineResult, Stage, StageContext
 from .store import StoreError, json_payload, payload_json
+from .store import decode_dataclass, encode_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments import ExperimentSpec
@@ -79,6 +76,14 @@ __all__ = [
     "make_source_stage",
     "root_cause_pipeline",
 ]
+
+
+def _codec(cls: type) -> dict:
+    """The ``encode``/``decode`` slots of a stage whose value is a ``cls``."""
+    return {
+        "encode": lambda value, ctx, inputs: encode_dataclass(value, cls),
+        "decode": lambda payload, ctx, inputs: decode_dataclass(payload, cls),
+    }
 
 
 # --------------------------------------------------------------------- runs
@@ -304,47 +309,12 @@ def make_ect_stage(ect: Optional[EctConfig] = None) -> Stage:
         )
         return result
 
-    def encode(result: EctResult, ctx, inputs) -> dict:
-        return json_payload(
-            {
-                "consistent": result.consistent,
-                "n_runs": result.n_runs,
-                "n_pcs": result.n_pcs,
-                "failing_pcs": list(result.failing_pcs),
-                "failing_variables": list(result.failing_variables),
-                "invariant_violations": list(result.invariant_violations),
-                "outlier_variables": list(result.outlier_variables),
-            },
-            arrays={
-                "pc_fail_counts": result.pc_fail_counts,
-                "run_scores": result.run_scores,
-            },
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> EctResult:
-        meta = payload_json(payload)
-        result = EctResult(
-            consistent=bool(meta["consistent"]),
-            n_runs=int(meta["n_runs"]),
-            n_pcs=int(meta["n_pcs"]),
-            failing_pcs=[int(pc) for pc in meta["failing_pcs"]],
-            failing_variables=list(meta["failing_variables"]),
-            invariant_violations=list(meta["invariant_violations"]),
-            pc_fail_counts=np.asarray(payload["pc_fail_counts"]),
-            run_scores=np.asarray(payload["run_scores"]),
-            config=ect_config,
-            outlier_variables=list(meta["outlier_variables"]),
-        )
-        ctx.annotate(consistent=result.consistent)
-        return result
-
     return Stage(
         name="ect",
         func=func,
         inputs=("control_ensemble", "experimental_runs"),
         params={"ect": ect_config},
-        encode=encode,
-        decode=decode,
+        **_codec(EctResult),
     )
 
 
@@ -378,30 +348,6 @@ def make_slice_stage(
         ctx.annotate(slice_modules=len(ranked.modules))
         return ranked
 
-    def encode(ranked: RankedSlice, ctx, inputs) -> dict:
-        return json_payload(
-            {
-                "modules": list(ranked.modules),
-                "ranking": [[m, s] for m, s in ranked.ranking],
-                "variable_weights": dict(ranked.variable_weights),
-                "total_modules": ranked.total_modules,
-            }
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> RankedSlice:
-        meta = payload_json(payload)
-        ranked = RankedSlice(
-            modules=list(meta["modules"]),
-            ranking=[(m, float(s)) for m, s in meta["ranking"]],
-            variable_weights={
-                k: float(v) for k, v in meta["variable_weights"].items()
-            },
-            slices={},  # per-variable detail is not persisted
-            total_modules=int(meta["total_modules"]),
-        )
-        ctx.annotate(slice_modules=len(ranked.modules))
-        return ranked
-
     return Stage(
         name="ranked_slice",
         func=func,
@@ -417,8 +363,7 @@ def make_slice_stage(
             "decay": decay,
             "max_module_fraction": max_module_fraction,
         },
-        encode=encode,
-        decode=decode,
+        **_codec(RankedSlice),
     )
 
 
@@ -438,20 +383,11 @@ def make_communities_stage() -> Stage:
         ctx.annotate(communities=len(result))
         return result
 
-    def encode(result: CommunityResult, ctx, inputs) -> dict:
-        return json_payload(result.to_dict())
-
-    def decode(payload, ctx: StageContext, inputs) -> CommunityResult:
-        result = CommunityResult.from_dict(payload_json(payload))
-        ctx.annotate(communities=len(result))
-        return result
-
     return Stage(
         name="communities",
         func=func,
         inputs=("metagraph",),
-        encode=encode,
-        decode=decode,
+        **_codec(CommunityResult),
     )
 
 
@@ -497,16 +433,6 @@ def make_selection_stage(
         )
         return result
 
-    def encode(result: SelectionResult, ctx, inputs) -> dict:
-        return json_payload(result.to_dict())
-
-    def decode(payload, ctx: StageContext, inputs) -> SelectionResult:
-        result = SelectionResult.from_dict(payload_json(payload))
-        ctx.annotate(
-            selected_modules=len(result.modules), solver=result.solver
-        )
-        return result
-
     return Stage(
         name="selection",
         func=func,
@@ -520,8 +446,7 @@ def make_selection_stage(
             "communities",
         ),
         params={"selection": selection_spec},
-        encode=encode,
-        decode=decode,
+        **_codec(SelectionResult),
     )
 
 
@@ -560,66 +485,6 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
         )
         return result
 
-    def encode(result: RefinementResult, ctx, inputs) -> dict:
-        return json_payload(
-            {
-                "modules": list(result.modules),
-                "initial_modules": list(result.initial_modules),
-                "protected": sorted(result.protected),
-                "essential": sorted(result.essential),
-                "steps": [
-                    {
-                        "iteration": step.iteration,
-                        "candidate": list(step.candidate),
-                        "community": list(step.community),
-                        "kept_variables": list(step.kept_variables),
-                        "consistent": step.consistent,
-                        "action": step.action,
-                    }
-                    for step in result.steps
-                ],
-                "scores": dict(result.scores),
-                "variable_weights": dict(result.variable_weights),
-                "target": result.target,
-                "total_modules": result.total_modules,
-                "extra": dict(result.extra),
-            }
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> RefinementResult:
-        meta = payload_json(payload)
-        result = RefinementResult(
-            modules=list(meta["modules"]),
-            initial_modules=list(meta["initial_modules"]),
-            protected=frozenset(meta["protected"]),
-            essential=frozenset(meta["essential"]),
-            steps=[
-                RefinementStep(
-                    iteration=int(step["iteration"]),
-                    candidate=tuple(step["candidate"]),
-                    community=tuple(step["community"]),
-                    kept_variables=tuple(step["kept_variables"]),
-                    consistent=step["consistent"],
-                    action=str(step["action"]),
-                )
-                for step in meta["steps"]
-            ],
-            scores={k: float(v) for k, v in meta["scores"].items()},
-            variable_weights={
-                k: float(v) for k, v in meta["variable_weights"].items()
-            },
-            communities=None,  # fitted objects are not persisted
-            verdict=None,  # the pipeline's `ect` stage is the verdict
-            target=int(meta["target"]),
-            total_modules=int(meta["total_modules"]),
-            extra=dict(meta.get("extra", {})),
-        )
-        ctx.annotate(
-            refined_modules=len(result.modules),
-            iterations=result.n_iterations,
-        )
-        return result
-
     return Stage(
         name="refined",
         func=func,
@@ -633,8 +498,7 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
             "communities",
         ),
         params={"refine": refine_config},
-        encode=encode,
-        decode=decode,
+        **_codec(RefinementResult),
     )
 
 
@@ -649,9 +513,7 @@ def make_report_stage(
 
     def func(
         ctx: StageContext, ect, ranked_slice, selection, refined, control_source
-    ):
-        from ..reporting import build_report
-
+    ) -> LocalizationReport:
         report = build_report(
             experiment=experiment_name,
             patch=patch,
@@ -669,19 +531,6 @@ def make_report_stage(
         )
         return report
 
-    def encode(report, ctx, inputs) -> dict:
-        return json_payload(report.to_dict())
-
-    def decode(payload, ctx: StageContext, inputs):
-        from ..reporting import LocalizationReport
-
-        report = LocalizationReport.from_dict(payload_json(payload))
-        ctx.annotate(
-            localized=report.localized,
-            refined_modules=len(report.refined_modules),
-        )
-        return report
-
     return Stage(
         name="report",
         func=func,
@@ -692,8 +541,7 @@ def make_report_stage(
             "fma": fma,
             "target_modules": target_modules,
         },
-        encode=encode,
-        decode=decode,
+        **_codec(LocalizationReport),
     )
 
 

@@ -10,10 +10,11 @@ crash mid-stage.
 
 Anything JSON-serializable rides along as a single-element string array
 under a reserved key (:func:`json_payload` / :func:`payload_json`), so
-stage adapters can mix structured metadata (module lists, weights,
-refinement steps) with bulk arrays (ensemble matrices, PC scores) in one
-payload.  Every entry also carries the key it was saved under, so a
-valid file copied or renamed onto another key loads as a miss.
+one payload mixes structured metadata with bulk arrays.  On top sits the
+one stage codec, :func:`encode_dataclass` / :func:`decode_dataclass`,
+driven by a dataclass's declared field types.  Every entry also carries
+the key it was saved under, so a valid file copied or renamed onto
+another key loads as a miss.
 
 The store counts ``hits`` / ``misses`` / ``writes``; the pipeline surfaces
 per-stage deltas in its :class:`~repro.pipeline.core.StageRecord` values,
@@ -23,12 +24,18 @@ wall clock.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import functools
 import json
+import math
 import os
 import tempfile
+import types
+import typing
 import zipfile
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -38,6 +45,8 @@ from ..obs import get_metrics
 __all__ = [
     "ArtifactStore",
     "StoreError",
+    "decode_dataclass",
+    "encode_dataclass",
     "find_nonfinite",
     "json_payload",
     "payload_json",
@@ -51,6 +60,10 @@ OWNER_KEY = "__key__"
 
 class StoreError(ReproError, ValueError):
     """Raised when a stage payload cannot be encoded or decoded."""
+
+
+#: what a decode raises on a payload it cannot read: the entry is a miss
+DECODE_ERRORS = (StoreError, ValueError, KeyError, IndexError, TypeError)
 
 
 def find_nonfinite(obj: Any, path: str = "$") -> Optional[str]:
@@ -113,6 +126,132 @@ def payload_json(payload: Mapping[str, np.ndarray]) -> Any:
         raise StoreError(f"payload carries no valid JSON entry: {exc}") from exc
 
 
+# ---------------------------------------------------------- dataclass codec
+#: JSON scalar types, each with the Python and numpy values it accepts
+_SCALARS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,),
+            float: (int, float, np.integer, np.floating)}
+
+
+@functools.lru_cache(maxsize=None)
+def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:
+    """``(name, declared type)`` of every init field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init
+    )
+
+
+def _expect(x: Any, kind: "type | tuple[type, ...]", path: str) -> Any:
+    """``x`` if it is a ``kind``, else a :class:`StoreError` naming ``path``."""
+    if not isinstance(x, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise StoreError(
+            f"field {path or '<root>'!r}: expected "
+            f"{'/'.join(k.__name__ for k in kinds)}, got {type(x).__name__}"
+        )
+    return x
+
+
+def _scalar(x: Any, tp: type, path: str) -> Any:
+    """``x`` coerced to the scalar type ``tp`` (numpy scalars too)."""
+    is_bool = isinstance(x, (bool, np.bool_))  # a bool is no number here
+    if is_bool != (tp is bool) or not isinstance(x, _SCALARS[tp]):
+        raise StoreError(
+            f"field {path!r}: expected {tp.__name__}, got {type(x).__name__}"
+        )
+    x = tp(x)
+    if tp is float and not math.isfinite(x):
+        raise StoreError(f"field {path!r} carries a non-finite float")
+    return x
+
+
+def _walk(x: Any, tp: Any, path: str, arrays: dict, encoding: bool) -> Any:
+    """``x`` as declared type ``tp``: encoded to JSON, or decoded from it."""
+    if tp in _SCALARS:
+        return _scalar(x, tp, path)
+    if tp is dict:
+        return _expect(x, dict, path)
+    if tp is np.ndarray and encoding:
+        arrays[path] = _expect(x, np.ndarray, path)
+        return path
+    if tp is np.ndarray:
+        if not isinstance(x, str) or x not in arrays:
+            raise StoreError(f"field {path!r}: no payload array {x!r}")
+        return arrays.pop(x)
+    if dataclasses.is_dataclass(tp):
+        fields = _init_fields(tp)
+        if encoding:
+            x = {name: getattr(_expect(x, tp, path), name) for name, _ in fields}
+        for name in sorted({n for n, _ in fields} ^ _expect(x, dict, path).keys()):
+            state = "unknown" if name in x else "missing"
+            raise StoreError(f"{state} field {f'{path}.{name}'.lstrip('.')!r}")
+        out = {n: _walk(x[n], t, f"{path}.{n}".lstrip("."), arrays, encoding)
+               for n, t in fields}
+        try:
+            return out if encoding else tp(**out)
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"field {path or '<root>'!r}: {exc}") from exc
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = (t for t in args if t is not type(None))  # Optional only
+        return None if x is None else _walk(x, inner, path, arrays, encoding)
+    if origin in (list, tuple, frozenset):
+        _expect(x, (list, tuple, set, frozenset) if encoding else list, path)
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        items = args if fixed else args[:1] * len(x)
+        if len(items) != len(x):
+            raise StoreError(f"field {path!r}: expected {len(items)} items")
+        out = [_walk(v, t, f"{path}[{i}]", arrays, encoding)
+               for i, (v, t) in enumerate(zip(x, items))]
+        if encoding:
+            return sorted(out) if origin is frozenset else out
+        return origin(out)
+    if origin in (dict, collections.abc.Mapping):
+        key, value = args
+        if key is str:  # a JSON object
+            _expect(x, collections.abc.Mapping if encoding else dict, path)
+            return {
+                _scalar(k, str, path):
+                    _walk(v, value, f"{path}[{k}]", arrays, encoding)
+                for k, v in x.items()
+            }
+        # any other key: [key, value] pairs, sorted by key
+        if encoding:
+            x = _expect(x, collections.abc.Mapping, path).items()
+        elif not all(
+            isinstance(p, list) and len(p) == 2 for p in _expect(x, list, path)
+        ):
+            raise StoreError(f"field {path!r}: expected [key, value] pairs")
+        out = [[_walk(k, key, f"{path}[]", arrays, encoding),
+                _walk(v, value, f"{path}[{k}]", arrays, encoding)] for k, v in x]
+        return sorted(out) if encoding else dict(out)
+    raise TypeError(f"the stage codec cannot store {tp!r} (field {path!r})")
+
+
+def encode_dataclass(value: Any, cls: type) -> dict[str, np.ndarray]:
+    """The store payload of ``value``, walking ``cls``'s declared field types.
+
+    Scalars are coerced to their declared type (a non-finite float is a
+    :class:`StoreError` naming the field path); a ``frozenset`` becomes a
+    sorted list, a mapping a JSON object (``str`` keys) or sorted ``[key,
+    value]`` pairs, and an ``np.ndarray`` a payload array named by its
+    field path (``verdict.run_scores``).  Equal values encode identically.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    return json_payload(_walk(value, cls, "", arrays, True), arrays)
+
+
+def decode_dataclass(payload: Mapping[str, np.ndarray], cls: type) -> Any:
+    """The ``cls`` value an :func:`encode_dataclass` payload carries; a
+    missing, unknown or wrong-typed field, or an array no field names, is
+    a :class:`StoreError` (so the pipeline books a miss and recomputes)."""
+    arrays = {name: a for name, a in payload.items() if name != JSON_KEY}
+    value = _walk(payload_json(payload), cls, "", arrays, False)
+    if arrays:
+        raise StoreError(f"unknown payload arrays {sorted(arrays)}")
+    return value
+
+
 class ArtifactStore:
     """Load/store flat ndarray payloads under content-addressed keys.
 
@@ -136,13 +275,15 @@ class ArtifactStore:
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
 
-    def load(self, key: str) -> Optional[dict[str, np.ndarray]]:
+    def load(self, key: str, decode: Optional[Callable] = None) -> Any:
         """The payload stored under ``key``, or None on miss/corruption.
 
         An entry that does not name ``key`` as its own (copied or renamed
         from another key, or written before entries carried their key) is
-        a miss too.  Arrays are materialized before the file closes, so
-        the returned mapping is independent of the store.
+        a miss too.  Given ``decode``, the result is ``decode(payload)``,
+        and an entry it cannot read (raising one of :data:`DECODE_ERRORS`)
+        counts as a miss, not a hit.  Arrays are materialized before the
+        file closes, so the returned mapping is independent of the store.
         """
         path = self._path(key)
         if not path.exists():
@@ -158,6 +299,12 @@ class ArtifactStore:
         if owner.shape != (1,) or str(owner[0]) != key:
             self._miss()  # never serve an entry under another key
             return None
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except DECODE_ERRORS:
+                self._miss()
+                return None
         self.hits += 1
         get_metrics().inc("store.hits")
         return payload

@@ -8,8 +8,10 @@ trajectory and the success criterion the paper evaluates — is the true
 culprit module inside a suspect set of at most ``target_modules`` of the
 model's modules?
 
-Both objects are JSON round-trippable (``to_dict`` / ``from_dict``) so
-the pipeline store can persist them, and render to markdown for humans.
+Both are plain dataclasses: the pipeline store persists them through its
+one stage codec (:func:`repro.pipeline.store.encode_dataclass`), and
+:meth:`LocalizationReport.to_dict` / ``to_json`` render the CLI ``--json``
+document and the golden files, markdown the humans.
 """
 
 from __future__ import annotations
@@ -49,21 +51,6 @@ class VerdictReport:
     def detected(self) -> bool:
         """True when the change was flagged (the runs are inconsistent)."""
         return not self.consistent
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerdictReport":
-        return cls(
-            consistent=bool(data["consistent"]),
-            n_runs=int(data["n_runs"]),
-            n_pcs=int(data["n_pcs"]),
-            failing_pcs=[int(pc) for pc in data["failing_pcs"]],
-            failing_variables=list(data["failing_variables"]),
-            invariant_violations=list(data["invariant_violations"]),
-            outlier_variables=list(data["outlier_variables"]),
-        )
 
 
 @dataclass
@@ -114,39 +101,14 @@ class LocalizationReport:
         )
 
     def to_dict(self) -> dict:
+        """Every field, plus the derived flags for consumers reading the
+        JSON without this class."""
         return {
-            "experiment": self.experiment,
-            "patch": self.patch,
-            "fma": self.fma,
-            "expected_modules": list(self.expected_modules),
-            "verdict": self.verdict.to_dict(),
-            "slice_modules": list(self.slice_modules),
-            "refined_modules": list(self.refined_modules),
-            "refine_iterations": self.refine_iterations,
-            "target_modules": self.target_modules,
-            "total_modules": self.total_modules,
-            "selection": self.selection,
-            # derived, for consumers reading the JSON without this class
+            **asdict(self),
             "detected": self.detected,
             "contained": self.contained,
             "localized": self.localized,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalizationReport":
-        return cls(
-            experiment=str(data["experiment"]),
-            patch=data["patch"],
-            fma=bool(data["fma"]),
-            expected_modules=list(data["expected_modules"]),
-            verdict=VerdictReport.from_dict(data["verdict"]),
-            slice_modules=list(data["slice_modules"]),
-            refined_modules=list(data["refined_modules"]),
-            refine_iterations=int(data["refine_iterations"]),
-            target_modules=int(data["target_modules"]),
-            total_modules=int(data["total_modules"]),
-            selection=data.get("selection"),  # absent in pre-selection JSON
-        )
 
     def to_json(self) -> str:
         import json

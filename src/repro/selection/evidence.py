@@ -84,25 +84,6 @@ class EvidenceSelection:
     def __contains__(self, name: str) -> bool:
         return name in self.variables
 
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "weights": {k: self.weights[k] for k in sorted(self.weights)},
-            "anchors": list(self.anchors),
-            "method": self.method,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EvidenceSelection":
-        return cls(
-            variables=tuple(data["variables"]),
-            weights=dict(data.get("weights", {})),
-            anchors=tuple(data.get("anchors", ())),
-            method=data.get("method", "explicit"),
-            threshold=float(data.get("threshold", 0.0)),
-        )
-
 
 def _ordered(weights: Mapping[str, float]) -> list[str]:
     return sorted(weights, key=lambda name: (-weights[name], name))

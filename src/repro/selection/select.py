@@ -127,40 +127,6 @@ class SelectionResult:
             f"{'...' if len(self.modules) > 6 else ''})"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "modules": list(self.modules),
-            "cover": list(self.cover),
-            "anchors": list(self.anchors),
-            "evidence": None if self.evidence is None else self.evidence.to_dict(),
-            "dropped_variables": list(self.dropped_variables),
-            "scores": {k: self.scores[k] for k in sorted(self.scores)},
-            "cost": self.cost,
-            "warm_start_cost": self.warm_start_cost,
-            "optimal": self.optimal,
-            "nodes_explored": self.nodes_explored,
-            "solver": self.solver,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SelectionResult":
-        evidence = data.get("evidence")
-        return cls(
-            modules=tuple(data["modules"]),
-            cover=tuple(data.get("cover", ())),
-            anchors=tuple(data.get("anchors", ())),
-            evidence=(
-                None if evidence is None else EvidenceSelection.from_dict(evidence)
-            ),
-            dropped_variables=tuple(data.get("dropped_variables", ())),
-            scores=dict(data.get("scores", {})),
-            cost=float(data.get("cost", 0.0)),
-            warm_start_cost=float(data.get("warm_start_cost", 0.0)),
-            optimal=bool(data.get("optimal", True)),
-            nodes_explored=int(data.get("nodes_explored", 0)),
-            solver=data.get("solver", ""),
-        )
-
     @classmethod
     def empty(cls, evidence: Optional[EvidenceSelection] = None) -> "SelectionResult":
         """The no-evidence selection: nothing selected, nothing solved."""
@@ -210,8 +176,8 @@ def select_culprits(
         return SelectionResult.empty(evidence)
 
     # one slicer pass over exactly the selected evidence: per-variable
-    # depths + module scores (store rehydration drops RankedSlice.slices,
-    # so the stage recomputes them here rather than trusting its input)
+    # depths + module scores.  ``ranked`` was sliced from the top-k most
+    # deviant variables, not from this evidence, so its slices differ
     sliced = slice_failing_runs(
         ensemble,
         runs,

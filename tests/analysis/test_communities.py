@@ -6,7 +6,6 @@ Girvan-Newman partition must recover the planted two-community split —
 across a sweep of seeded random cluster sizes and densities.
 """
 
-import json
 import random
 
 import pytest
@@ -18,6 +17,7 @@ from repro.analysis import (
     girvan_newman_communities,
     modularity,
 )
+from repro.pipeline.store import decode_dataclass, encode_dataclass
 
 
 def planted_two_cluster_graph(
@@ -96,9 +96,10 @@ def test_community_of_and_len():
 def test_dict_round_trip_keeps_the_best_partition_in_order():
     q, a, b = planted_two_cluster_graph(1, 6, 4)
     result = girvan_newman_communities(q)
-    again = CommunityResult.from_dict(
-        json.loads(json.dumps(result.to_dict()))
+    again = decode_dataclass(
+        encode_dataclass(result, CommunityResult), CommunityResult
     )
+    assert again.levels == result.levels
     assert again.communities == result.communities
     assert again.modularity == result.modularity
     assert again.community_of("a0") == a

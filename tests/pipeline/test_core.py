@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.obs import get_metrics
 from repro.pipeline import (
+    ArtifactStore,
     Pipeline,
     PipelineError,
     Stage,
@@ -239,6 +241,33 @@ class TestCaching:
         assert result.record("a").status == "ran"
         assert result["a"] == 42
 
+    def test_entry_that_fails_to_decode_is_a_miss_not_a_hit(self, tmp_path):
+        """An entry that loads but does not decode re-runs its stage, and
+        every count books it as one miss and no hit."""
+
+        def pipeline():
+            return Pipeline(
+                [value_stage("a", 1),
+                 value_stage("b", 0, inputs=("a",), combine=lambda a: a + 1)],
+                store_dir=tmp_path,
+            )
+
+        key = pipeline().run().record("b").key
+        ArtifactStore(tmp_path / "stages").save(key, json_payload({"w": 1}))
+        before = get_metrics().counters()
+        result = pipeline().run()
+        moved = get_metrics().counter_delta(before)
+
+        b = result.record("b")
+        assert (b.status, b.store_hits, b.store_misses) == ("ran", 0, 1)
+        assert "store.hits" not in b.metrics
+        assert b.metrics["store.misses"] == 1
+        # the one hit is a, pulled as b's input
+        assert result.record("a").store_hits == 1
+        assert result.store_stats["hits"] == result.store_stats["misses"] == 1
+        assert (moved["store.hits"], moved["store.misses"]) == (1, 1)
+        assert result["b"] == 2
+
     def test_non_cacheable_stage_always_runs(self, tmp_path):
         calls = []
 
@@ -335,8 +364,10 @@ class TestPull:
         assert [r.status for r in result.records] == ["hit", "ran", "hit"]
         assert calls == ["a", "b", "c", "b"]  # only the broken sink re-ran
         assert result["b"] == 2
-        # the pulled input is booked on its own record, not the sink's
-        assert [r.store_hits for r in result.records] == [1, 1, 1]
+        # the pulled input is booked on its own record, not the sink's,
+        # and the entry that failed to decode is a miss, not a hit
+        assert [r.store_hits for r in result.records] == [1, 0, 1]
+        assert [r.store_misses for r in result.records] == [0, 1, 0]
 
 
 class TestFailure:

@@ -6,29 +6,44 @@ pin the analysis tail (communities, selection, refinement, report): a
 change there that moves any report shows up here.  ``golden/keys.json``
 pins every experiment's ``{stage: key}``: a change that re-keys a stage
 leaves every store filled before it cold, so it must be deliberate.
+Every stage value the stage codec stores must come back whole, and a
+stored entry of the wrong shape must be a miss, not a crash.
 """
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import get_experiment, list_experiments, run_sweep
-from repro.pipeline import RootCauseAnalysis
+from repro.pipeline import (
+    ArtifactStore,
+    RootCauseAnalysis,
+    json_payload,
+    payload_json,
+    root_cause_pipeline,
+)
 from repro.refine import RefinementConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
+#: the stages whose value the one dataclass codec stores
+CODEC_STAGES = ("ect", "ranked_slice", "communities", "selection", "refined",
+                "report")
+
+
+def small(name):
+    return get_experiment(name).with_(
+        members=6, nsteps=1, refine=RefinementConfig(members=4)
+    )
+
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    specs = [
-        get_experiment(name).with_(
-            members=6, nsteps=1, refine=RefinementConfig(members=4)
-        )
-        for name in list_experiments()
-    ]
+    specs = [small(name) for name in list_experiments()]
     store = tmp_path_factory.mktemp("golden-store")
     return run_sweep(specs, store_dir=store, backend="vectorized")
 
@@ -52,12 +67,7 @@ def test_entry_copied_onto_another_key_is_not_served(tmp_path):
     """A warm run trusts the one entry it reads, so a valid entry copied
     onto another experiment's key must load as a miss: that experiment
     re-runs ``report`` from its decoded inputs."""
-    specs = {
-        name: get_experiment(name).with_(
-            members=6, nsteps=1, refine=RefinementConfig(members=4)
-        )
-        for name in ("wsubbug", "goffgratch")
-    }
+    specs = {name: small(name) for name in ("wsubbug", "goffgratch")}
     filled = run_sweep(list(specs.values()), store_dir=tmp_path)
     stages = tmp_path / "stages"
     theirs = filled["wsubbug"].record("report").key
@@ -71,3 +81,75 @@ def test_entry_copied_onto_another_key_is_not_served(tmp_path):
     assert sum(r.member_misses for r in result.records) == 0
     expected = (GOLDEN / "goffgratch.json").read_text()
     assert result["report"].to_json() + "\n" == expected
+
+
+def rewrite_entry(stages, key, **fields):
+    """Overwrite fields of the JSON of the entry under ``key``, keeping
+    its arrays: the entry stays parseable and stays under its own key."""
+    store = ArtifactStore(stages)
+    payload = store.load(key)
+    doc = {**payload_json(payload), **fields}
+    arrays = {k: v for k, v in payload.items() if k != "__json__"}
+    store.save(key, json_payload(doc, arrays))
+
+
+def test_corrupt_but_parseable_entries_are_misses(tmp_path):
+    """A warm run trusts the entry it reads, so an entry of the wrong
+    shape under its own key must be a miss that re-runs its stage from
+    the stored inputs, not a crash."""
+    spec = small("goffgratch")
+    filled = RootCauseAnalysis(spec, store_dir=tmp_path).run()
+    stages = tmp_path / "stages"
+    expected = (GOLDEN / "goffgratch.json").read_text()
+
+    rewrite_entry(stages, filled.record("report").key, verdict=7)
+    result = RootCauseAnalysis(spec, store_dir=tmp_path).run()
+    report = result.record("report")
+    assert (report.status, report.store_misses) == ("ran", 1)
+    assert sum(r.member_misses for r in result.records) == 0
+    assert result["report"].to_json() + "\n" == expected
+
+    (stages / f"{filled.record('report').key}.npz").unlink()
+    rewrite_entry(stages, filled.record("ect").key, failing_pcs=5)
+    result = RootCauseAnalysis(spec, store_dir=tmp_path).run()
+    ect = result.record("ect")
+    assert (ect.status, ect.store_misses) == ("ran", 1)
+    assert sum(r.member_misses for r in result.records) == 0
+    assert result["report"].to_json() + "\n" == expected
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype
+        np.testing.assert_array_equal(got[name], array)
+
+
+@pytest.mark.parametrize("name", list_experiments())
+def test_codec_stages_round_trip_losslessly(sweep, name):
+    """Each codec stage's value decodes and re-encodes to the same JSON
+    text and arrays, and keeps what the hand-written decoders dropped."""
+    result = sweep[name]
+    pipeline = root_cause_pipeline(small(name))
+    decoded = {}
+    for stage_name in CODEC_STAGES:
+        stage = pipeline.stage(stage_name)
+        payload = stage.encode(result[stage_name], None, {})
+        decoded[stage_name] = stage.decode(payload, None, {})
+        assert_same_arrays(stage.encode(decoded[stage_name], None, {}), payload)
+
+    assert decoded["ranked_slice"].slices == result["ranked_slice"].slices
+    assert decoded["communities"].levels == result["communities"].levels
+    refined = result["refined"]
+    assert decoded["refined"].communities == refined.communities
+    verdict = decoded["refined"].verdict
+    assert (verdict is None) == (refined.verdict is None)
+    if verdict is not None:
+        for field in dataclasses.fields(verdict):
+            got = getattr(verdict, field.name)
+            want = getattr(refined.verdict, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want

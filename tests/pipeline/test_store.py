@@ -1,10 +1,13 @@
-"""ArtifactStore: payloads, atomicity conventions, counters."""
+"""ArtifactStore: payloads, atomicity conventions, counters, stage codec."""
+
+import dataclasses
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
 
 from repro.pipeline import ArtifactStore, StoreError, json_payload, payload_json
-from repro.pipeline.store import find_nonfinite
+from repro.pipeline.store import decode_dataclass, encode_dataclass, find_nonfinite
 
 
 def test_round_trip_json_and_arrays(tmp_path):
@@ -164,3 +167,175 @@ class TestEntriesCarryTheirKey:
     def test_key_array_name_is_reserved(self):
         with pytest.raises(StoreError, match="reserved"):
             json_payload({}, arrays={"__key__": np.zeros(1)})
+
+
+# ------------------------------------------------------- the stage codec
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    name: str
+    weight: float
+
+
+@dataclasses.dataclass
+class Tree:
+    label: Optional[str]
+    leaf: Leaf
+    tags: tuple[str, ...]
+    pair: tuple[str, float]
+    members: frozenset[str]
+    weights: Mapping[str, float]
+    depths: dict[tuple[str, str, str], int]
+    extra: dict
+
+
+@dataclasses.dataclass
+class Scores:
+    matrix: np.ndarray
+    n: int = 0
+    flag: bool = False
+
+
+@dataclasses.dataclass
+class Holder:
+    scores: Scores
+    counts: np.ndarray
+
+
+def tree(**overrides) -> Tree:
+    fields = dict(
+        label="root",
+        leaf=Leaf("a", 0.5),
+        tags=("x", "y"),
+        pair=("p", 2.5),
+        members=frozenset({"m2", "m1"}),
+        weights={"b": 2.0, "a": 1.0},
+        depths={("mod", "sub", "v"): 1, ("aer", "init", "w"): 0},
+        extra={"warm_start": "selection", "selection_modules": 6},
+    )
+    fields.update(overrides)
+    return Tree(**fields)
+
+
+def round_trip(value, cls):
+    """``value`` decoded from its payload; re-encoding gives the same bytes."""
+    payload = encode_dataclass(value, cls)
+    again = decode_dataclass(payload, cls)
+    twice = encode_dataclass(again, cls)
+    assert twice.keys() == payload.keys()
+    for name, array in payload.items():
+        assert twice[name].dtype == array.dtype
+        np.testing.assert_array_equal(twice[name], array)
+    return again
+
+
+class TestDataclassCodec:
+    def test_optional_none_and_value(self):
+        for label in (None, "root"):
+            again = round_trip(tree(label=label), Tree)
+            assert again.label == label
+
+    def test_nested_dataclass(self):
+        again = round_trip(tree(), Tree)
+        assert again.leaf == Leaf("a", 0.5)
+        assert again == tree()
+
+    def test_variable_and_fixed_tuples(self):
+        again = round_trip(tree(tags=("c", "b", "a"), pair=("q", 1.0)), Tree)
+        assert again.tags == ("c", "b", "a")
+        assert again.pair == ("q", 1.0)
+        assert isinstance(again.tags, tuple) and isinstance(again.pair, tuple)
+
+    def test_frozenset_bytes_do_not_depend_on_insertion_order(self):
+        names = [f"m{i}" for i in range(40)]
+        forward = encode_dataclass(tree(members=frozenset(names)), Tree)
+        backward = encode_dataclass(
+            tree(members=frozenset(reversed(names))), Tree
+        )
+        assert forward["__json__"][0] == backward["__json__"][0]
+        assert payload_json(forward)["members"] == sorted(names)
+        again = decode_dataclass(forward, Tree)
+        assert again.members == frozenset(names)
+
+    def test_str_and_tuple_keyed_dicts(self):
+        again = round_trip(tree(), Tree)
+        assert again.weights == {"a": 1.0, "b": 2.0}
+        assert again.depths == {("mod", "sub", "v"): 1, ("aer", "init", "w"): 0}
+        doc = payload_json(encode_dataclass(tree(), Tree))
+        assert doc["weights"] == {"a": 1.0, "b": 2.0}
+        assert doc["depths"] == [[["aer", "init", "w"], 0], [["mod", "sub", "v"], 1]]
+
+    def test_top_level_and_nested_arrays_keep_dtype(self):
+        value = Holder(
+            scores=Scores(np.arange(6, dtype=np.float32).reshape(2, 3)),
+            counts=np.array([3, 0, 2], dtype=np.int16),
+        )
+        payload = encode_dataclass(value, Holder)
+        assert set(payload) == {"__json__", "scores.matrix", "counts"}
+        again = round_trip(value, Holder)
+        assert again.scores.matrix.dtype == np.float32
+        assert again.counts.dtype == np.int16
+        np.testing.assert_array_equal(again.scores.matrix, value.scores.matrix)
+        np.testing.assert_array_equal(again.counts, value.counts)
+
+    def test_bare_dict(self):
+        extra = {"warm_start": "selection", "nested": {"k": [1, 2]}}
+        assert round_trip(tree(extra=extra), Tree).extra == extra
+
+    def test_numpy_scalars_are_coerced_to_the_declared_type(self):
+        value = Scores(np.zeros(1), n=np.int64(3), flag=np.bool_(True))
+        doc = payload_json(encode_dataclass(value, Scores))
+        assert (doc["n"], doc["flag"]) == (3, True)
+        again = round_trip(value, Scores)
+        assert type(again.n) is int and type(again.flag) is bool
+        leaf = round_trip(Leaf(np.str_("a"), np.float32(0.5)), Leaf)
+        assert type(leaf.name) is str and type(leaf.weight) is float
+        assert leaf == Leaf("a", 0.5)
+
+
+class TestDataclassCodecRejects:
+    """Every payload not shaped like the declared type is a StoreError."""
+
+    @staticmethod
+    def with_doc(value, cls, **changes):
+        payload = encode_dataclass(value, cls)
+        doc = payload_json(payload)
+        doc.update(changes)
+        arrays = {k: v for k, v in payload.items() if k != "__json__"}
+        return json_payload(doc, arrays)
+
+    def test_missing_field(self):
+        payload = encode_dataclass(Leaf("a", 0.5), Leaf)
+        doc = payload_json(payload)
+        del doc["weight"]
+        with pytest.raises(StoreError, match="missing field 'weight'"):
+            decode_dataclass(json_payload(doc), Leaf)
+
+    def test_unknown_field(self):
+        payload = self.with_doc(Leaf("a", 0.5), Leaf, colour="red")
+        with pytest.raises(StoreError, match="unknown field 'colour'"):
+            decode_dataclass(payload, Leaf)
+
+    def test_wrong_typed_scalar(self):
+        payload = self.with_doc(Leaf("a", 0.5), Leaf, weight="heavy")
+        with pytest.raises(StoreError, match="'weight': expected float"):
+            decode_dataclass(payload, Leaf)
+        payload = self.with_doc(Scores(np.zeros(1)), Scores, n=True)
+        with pytest.raises(StoreError, match="'n': expected int"):
+            decode_dataclass(payload, Scores)
+
+    def test_list_where_an_object_is_expected(self):
+        payload = self.with_doc(tree(), Tree, leaf=["a", 0.5])
+        with pytest.raises(StoreError, match="'leaf': expected dict"):
+            decode_dataclass(payload, Tree)
+
+    def test_non_finite_float_names_the_field_path(self):
+        with pytest.raises(StoreError, match="'leaf.weight'.*non-finite"):
+            encode_dataclass(tree(leaf=Leaf("a", float("nan"))), Tree)
+        with pytest.raises(StoreError, match=r"'weights\[a\]'.*non-finite"):
+            encode_dataclass(tree(weights={"a": float("inf")}), Tree)
+
+    def test_array_the_value_does_not_name(self):
+        payload = encode_dataclass(Scores(np.zeros(2)), Scores)
+        payload["stray"] = np.ones(1)
+        with pytest.raises(StoreError, match="unknown payload arrays"):
+            decode_dataclass(payload, Scores)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ect import EctConfig, EctResult
+from repro.pipeline.store import decode_dataclass, encode_dataclass
 from repro.reporting import (
     LocalizationReport,
     ReportTable,
@@ -56,7 +57,10 @@ class TestVerdictReport:
 
     def test_round_trip(self):
         v = VerdictReport.from_ect(ect_result())
-        assert VerdictReport.from_dict(v.to_dict()) == v
+        again = decode_dataclass(
+            encode_dataclass(v, VerdictReport), VerdictReport
+        )
+        assert again == v
 
 
 class TestLocalizationReport:
@@ -81,7 +85,9 @@ class TestLocalizationReport:
 
     def test_round_trip_preserves_everything(self):
         r = report()
-        again = LocalizationReport.from_dict(r.to_dict())
+        again = decode_dataclass(
+            encode_dataclass(r, LocalizationReport), LocalizationReport
+        )
         assert again.to_dict() == r.to_dict()
         assert again.localized == r.localized
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pipeline.store import decode_dataclass, encode_dataclass
 from repro.selection import EvidenceSelection, select_affected_variables
 from repro.selection.evidence import EVIDENCE_METHODS
 
@@ -122,7 +123,9 @@ class TestEvidenceSelection:
 
     def test_round_trip_and_dunder_protocol(self):
         ev = select_affected_variables(OUTLIER_WEIGHTS, method="mad")
-        again = EvidenceSelection.from_dict(ev.to_dict())
+        again = decode_dataclass(
+            encode_dataclass(ev, EvidenceSelection), EvidenceSelection
+        )
         assert again == ev
         assert len(ev) == len(ev.variables)
         assert "WSUB" in ev and "NOT_A_FIELD" not in ev

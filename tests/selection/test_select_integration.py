@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import get_experiment
 from repro.pipeline import RootCauseAnalysis, root_cause_pipeline
+from repro.pipeline.store import decode_dataclass, encode_dataclass
 from repro.refine import RefinementConfig
 from repro.runtime import CoverageTrace
 from repro.selection import (
@@ -125,7 +126,9 @@ class TestSelectCulprits:
     def test_round_trip(self, small_run):
         _, result = small_run
         selection = result["selection"]
-        again = SelectionResult.from_dict(selection.to_dict())
+        again = decode_dataclass(
+            encode_dataclass(selection, SelectionResult), SelectionResult
+        )
         assert again == selection
         assert again.warm_start_gap == selection.warm_start_gap
         assert bool(again) and len(again) == len(selection)
