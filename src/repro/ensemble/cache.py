@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..model.builder import ModelSource
-from ..obs import get_metrics
+from ..obs import get_metrics, get_tracer
 from ..runtime import FPConfig, RunConfig, RunResult
 from .artifact import ArtifactError, RunArtifact
 
@@ -104,25 +104,31 @@ class MemberCache:
         return self.directory / f"{key}.npz"
 
     def load_artifact(self, key: str) -> Optional[RunArtifact]:
-        """The cached artifact for ``key``, or None on miss/corruption."""
+        """The cached artifact for ``key``, or None on miss/corruption,
+        under a ``member_cache.load`` span with the ``bytes`` read."""
         path = self._path(key)
-        if not path.exists():
-            self._miss()
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                artifact = RunArtifact.from_payload(data)
-        except (
-            OSError,
-            EOFError,  # zero-length/truncated file
-            zipfile.BadZipFile,  # zip magic but corrupt body
-            ArtifactError,
-            KeyError,
-            ValueError,
-            IndexError,
-        ):
-            self._miss()
-            return None
+        with get_tracer().span("member_cache.load", {"bytes": 0}) as span:
+            if not path.exists():
+                self._miss()
+                return None
+            try:
+                # the loader owns the handle, so a corrupt body numpy
+                # rejects after opening the file still closes it
+                with open(path, "rb") as handle:
+                    span.annotate(bytes=os.fstat(handle.fileno()).st_size)
+                    with np.load(handle, allow_pickle=False) as data:
+                        artifact = RunArtifact.from_payload(data)
+            except (
+                OSError,
+                EOFError,  # zero-length/truncated file
+                zipfile.BadZipFile,  # zip magic but corrupt body
+                ArtifactError,
+                KeyError,
+                ValueError,
+                IndexError,
+            ):
+                self._miss()
+                return None
         if artifact.config_key != key:
             # a renamed/mangled entry: never serve it under the wrong key
             self._miss()
@@ -143,7 +149,8 @@ class MemberCache:
         return artifact.to_result(config)
 
     def store_artifact(self, artifact: RunArtifact) -> None:
-        """Persist ``artifact`` under its own content key (atomic write)."""
+        """Persist ``artifact`` under its own content key (atomic write),
+        under a ``member_cache.store`` span with the ``bytes`` written."""
         payload = artifact.to_payload()
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp-", suffix=".npz"
@@ -154,8 +161,9 @@ class MemberCache:
             except BaseException:
                 os.close(fd)  # fdopen failed: the raw fd is still ours
                 raise
-            with handle:
+            with get_tracer().span("member_cache.store") as span, handle:
                 np.savez_compressed(handle, **payload)
+                span.annotate(bytes=handle.tell())
             os.replace(tmp, self._path(artifact.config_key))
         except BaseException:
             try:

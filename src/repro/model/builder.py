@@ -15,7 +15,8 @@ True
 ``ModelSource.parse()`` preprocesses with the compset's macros and caches the
 ASTs, so the metagraph builder (:mod:`repro.graphs`), the runtime and the
 slicer all share one parse of the tree.  Building is cheap and parsing is
-not, so nothing parses until a consumer first needs the ASTs.
+not, so nothing parses until a consumer first needs the ASTs, and trees
+that share a ``parse_cache`` parse each unchanged file once.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ class ModelSource:
     ``files`` is every file in the tree; ``compiled_files`` the subset the
     compset compiles (the paper's 2400 -> 820 reduction).  ``parse`` returns
     preprocessed + parsed ASTs, cached after the first call.
+    ``parse_cache`` (``{(filename, macros, text): SourceFileAST}``) may be
+    shared with other trees, so a file they already parsed is not parsed
+    again.
     """
 
     config: ModelConfig
@@ -74,6 +78,7 @@ class ModelSource:
     macros: dict[str, str]
     _asts: dict[str, SourceFileAST] | None = field(default=None, repr=False)
     _digest: str | None = field(default=None, repr=False, compare=False)
+    parse_cache: dict | None = field(default=None, repr=False, compare=False)
 
     def compiled_sources(self) -> dict[str, str]:
         """Mapping of compiled file name -> source text, in build order."""
@@ -102,22 +107,38 @@ class ModelSource:
 
         Only compiled files are parsed by default — uncompiled files are not
         part of the executable and therefore not part of the digraph.  The
-        result for the default call is cached.  A call that actually
-        parses runs under a ``model.parse`` span and counts one
-        ``model.parses``.
+        result for the default call is cached, and reuses the AST of any
+        compiled file the ``parse_cache`` holds with the same name, macros
+        and text: a patched tree that shares its control tree's cache
+        parses only the files its patches changed.  ASTs are read-only, so
+        sharing them is safe.  A call that actually parses runs under a
+        ``model.parse`` span and counts one ``model.parses``; the span
+        records how many ``files`` it parsed and how many it ``reused``.
         """
         if include_uncompiled:
-            return self._parse(self.files)
+            return self._parse(self.files, None)
         if self._asts is None:
-            self._asts = self._parse(self.compiled_sources())
+            self._asts = self._parse(self.compiled_sources(), self.parse_cache)
         return self._asts
 
-    def _parse(self, files: dict[str, str]) -> dict[str, SourceFileAST]:
-        with get_tracer().span("model.parse", {"files": len(files)}):
-            asts = {
-                name: parse_source(text, filename=name, macros=self.macros)
-                for name, text in files.items()
-            }
+    def _parse(
+        self, files: dict[str, str], cache: dict | None
+    ) -> dict[str, SourceFileAST]:
+        macros = tuple(sorted(self.macros.items()))
+        asts: dict[str, SourceFileAST] = {}
+        reused = 0
+        with get_tracer().span("model.parse") as span:
+            for name, text in files.items():
+                key = (name, macros, text)
+                ast = None if cache is None else cache.get(key)
+                if ast is None:
+                    ast = parse_source(text, filename=name, macros=self.macros)
+                    if cache is not None:
+                        cache[key] = ast
+                else:
+                    reused += 1
+                asts[name] = ast
+            span.annotate(files=len(files) - reused, reused=reused)
         get_metrics().inc("model.parses")
         return asts
 

@@ -112,18 +112,27 @@ def _load_cached_runs(
 
 
 # ------------------------------------------------------------ source stages
-def make_source_stage(name: str, model: ModelConfig) -> Stage:
+def make_source_stage(
+    name: str, model: ModelConfig, parse_cache: Optional[dict] = None
+) -> Stage:
     """Build one :class:`ModelSource` (cheap, never cached on disk).
 
     The stage fingerprints with the built tree's content digest, so any
     model-source or patch change transitively invalidates every
     downstream stage key.  It only builds the tree: every run evaluates
     it to compute the keys, and the first consumer that needs ASTs
-    parses.
+    parses, through ``parse_cache`` when one is given (it never enters
+    the key).
     """
+
+    def build(ctx) -> ModelSource:
+        source = build_model_source(model)
+        source.parse_cache = parse_cache
+        return source
+
     return Stage(
         name=name,
-        func=lambda ctx: build_model_source(model),
+        func=build,
         params={"model": model},
         cacheable=False,
         fingerprint=lambda source: source.content_digest(),
@@ -571,9 +580,12 @@ def root_cause_pipeline(
         )
     exp_model = experiment.experimental_model()
     exp_fp = experiment.experimental_fp()
+    # one parse cache per pipeline: the patched tree parses only the file
+    # its patch changed and shares every other AST with the control tree
+    parse_cache: dict = {}
 
     stages = [
-        make_source_stage("control_source", spec.model),
+        make_source_stage("control_source", spec.model, parse_cache),
         make_metagraph_stage(),
         make_ensemble_stage(spec, backend=backend),
     ]
@@ -581,7 +593,9 @@ def root_cause_pipeline(
         source_input = "control_source"
     else:
         source_input = "patched_source"
-        stages.append(make_source_stage("patched_source", exp_model))
+        stages.append(
+            make_source_stage("patched_source", exp_model, parse_cache)
+        )
     stages += [
         make_experimental_runs_stage(
             spec,

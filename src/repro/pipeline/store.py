@@ -290,7 +290,11 @@ class ArtifactStore:
             self._miss()
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # the loader owns the handle, so a corrupt body numpy rejects
+            # after opening the file still closes it
+            with open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as data:
                 payload = {name: np.asarray(data[name]) for name in data.files}
             owner = payload.pop(OWNER_KEY)
         except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError):

@@ -25,6 +25,7 @@ suite checks bit-for-bit and the ensemble benchmark uses as its baseline.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,6 +73,11 @@ from .values import (
 __all__ = ["NodeCompiler"]
 
 _MISSING = object()
+_ALL = slice(None)
+
+
+def _same(value):
+    return value
 
 
 def _truthy(value) -> bool:
@@ -185,6 +191,10 @@ class NodeCompiler:
 
         return run
 
+    #: unary minus on an evaluated operand (the vectorized compiler's
+    #: also negates member batches)
+    _negate = staticmethod(operator.neg)
+
     def _build_unary(self, node: UnaryOp) -> Callable:
         operand = self.expr(node.operand)
         if node.op == "-":
@@ -283,6 +293,7 @@ class NodeCompiler:
             return lambda frame: fused_add(left(frame), right(frame))
 
         add, sub, mul, fma = fpu.add, fpu.sub, fpu.mul, fpu.fma
+        neg = self._negate
         enabled_in = fp.fma_enabled_in
         all_int = interp._all_int
         if left_mul:
@@ -300,7 +311,7 @@ class NodeCompiler:
                 if all_int(a, b, c):
                     product = mul(a, b)
                     return add(product, c) if op == "+" else sub(product, c)
-                return fma(a, b, c if op == "+" else -c)
+                return fma(a, b, c if op == "+" else neg(c))
 
             return run
 
@@ -321,23 +332,33 @@ class NodeCompiler:
                 return add(c, product) if op == "+" else sub(c, product)
             if op == "+":
                 return fma(a, b, c)
-            return fma(-a, b, c)  # c - a*b
+            return fma(neg(a), b, c)  # c - a*b
 
         return run
 
     # ------------------------------------------------------- subscripts
-    def _build_index(self, args: list[Expr]) -> Callable:
+    def _build_index(
+        self, args: list[Expr], member_axis: bool = False
+    ) -> Callable:
         """Compile a subscript list straight to a numpy index tuple
-        (:func:`repro.runtime.values.fortran_slices` semantics)."""
+        (:func:`repro.runtime.values.fortran_slices` semantics), led by
+        ``slice(None)`` for an array with a member axis."""
+        lead = (_ALL,) if member_axis else ()
         if all(not isinstance(a, SectionRange) for a in args):
             fns = [self.expr(a) for a in args]
             if len(fns) == 1:
                 f0 = fns[0]
+                if member_axis:
+                    return lambda frame: (_ALL, int(f0(frame)) - 1)
                 return lambda frame: (int(f0(frame)) - 1,)
             if len(fns) == 2:
                 f0, f1 = fns
+                if member_axis:
+                    return lambda frame: (
+                        _ALL, int(f0(frame)) - 1, int(f1(frame)) - 1
+                    )
                 return lambda frame: (int(f0(frame)) - 1, int(f1(frame)) - 1)
-            return lambda frame: tuple(int(fn(frame)) - 1 for fn in fns)
+            return lambda frame: lead + tuple(int(fn(frame)) - 1 for fn in fns)
 
         def make_part(arg):
             if not isinstance(arg, SectionRange):
@@ -364,7 +385,7 @@ class NodeCompiler:
             return part
 
         parts = [make_part(a) for a in args]
-        return lambda frame: tuple(p(frame) for p in parts)
+        return lambda frame: lead + tuple(p(frame) for p in parts)
 
     # ------------------------------------------------------------ apply
     def _build_apply(self, node: Apply) -> Callable:
@@ -452,20 +473,24 @@ class NodeCompiler:
 
         return find
 
-    @staticmethod
-    def _load_element(container: np.ndarray, index: tuple):
-        """``container[index]``, with a single element as a Python scalar
-        (the vectorized compiler loads member batches its own way)."""
-        value = container[index]
-        if isinstance(value, np.ndarray):
-            return value
-        return value.item() if hasattr(value, "item") else value
+    def _build_element_load(self, args: list[Expr]) -> Callable:
+        """Compile a subscript list to ``load(container, frame)``: the
+        element as a Python scalar, or the section as an array (the
+        vectorized compiler adds member batches)."""
+        index_fn = self._build_index(args)
+
+        def load(container, frame):
+            value = container[index_fn(frame)]
+            if isinstance(value, np.ndarray):
+                return value
+            return value.item() if hasattr(value, "item") else value
+
+        return load
 
     def _build_array_index(self, node: Apply) -> Callable:
         interp = self.interp
         find = self._build_find_array(node.name)
-        index_fn = self._build_index(node.args)
-        load = self._load_element
+        load = self._build_element_load(node.args)
 
         def run(frame):
             found = find(frame)
@@ -473,7 +498,7 @@ class NodeCompiler:
             # takes the legacy path
             if found is None or not isinstance(found[2], np.ndarray):
                 return interp._eval_apply(node, frame)
-            return load(found[2], index_fn(frame))
+            return load(found[2], frame)
 
         return run
 
@@ -481,8 +506,7 @@ class NodeCompiler:
         interp = self.interp
         base_fn = self.expr(node.base)
         component = node.component
-        index_fn = self._build_index(node.args) if node.args else None
-        load = self._load_element
+        load = self._build_element_load(node.args) if node.args else None
 
         def run(frame):
             base = base_fn(frame)
@@ -491,8 +515,8 @@ class NodeCompiler:
                     f"component reference {component!r} into non-derived value"
                 )
             value = base.get(component)
-            if index_fn is not None:
-                return load(value, index_fn(frame))
+            if load is not None:
+                return load(value, frame)
             return value
 
         return run
@@ -671,16 +695,28 @@ class NodeCompiler:
 
     def _build_store_element(self, target: Apply) -> Callable:
         find = self._build_find_array(target.name)
-        index_fn = self._build_index(target.args)
+        store_into = self._build_store_into(target.args)
 
         def store(frame, value):
             scope, rname, container = self._found_array(find, frame, target)
+            store_into(container, frame, value, scope.readonly, rname)
+
+        return store
+
+    def _build_store_into(self, args, what: Optional[str] = None) -> Callable:
+        """Compile a subscripted store to ``store(array, frame, value,
+        guard, name)``: subscripts, then the read-only check of ``name``
+        against ``guard``, then the store into ``array`` (the vectorized
+        compiler's errors name it ``what``, or ``name``)."""
+        index_fn = self._build_index(args)
+
+        def store(array, frame, value, guard, name):
             index = index_fn(frame)
-            if rname in scope.readonly:
+            if guard is not None and name in guard:
                 raise IntentViolationError(
-                    f"cannot assign through read-only name {rname!r}"
+                    f"cannot assign through read-only name {name!r}"
                 )
-            container[index] = value
+            array[index] = value
 
         return store
 
@@ -707,7 +743,12 @@ class NodeCompiler:
         root_name = root.name if isinstance(root, (VarRef, Apply)) else ""
         base_fn = self.expr(target.base)
         component = target.component
-        index_fn = self._build_index(target.args) if target.args else None
+        store_into = (
+            self._build_store_into(target.args, component)
+            if target.args
+            else None
+        )
+        set_component = self._set_component
 
         def store(frame, value):
             guard = None
@@ -721,26 +762,25 @@ class NodeCompiler:
                     f"component reference into non-derived value "
                     f"{component!r}"
                 )
-            if index_fn is not None:
+            if store_into is not None:
                 array = base.get(component)
                 if not isinstance(array, np.ndarray):
                     raise FortranRuntimeError(
                         f"subscripted non-array component {component!r}"
                     )
-                index = index_fn(frame)
-                if guard is not None and root_name in guard:
-                    raise IntentViolationError(
-                        f"cannot assign through read-only name {root_name!r}"
-                    )
-                array[index] = value
+                store_into(array, frame, value, guard, root_name)
                 return
             if guard is not None and root_name in guard:
                 raise IntentViolationError(
                     f"cannot assign through read-only name {root_name!r}"
                 )
-            base.set(component, value)
+            set_component(base, component, value)
 
         return store
+
+    def _set_component(self, base: DerivedValue, component: str, value):
+        """Store a whole derived-type component."""
+        base.set(component, value)
 
     # ------------------------------------------------------------ calls
     def _build_call(self, node: CallStmt) -> Callable:
@@ -797,6 +837,12 @@ class NodeCompiler:
 
         return run
 
+    def _control_value(self, node: Stmt, what: str) -> Callable:
+        """``check(value)`` for a ``do`` bound, ``do while`` condition or
+        ``select`` selector (the vectorized compiler refuses
+        member-varying ones)."""
+        return _same
+
     def _build_do(self, node: DoLoop) -> Callable:
         interp = self.interp
         account = self._account_fn(node)
@@ -807,11 +853,13 @@ class NodeCompiler:
         var = node.var
         loc = node.location
 
+        bound = self._control_value(node, "do-loop bounds")
+
         def run(frame):
             account()
-            start = start_fn(frame)
-            stop = stop_fn(frame)
-            step = step_fn(frame) if step_fn is not None else 1
+            start = bound(start_fn(frame))
+            stop = bound(stop_fn(frame))
+            step = bound(step_fn(frame)) if step_fn is not None else 1
             if step == 0:
                 raise FortranRuntimeError(f"zero do-loop step at {loc}")
             found = interp._lookup_var(frame, var)
@@ -844,10 +892,11 @@ class NodeCompiler:
         account = self._account_fn(node)
         cond_fn = self.expr(node.condition)
         body_fns = self.body(node.body)
+        condition = self._control_value(node, "do-while condition")
 
         def run(frame):
             account()
-            while _truthy(cond_fn(frame)):
+            while _truthy(condition(cond_fn(frame))):
                 try:
                     for fn in body_fns:
                         fn(frame)
@@ -869,10 +918,11 @@ class NodeCompiler:
                 continue
             matchers = [self._build_case_item(item) for item in items]
             compiled_cases.append((matchers, self.body(body)))
+        selected = self._control_value(node, "select-case selector")
 
         def run(frame):
             account()
-            selector = selector_fn(frame)
+            selector = selected(selector_fn(frame))
             default_fns = None
             for matchers, body_fns in compiled_cases:
                 if matchers is None:

@@ -52,6 +52,7 @@ def _real_unary(fn):
     def wrapped(x):
         return _scalarize(fn(x), x)
 
+    wrapped.ufunc = fn  # what an array argument gets, without _scalarize
     return wrapped
 
 

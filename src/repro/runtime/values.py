@@ -19,6 +19,10 @@ Fortran's storage semantics drive every design choice here:
 Assignment targets resolve to small :class:`Ref` objects (scope slot, array
 element/section, derived component) that know how to load and store, which
 keeps argument copy-back and ``intent`` protection in one place.
+
+The vectorized runtime marks member-batched values as :class:`MemberBatch`
+and states the member-axis lifting rule once, in :func:`lift_batches`; the
+marker itself keeps no arithmetic (see :mod:`repro.runtime.vec`).
 """
 
 from __future__ import annotations
@@ -257,6 +261,12 @@ class ElementRef(Ref):
         self.guard_name = guard_name
 
     def load(self):
+        if type(self.array) is MemberBatch:
+            # the member axis leads; a batch element loads by value
+            value = np.ndarray.__getitem__(
+                self.array, (slice(None),) + self.index
+            )
+            return value.copy() if value.ndim == 1 else value
         value = self.array[self.index]
         if isinstance(value, np.ndarray):
             return value
@@ -315,21 +325,24 @@ class MemberBatch(np.ndarray):
     """An array whose *leading* axis is the ensemble-member axis.
 
     A ``MemberBatch`` of shape ``(n, *model_shape)`` holds one model-space
-    value per member.  Model code never sees the member axis: subscripts
-    written against ``model_shape`` are transparently prefixed with
-    ``slice(None)`` on load and store, and ufuncs align operands on the
-    *trailing* (model) axes by re-inserting length-1 dimensions after the
-    member axis, so a promoted batch scalar of shape ``(n,)`` broadcasts
-    against a batch array of shape ``(n, pcols, pver)`` the way a Fortran
-    scalar broadcasts against an array.
-
-    Plain ndarrays (member-uniform model values) broadcast from the right,
-    exactly as numpy would without the member axis.  Use :meth:`lane` to
+    value per member.  It is a *marker* and keeps no arithmetic: the
+    vectorized compiler (:mod:`repro.runtime.vec`) strips the marker,
+    prefixes model subscripts with the member axis, lifts operands whose
+    model ranks differ (:func:`lift_batches`) and runs numpy on plain
+    arrays.  Ufuncs, subscripts and subscripted stores applied to the
+    marked array itself raise :class:`VectorizationError`, so a site the
+    compiler does not cover falls back to the serial interpreter instead
+    of broadcasting members against model axes.  Use :meth:`lane` to
     slice one member's value back out.
     """
 
-    # win ufunc dispatch against plain ndarrays regardless of operand order
-    __array_priority__ = 100.0
+    def _uncovered(self, *args, **kwargs):
+        raise VectorizationError(
+            "uncompiled operation on a member batch: the vectorized runtime "
+            "does not cover this site"
+        )
+
+    __array_ufunc__ = __getitem__ = __setitem__ = _uncovered
 
     @property
     def n_members(self) -> int:
@@ -352,57 +365,6 @@ class MemberBatch(np.ndarray):
         shared storage — can outlive and never write back into the
         batched evaluation."""
         return np.asarray(self)[m].copy()
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        out = kwargs.get("out")
-        if out is not None:
-            kwargs["out"] = tuple(
-                np.asarray(o) if isinstance(o, MemberBatch) else o
-                for o in out
-            )
-        if method != "__call__":
-            # reductions / accumulations collapse or reorder axes in ways
-            # the member-axis convention cannot track: compute on the base
-            # arrays and return plain ndarrays (callers re-wrap knowingly).
-            plain = tuple(
-                np.asarray(x) if isinstance(x, MemberBatch) else x
-                for x in inputs
-            )
-            return getattr(ufunc, method)(*plain, **kwargs)
-        plain = lift_batches(inputs)
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        if isinstance(result, tuple):
-            return tuple(
-                r.view(MemberBatch) if isinstance(r, np.ndarray) else r
-                for r in result
-            )
-        if isinstance(result, np.ndarray):
-            return result.view(MemberBatch)
-        return result
-
-    def __getitem__(self, key):
-        if key is Ellipsis:
-            return self
-        if not isinstance(key, tuple):
-            key = (key,)
-        result = np.asarray(self)[(slice(None),) + key]
-        if result.ndim == 1:
-            # fully-indexed element: Fortran loads scalars by value, so a
-            # promoted (n,) batch scalar must not alias the array storage
-            return result.copy().view(MemberBatch)
-        return result.view(MemberBatch)
-
-    def __setitem__(self, key, value) -> None:
-        base = np.asarray(self)
-        if key is Ellipsis:
-            dest = base
-        else:
-            if not isinstance(key, tuple):
-                key = (key,)
-            dest = base[(slice(None),) + key]
-        if isinstance(value, MemberBatch):
-            (value,) = lift_batches((value,), dest.ndim - 1)
-        dest[...] = value
 
 
 def lift_batches(values, model_ndim: Optional[int] = None) -> list:

@@ -2,11 +2,12 @@
 
 One compiled evaluation advances *all* members of an ensemble at once:
 per-member ``pertlim`` draws and PRNG seeds become leading-axis arrays
-(:class:`~repro.runtime.values.MemberBatch`), scalar operations broadcast
-over the member axis through numpy ufuncs, and near-identical control flow
-diverges via ``where``-masked evaluation — an ``if`` whose condition varies
-per member executes every branch under a boolean member mask, blending
-stores so inactive members keep their old values.
+(marked :class:`~repro.runtime.values.MemberBatch`), scalar operations
+run over the member axis as numpy ufuncs on plain arrays, and
+near-identical control flow diverges via ``where``-masked evaluation — an
+``if`` whose condition varies per member executes every branch under a
+boolean member mask, blending stores so inactive members keep their old
+values.
 
 Design rules (enforced, not assumed):
 
@@ -24,11 +25,15 @@ Design rules (enforced, not assumed):
   ``exit`` / ``cycle`` / ``stop``, PRNG draws, ``outfld`` history writes,
   member-varying loop bounds or ``select`` selectors — raise
   :class:`VectorizationError` instead of silently mixing members.
-* **Lifting happens in compiled code.**  Arithmetic, comparisons, element
-  loads and stores, ``max``/``min`` and the FPU's operations lift batch
-  operands themselves (:func:`~repro.runtime.values.lift_batches`, the one
-  statement of the member-axis rule) and run numpy on plain arrays;
-  ``MemberBatch.__array_ufunc__`` is left to the sites they do not cover.
+* **Every batch operation is compiled.**  Arithmetic, comparisons,
+  logical operators, intrinsics, element loads and stores and the FPU's
+  operations strip the batch marker, put the member axis first in every
+  index they build, lift only where model ranks differ
+  (:func:`~repro.runtime.values.lift_batches`, the one statement of the
+  member-axis rule) and run numpy on plain arrays.  ``MemberBatch`` keeps
+  no arithmetic: an operation that reaches its ufunc or subscript guard
+  raises :class:`VectorizationError`, so the batch falls back to the
+  serial interpreter.
 * **Bit-identity with the scalar interpreter.**  Every arithmetic path
   runs the scalar runtime's ufuncs or FPU arithmetic on the lifted
   operands, the batched PRNG reproduces each member's scalar stream
@@ -51,14 +56,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..fortran.ast_nodes import (
-    Apply,
-    DerivedRef,
-    DoLoop,
-    DoWhile,
+    Assignment,
     IfBlock,
-    SelectCase,
+    NumberLit,
+    SectionRange,
     Stmt,
-    VarRef,
     WhereBlock,
 )
 from .compiler import NodeCompiler, _MISSING
@@ -69,7 +71,6 @@ from .intrinsics import INTRINSIC_FUNCTIONS
 from .prng import BatchedPRNGStreams
 from .values import (
     ComponentRef,
-    DerivedValue,
     ElementRef,
     FortranRuntimeError,
     IntentViolationError,
@@ -78,8 +79,6 @@ from .values import (
     ScopeRef,
     StatementLimitExceeded,
     VectorizationError,
-    _Cycle,
-    _Exit,
     lift_batches,
 )
 
@@ -94,6 +93,11 @@ __all__ = [
 
 _INT_HUGE = 2147483647
 _F64_MAX = float(np.finfo(np.float64).max)
+_ALL = slice(None)
+_ND = np.ndarray
+#: ndarray subscripting without the ``MemberBatch`` guard (views keep the
+#: marker)
+_getitem = np.ndarray.__getitem__
 
 
 def _model_axes(base: np.ndarray) -> tuple[int, ...]:
@@ -103,10 +107,6 @@ def _model_axes(base: np.ndarray) -> tuple[int, ...]:
 # --------------------------------------------------------------------------- #
 # Member-batch-aware intrinsics
 # --------------------------------------------------------------------------- #
-def _any_batch(*args) -> bool:
-    return any(isinstance(a, MemberBatch) for a in args)
-
-
 def _vec_sum(array, dim=None):
     if isinstance(array, MemberBatch):
         base = np.asarray(array)
@@ -117,18 +117,17 @@ def _vec_sum(array, dim=None):
     return INTRINSIC_FUNCTIONS["sum"](array, dim)
 
 
-def _vec_maxval(array):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        return np.max(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["maxval"](array)
+def _reduction(name: str, reduce):
+    """Intrinsic ``name`` reducing a batch over its model axes only."""
+    base = INTRINSIC_FUNCTIONS[name]
 
+    def reduction(array):
+        if isinstance(array, MemberBatch):
+            plain = np.asarray(array)
+            return reduce(plain, axis=_model_axes(plain)).view(MemberBatch)
+        return base(array)
 
-def _vec_minval(array):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        return np.min(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["minval"](array)
+    return reduction
 
 
 def _vec_size(array, dim=None):
@@ -153,42 +152,32 @@ def _vec_count(mask):
     return INTRINSIC_FUNCTIONS["count"](mask)
 
 
-def _vec_any(mask):
-    if isinstance(mask, MemberBatch):
-        base = np.asarray(mask)
-        return np.any(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["any"](mask)
-
-
-def _vec_all(mask):
-    if isinstance(mask, MemberBatch):
-        base = np.asarray(mask)
-        return np.all(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["all"](mask)
-
-
-def _vec_merge(tsource, fsource, mask):
-    if _any_batch(tsource, fsource, mask):
-        # np.where is not a ufunc: lift the batches by hand and re-wrap
-        return np.where(
-            *lift_batches((mask, tsource, fsource))
-        ).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["merge"](tsource, fsource, mask)
-
-
-def _vec_extremum(name: str, ufunc):
+def _elementwise(name: str, fold=None):
+    """The scalar implementation of intrinsic ``name`` on plain operands
+    (lifted only where model ranks differ), re-marked as a batch; a
+    variadic ``max``/``min`` folds its operands with ``fold``, and a
+    one-argument math intrinsic calls its ufunc directly."""
     base = INTRINSIC_FUNCTIONS[name]
+    direct = getattr(base, "ufunc", None)
 
-    def extremum(*args):
+    def elementwise(*args):
         for arg in args:
             if type(arg) is MemberBatch:
-                out, *rest = lift_batches(args)
-                for other in rest:
-                    out = ufunc(out, other)
+                if direct is not None:
+                    return direct(arg.view(_ND)).view(MemberBatch)
+                if len(args) == 2:
+                    plain = _plain_pair(*args)
+                else:
+                    plain = _plain(args)
+                if fold is None:
+                    return base(*plain).view(MemberBatch)
+                out = plain[0]
+                for other in plain[1:]:
+                    out = fold(out, other)
                 return out.view(MemberBatch)
         return base(*args)
 
-    return extremum
+    return elementwise
 
 
 def _vec_huge(x):
@@ -199,24 +188,11 @@ def _vec_huge(x):
     return INTRINSIC_FUNCTIONS["huge"](x)
 
 
-def _rewrap_math(name: str):
-    base = INTRINSIC_FUNCTIONS[name]
-
-    def wrapped(x):
-        # np.vectorize drops the subclass; restore the member axis marker
-        result = base(x)
-        if isinstance(x, MemberBatch) and isinstance(result, np.ndarray):
-            return result.view(MemberBatch)
-        return result
-
-    return wrapped
-
-
 def _batch_unsupported(name: str):
     base = INTRINSIC_FUNCTIONS[name]
 
     def wrapped(*args, **kwargs):
-        if _any_batch(*args, *kwargs.values()):
+        if any(isinstance(a, MemberBatch) for a in (*args, *kwargs.values())):
             raise VectorizationError(
                 f"intrinsic {name!r} over a member batch is not supported "
                 "by the vectorized runtime"
@@ -226,25 +202,32 @@ def _batch_unsupported(name: str):
     return wrapped
 
 
-#: INTRINSIC_FUNCTIONS with member-batch-aware replacements for every
-#: implementation that reduces, reshapes, or otherwise collapses the array
-#: it is given (and so would silently fold the member axis into the model).
+#: intrinsics computed element by element, so one call on lifted plain
+#: operands serves every member
+_ELEMENTWISE = (
+    "abs", "acos", "aint", "asin", "atan", "atan2", "cos", "cosh", "dble",
+    "dim", "erf", "erfc", "exp", "floor", "gamma", "int", "log", "log10",
+    "merge", "mod", "nint", "real", "sign", "sin", "sinh",
+    "sqrt", "tan", "tanh",
+)
+
+#: INTRINSIC_FUNCTIONS with member-batch-aware replacements: elementwise
+#: ones strip and lift batches, and every implementation that reduces,
+#: reshapes, or otherwise collapses the array it is given (and so would
+#: silently fold the member axis into the model) keeps the member axis
 VEC_INTRINSICS: dict[str, object] = {
     **INTRINSIC_FUNCTIONS,
+    **{name: _elementwise(name) for name in _ELEMENTWISE},
+    "max": _elementwise("max", np.maximum),
+    "min": _elementwise("min", np.minimum),
     "sum": _vec_sum,
-    "maxval": _vec_maxval,
-    "minval": _vec_minval,
+    "maxval": _reduction("maxval", np.max),
+    "minval": _reduction("minval", np.min),
     "size": _vec_size,
     "count": _vec_count,
-    "any": _vec_any,
-    "all": _vec_all,
-    "merge": _vec_merge,
-    "max": _vec_extremum("max", np.maximum),
-    "min": _vec_extremum("min", np.minimum),
+    "any": _reduction("any", np.any),
+    "all": _reduction("all", np.all),
     "huge": _vec_huge,
-    "gamma": _rewrap_math("gamma"),
-    "erf": _rewrap_math("erf"),
-    "erfc": _rewrap_math("erfc"),
     "spread": _batch_unsupported("spread"),
     "reshape": _batch_unsupported("reshape"),
     "matmul": _batch_unsupported("matmul"),
@@ -255,14 +238,42 @@ VEC_INTRINSICS: dict[str, object] = {
 # --------------------------------------------------------------------------- #
 # Lifted arithmetic
 # --------------------------------------------------------------------------- #
-class VecFPU(FPU):
-    """The FPU with member batches lifted once per operation.
+def _plain(values, model_ndim: Optional[int] = None) -> list:
+    """``values`` as plain numpy operands: batches lose their marker, and
+    the lifting rule (:func:`~repro.runtime.values.lift_batches`) runs
+    only when a batch's model rank is below the operands' highest (or
+    ``model_ndim``)."""
+    if model_ndim is None:
+        ranks = [v.ndim - (type(v) is MemberBatch) for v in values
+                 if isinstance(v, _ND)]
+        model_ndim = max(ranks, default=0)
+    if any(type(v) is MemberBatch and v.ndim <= model_ndim for v in values):
+        return lift_batches(values, model_ndim)
+    return [v.view(_ND) if type(v) is MemberBatch else v for v in values]
 
-    Each operation with a batch operand runs the scalar FPU's arithmetic
-    on the plain lifted bases (:func:`~repro.runtime.values.lift_batches`)
-    and marks the result as a batch, so the ufuncs inside flush-to-zero,
-    integer division and the FMA's Dekker split skip
-    ``MemberBatch.__array_ufunc__``.
+
+def _plain_pair(l, r):
+    """Operands ``l, r`` (at least one a batch) as plain numpy operands,
+    lifted (:func:`~repro.runtime.values.lift_batches`) only where their
+    model ranks differ."""
+    if type(l) is MemberBatch:
+        if type(r) is MemberBatch:
+            if l.ndim == r.ndim:
+                return l.view(_ND), r.view(_ND)
+        elif not isinstance(r, _ND) or r.ndim < l.ndim:
+            return l.view(_ND), r
+    elif not isinstance(l, _ND) or l.ndim < r.ndim:
+        return l, r.view(_ND)
+    return lift_batches((l, r))
+
+
+class VecFPU(FPU):
+    """The FPU on plain operands.
+
+    Each operation with a batch operand strips the batch marker, lifts
+    only where model ranks differ, runs the scalar FPU's arithmetic on
+    plain arrays and marks the result as a batch, so flush-to-zero,
+    integer division and the FMA's Dekker split run plain ufuncs.
     """
 
 
@@ -270,7 +281,8 @@ def _lifting(method):
     def op(self, *args):
         for arg in args:
             if type(arg) is MemberBatch:
-                return method(self, *lift_batches(args)).view(MemberBatch)
+                plain = _plain_pair(*args) if len(args) == 2 else _plain(args)
+                return method(self, *plain).view(MemberBatch)
         return method(self, *args)
 
     return op
@@ -279,9 +291,21 @@ def _lifting(method):
 for _name in ("add", "sub", "mul", "div", "pow", "fma"):
     setattr(VecFPU, _name, _lifting(getattr(FPU, _name)))
 
-#: binary operators the vectorized compiler lifts inline, with the Python
-#: operator that uniform operands keep and the ufunc that batches take
-_LIFTED_BINOPS = {
+
+def _logical(ufunc, scalar):
+    """``.and.``/``.or.`` on operands that are not member batches."""
+
+    def op(l, r):
+        if isinstance(l, _ND) or isinstance(r, _ND):
+            return ufunc(l, r)
+        return scalar(bool(l), bool(r))
+
+    return op
+
+
+#: binary operators the vectorized compiler runs inline, with the operation
+#: operands without a batch keep and the ufunc that batches take
+_INLINE_BINOPS = {
     "+": (operator.add, np.add),
     "-": (operator.sub, np.subtract),
     "*": (operator.mul, np.multiply),
@@ -291,6 +315,8 @@ _LIFTED_BINOPS = {
     "<=": (operator.le, np.less_equal),
     ">": (operator.gt, np.greater),
     ">=": (operator.ge, np.greater_equal),
+    ".and.": (_logical(np.logical_and, operator.and_), np.logical_and),
+    ".or.": (_logical(np.logical_or, operator.or_), np.logical_or),
 }
 
 
@@ -300,6 +326,9 @@ _LIFTED_BINOPS = {
 class VecNodeCompiler(NodeCompiler):
     """Closure compiler whose control flow and stores honour member masks.
 
+    Every batch operation is compiled: each closure strips the batch
+    marker, subscripts with the member axis leading and lifts only where
+    model ranks differ, so no batch reaches a ``MemberBatch`` override.
     All divergence state lives on the interpreter (``interp._mask``,
     ``interp._extra_statements``), so the compiled closures stay shareable
     per AST node exactly like the scalar compiler's.
@@ -310,79 +339,153 @@ class VecNodeCompiler(NodeCompiler):
     _intrinsic_table = VEC_INTRINSICS
 
     # ------------------------------------------------------ arithmetic
+    @staticmethod
+    def _negate(value):
+        if type(value) is MemberBatch:
+            return np.negative(value.view(_ND)).view(MemberBatch)
+        return -value
+
     def _build_binop(self, node):
-        pair = _LIFTED_BINOPS.get(node.op)
         fpu = self.interp.fpu
+        op = node.op
+        if op in ("/", "**") and not fpu._ftz:
+            return self._build_divide_or_power(node)
+        pair = _INLINE_BINOPS.get(op)
         if pair is None or (
-            node.op in ("+", "-", "*")
-            and (fpu._ftz or (node.op != "*" and fpu.config.fma))
+            op in ("+", "-", "*")
+            and (fpu._ftz or (op != "*" and fpu.config.fma))
         ):
-            # FPU-routed (division, power, FTZ, FMA): VecFPU lifts
+            # FPU-routed (FTZ, FMA): VecFPU strips and lifts
             return NodeCompiler._build_binop(self, node)
-        pyop, ufunc = pair
+        scalar_op, ufunc = pair
+        if type(node.right) is NumberLit or type(node.left) is NumberLit:
+            return self._build_literal_binop(node, scalar_op, ufunc)
         left = self.expr(node.left)
         right = self.expr(node.right)
-        plain = np.ndarray
 
         def run(frame):
             l = left(frame)
             r = right(frame)
-            # a batch against a scalar, or two batches of one rank, have
-            # nothing to lift: their bases go to the ufunc directly
+            # _plain_pair inline: a batch against a scalar or a lower-rank
+            # plain array, or two batches of one rank, have nothing to lift
             if type(l) is MemberBatch:
                 if type(r) is MemberBatch:
                     if l.ndim == r.ndim:
-                        l, r = l.view(plain), r.view(plain)
-                        return ufunc(l, r).view(MemberBatch)
-                elif not isinstance(r, plain):
-                    return ufunc(l.view(plain), r).view(MemberBatch)
+                        return ufunc(l.view(_ND), r.view(_ND)).view(MemberBatch)
+                elif not isinstance(r, _ND) or r.ndim < l.ndim:
+                    return ufunc(l.view(_ND), r).view(MemberBatch)
             elif type(r) is MemberBatch:
-                if not isinstance(l, plain):
-                    return ufunc(l, r.view(plain)).view(MemberBatch)
+                if not isinstance(l, _ND) or l.ndim < r.ndim:
+                    return ufunc(l, r.view(_ND)).view(MemberBatch)
             else:
-                return pyop(l, r)
+                return scalar_op(l, r)
             return ufunc(*lift_batches((l, r))).view(MemberBatch)
 
         return run
 
+    def _build_literal_binop(self, node, scalar_op, ufunc):
+        """A binary operator with a literal operand: nothing to check or
+        lift, and batches meet the literal as a 0-d array, which numpy
+        takes without a Python-scalar conversion per call (and which
+        promotes exactly like the literal)."""
+        if type(node.right) is NumberLit:
+            operand = self.expr(node.left)
+            r = self.expr(node.right)(None)
+            r0 = np.array(r)
+
+            def run_right(frame):
+                l = operand(frame)
+                if type(l) is MemberBatch:
+                    return ufunc(l.view(_ND), r0).view(MemberBatch)
+                return scalar_op(l, r)
+
+            return run_right
+        operand = self.expr(node.right)
+        l = self.expr(node.left)(None)
+        l0 = np.array(l)
+
+        def run_left(frame):
+            r = operand(frame)
+            if type(r) is MemberBatch:
+                return ufunc(l0, r.view(_ND)).view(MemberBatch)
+            return scalar_op(l, r)
+
+        return run_left
+
+    def _build_divide_or_power(self, node):
+        """``/`` and ``**`` without flush-to-zero: on batches, one ufunc
+        call on plain operands — a float division is ``np.true_divide``
+        and a power ``np.power``, with an integer exponent as a Python int
+        as the FPU passes it; integer division keeps the FPU's
+        truncation."""
+        fpu = self.interp.fpu
+        power = node.op == "**"
+        scalar = (FPU.pow if power else FPU.div).__get__(fpu)
+        left = self.expr(node.left)
+        right = self.expr(node.right)
+
+        def run(frame):
+            l = left(frame)
+            r = right(frame)
+            if type(l) is MemberBatch:
+                batch = l
+            elif type(r) is MemberBatch:
+                batch = r
+            else:
+                return scalar(l, r)
+            a, b = _plain_pair(l, r)
+            if power:
+                if isinstance(b, (int, np.integer)):
+                    b = int(b)
+                return np.power(a, b).view(MemberBatch)
+            if batch.dtype.kind != "f":
+                return scalar(a, b).view(MemberBatch)
+            return np.true_divide(a, b).view(MemberBatch)
+
+        return run
+
     def _build_unary(self, node):
-        if node.op != "-":
+        if node.op not in ("-", ".not."):
             return NodeCompiler._build_unary(self, node)
         operand = self.expr(node.operand)
+        if node.op == "-":
+            negate = self._negate
+            return lambda frame: negate(operand(frame))
 
         def run(frame):
             value = operand(frame)
             if type(value) is MemberBatch:
-                return np.negative(value.view(np.ndarray)).view(MemberBatch)
-            return -value
+                return np.logical_not(value.view(_ND)).view(MemberBatch)
+            if isinstance(value, np.ndarray):
+                return np.logical_not(value)
+            return not value
 
         return run
 
-    @staticmethod
-    def _load_element(container, index: tuple):
-        if type(container) is not MemberBatch:
-            return NodeCompiler._load_element(container, index)
-        value = container.view(np.ndarray)[(slice(None),) + index]
-        if value.ndim == 1:
-            # a fully indexed element loads by value: the batch scalar
-            # must not alias the array's storage
-            value = value.copy()
-        return value.view(MemberBatch)
+    def _build_element_load(self, args):
+        plain_load = NodeCompiler._build_element_load(self, args)
+        index_fn = self._build_index(args, member_axis=True)
+
+        def load(container, frame):
+            if type(container) is not MemberBatch:
+                return plain_load(container, frame)
+            # a view: every store copies it, and an if-condition copies
+            # it before it becomes a member mask
+            return _getitem(container, index_fn(frame))
+
+        return load
 
     # ------------------------------------------------------- accounting
     def _account_fn(self, node: Stmt) -> Callable[[], None]:
+        """One statement execution: budget check, then the member-masked
+        statement and coverage counts."""
         interp = self.interp
-        base_account = NodeCompiler._account_fn(self, node)
         loc = node.location
         key = (loc.filename, loc.line) if loc.line > 0 else None
-        cov = interp._cov_counts
+        cov = interp._cov_counts if key is not None else None
         limit = interp.max_statements
 
         def account():
-            mask = interp._mask
-            if mask is None:
-                base_account()
-                return
             n = interp.statements_executed + 1
             interp.statements_executed = n
             if n > limit:
@@ -390,12 +493,41 @@ class VecNodeCompiler(NodeCompiler):
                     f"statement budget of {limit} exhausted "
                     f"(possible runaway loop at {loc})"
                 )
+            mask = interp._mask
+            if mask is None:
+                if cov is not None:
+                    cov[key] = cov.get(key, 0) + 1
+                return
             mi = mask.astype(np.int64)
             interp._extra_statements += mi - 1
-            if cov is not None and key is not None:
+            if cov is not None:
                 cov[key] = cov.get(key, 0) + mi
 
         return account
+
+    def _build_assignment(self, node) -> Callable:
+        """An assignment is one closure: an unmasked execution under budget
+        counts itself inline, anything else through its account
+        closure."""
+        interp = self.interp
+        account = self._account_fn(node)
+        value_fn = self.expr(node.value)
+        store_fn = self._build_store(node.target)
+        loc = node.location
+        key = (loc.filename, loc.line) if loc.line > 0 else None
+        cov = interp._cov_counts if key is not None else None
+        limit = interp.max_statements
+
+        def run(frame):
+            if interp._mask is None and interp.statements_executed < limit:
+                interp.statements_executed += 1
+                if cov is not None:
+                    cov[key] = cov.get(key, 0) + 1
+            else:
+                account()
+            store_fn(frame, value_fn(frame))
+
+        return run
 
     # ----------------------------------------------------- control flow
     def _build_if(self, node: IfBlock) -> Callable:
@@ -418,7 +550,7 @@ class VecNodeCompiler(NodeCompiler):
                         # member-divergent condition: the batch collapses to
                         # masked execution here; counted for `vec.mask_collapses`
                         interp.mask_divergences += 1
-                        cond = np.asarray(cond, dtype=bool)
+                        cond = np.array(cond, dtype=bool)
                         if (
                             cond.ndim != 1
                             or cond.shape[0] != interp.n_members
@@ -479,123 +611,22 @@ class VecNodeCompiler(NodeCompiler):
 
         return run
 
-    def _build_do(self, node: DoLoop) -> Callable:
-        interp = self.interp
-        account = self._account_fn(node)
-        start_fn = self.expr(node.start)
-        stop_fn = self.expr(node.stop)
-        step_fn = None if node.step is None else self.expr(node.step)
-        body_fns = self.body(node.body)
-        var = node.var
+    def _control_value(self, node, what: str) -> Callable:
         loc = node.location
 
-        def uniform(value):
-            # int() on a promoted batch scalar yields a batch even when
-            # every member agrees: collapse value-uniform bounds, refuse
-            # genuinely member-varying ones
+        def check(value):
             if not isinstance(value, np.ndarray):
                 return value
-            base = np.asarray(value)
-            first = base.flat[0]
-            if base.ndim != 1 or not bool(np.all(base == first)):
-                raise VectorizationError(
-                    f"member-varying do-loop bounds at {loc}"
-                )
-            return first.item()
+            if what == "do-loop bounds":
+                # int() on a promoted batch scalar yields a batch even when
+                # every member agrees: value-uniform bounds collapse
+                plain = np.asarray(value)
+                first = plain.flat[0]
+                if plain.ndim == 1 and bool(np.all(plain == first)):
+                    return first.item()
+            raise VectorizationError(f"member-varying {what} at {loc}")
 
-        def run(frame):
-            account()
-            start = uniform(start_fn(frame))
-            stop = uniform(stop_fn(frame))
-            step = uniform(step_fn(frame)) if step_fn is not None else 1
-            if step == 0:
-                raise FortranRuntimeError(f"zero do-loop step at {loc}")
-            found = interp._lookup_var(frame, var)
-            scope = found[0] if found is not None else frame.scope
-            var_name = found[1] if found is not None else var
-            count = int(np.trunc((stop - start + step) / step))
-            if count < 0:
-                count = 0
-            value = start
-            completed = True
-            store = scope.store
-            for _ in range(count):
-                store(var_name, value)
-                try:
-                    for fn in body_fns:
-                        fn(frame)
-                except _Cycle:
-                    pass
-                except _Exit:
-                    completed = False
-                    break
-                value = value + step
-            if completed:
-                store(var_name, start + count * step)
-
-        return run
-
-    def _build_do_while(self, node: DoWhile) -> Callable:
-        account = self._account_fn(node)
-        cond_fn = self.expr(node.condition)
-        body_fns = self.body(node.body)
-        loc = node.location
-
-        def run(frame):
-            account()
-            while True:
-                cond = cond_fn(frame)
-                if isinstance(cond, np.ndarray):
-                    raise VectorizationError(
-                        f"member-varying do-while condition at {loc}"
-                    )
-                if not cond:
-                    break
-                try:
-                    for fn in body_fns:
-                        fn(frame)
-                except _Cycle:
-                    continue
-                except _Exit:
-                    break
-                account()  # charge each condition re-evaluation
-
-        return run
-
-    def _build_select(self, node: SelectCase) -> Callable:
-        account = self._account_fn(node)
-        selector_fn = self.expr(node.selector)
-        loc = node.location
-        compiled_cases: list[tuple[Optional[list], list[Callable]]] = []
-        for items, body in node.cases:
-            if items is None:
-                compiled_cases.append((None, self.body(body)))
-                continue
-            matchers = [self._build_case_item(item) for item in items]
-            compiled_cases.append((matchers, self.body(body)))
-
-        def run(frame):
-            account()
-            selector = selector_fn(frame)
-            if isinstance(selector, np.ndarray):
-                raise VectorizationError(
-                    f"member-varying select-case selector at {loc}"
-                )
-            default_fns = None
-            for matchers, body_fns in compiled_cases:
-                if matchers is None:
-                    default_fns = body_fns
-                    continue
-                for matches in matchers:
-                    if matches(selector, frame):
-                        for fn in body_fns:
-                            fn(frame)
-                        return
-            if default_fns is not None:
-                for fn in default_fns:
-                    fn(frame)
-
-        return run
+        return check
 
     def _build_where(self, node: WhereBlock) -> Callable:
         interp = self.interp
@@ -605,8 +636,6 @@ class VecNodeCompiler(NodeCompiler):
         def compile_masked(body):
             items = []
             for stmt in body:
-                from ..fortran.ast_nodes import Assignment
-
                 if not isinstance(stmt, Assignment):
                     raise FortranRuntimeError(
                         "only assignments are supported inside where blocks "
@@ -640,10 +669,10 @@ class VecNodeCompiler(NodeCompiler):
                 if isinstance(target, MemberBatch):
                     tbase = np.asarray(target)
                     tmodel = tbase.ndim - 1
-                    where, v = lift_batches((mask_val, value), tmodel)
+                    where, v = _plain((mask_val, value), tmodel)
                     where = np.asarray(where, dtype=bool)
                     if member is not None:
-                        where = where & lift_batches(
+                        where = where & _plain(
                             (member.view(MemberBatch),), tmodel
                         )[0]
                     np.copyto(tbase, v, where=where, casting="unsafe")
@@ -669,11 +698,12 @@ class VecNodeCompiler(NodeCompiler):
             mask_val = mask_fn(frame)
             exec_masked(body_items, mask_val, frame)
             if else_items:
-                inverted = (
-                    np.logical_not(mask_val)
-                    if isinstance(mask_val, np.ndarray)
-                    else not mask_val
-                )
+                if type(mask_val) is MemberBatch:
+                    inverted = np.logical_not(mask_val.view(_ND)).view(MemberBatch)
+                elif isinstance(mask_val, np.ndarray):
+                    inverted = np.logical_not(mask_val)
+                else:
+                    inverted = not mask_val
                 exec_masked(else_items, inverted, frame)
 
         return run
@@ -685,104 +715,86 @@ class VecNodeCompiler(NodeCompiler):
         cell: list[tuple] = []
 
         def store(frame, value):
-            mask = interp._mask
-            current_scope = frame.scope
+            scope = frame.scope
             rname = name
-            if name not in current_scope.values:
+            current = scope.values.get(name, _MISSING)
+            if current is _MISSING:
                 if cell:
-                    current_scope, rname = cell[0]
+                    scope, rname = cell[0]
                 else:
                     found = interp._lookup_nonlocal(frame, name)
                     if found is not None:
-                        current_scope, rname = found
+                        scope, rname = found
                         cell.append(found)
-            current = current_scope.values.get(rname, _MISSING)
-            if (
-                mask is None
-                and not isinstance(value, MemberBatch)
-                and not isinstance(current, MemberBatch)
-            ):
+                current = scope.values.get(rname, _MISSING)
+            mask = interp._mask
+            if type(current) is MemberBatch:
+                if rname in scope.readonly:
+                    raise IntentViolationError(
+                        f"cannot assign to read-only name {rname!r} in scope "
+                        f"{scope.name!r}"
+                    )
+                if mask is None and (
+                    value.ndim == current.ndim
+                    if type(value) is MemberBatch
+                    else not isinstance(value, _ND)
+                ):
+                    current.view(_ND)[...] = value
+                    return
+                interp._store_into_array(current, None, value, mask, rname)
+                return
+            if mask is None and type(value) is not MemberBatch:
                 base_store(frame, value)
                 return
             if current is _MISSING:
-                current_scope = frame.scope
+                scope = frame.scope
                 rname = name
-                current_scope.define(name, 0)
+                scope.define(name, 0)
                 current = 0
-            interp._store_slot(current_scope, rname, current, value, mask)
+            interp._store_slot(scope, rname, current, value, mask)
 
         return store
 
-    def _build_store_element(self, target: Apply) -> Callable:
+    def _build_store_into(self, args, what: Optional[str] = None) -> Callable:
         interp = self.interp
-        find = self._build_find_array(target.name)
-        index_fn = self._build_index(target.args)
+        index_fn = self._build_index(args)
+        batch_index = self._build_index(args, member_axis=True)
+        element = not any(isinstance(a, SectionRange) for a in args)
 
-        def store(frame, value):
-            scope, rname, container = self._found_array(find, frame, target)
-            index = index_fn(frame)
-            if rname in scope.readonly:
+        def store(array, frame, value, guard, name):
+            batch = type(array) is MemberBatch
+            index = batch_index(frame) if batch else index_fn(frame)
+            if guard is not None and name in guard:
                 raise IntentViolationError(
-                    f"cannot assign through read-only name {rname!r}"
+                    f"cannot assign through read-only name {name!r}"
                 )
+            if batch and element and interp._mask is None and (
+                value.ndim == 1
+                if type(value) is MemberBatch
+                else not isinstance(value, _ND)
+            ):
+                # an unmasked batch scalar or scalar into one element
+                array.view(_ND)[index] = value
+                return
             interp._store_into_array(
-                container, index, value, interp._mask, rname
+                array, index[1:] if batch else index, value, interp._mask,
+                what or name,
             )
 
         return store
 
-    def _build_store_component(self, target: DerivedRef) -> Callable:
-        interp = self.interp
-        root = target
-        while isinstance(root, DerivedRef):
-            root = root.base
-        root_name = root.name if isinstance(root, (VarRef, Apply)) else ""
-        base_fn = self.expr(target.base)
-        component = target.component
-        index_fn = self._build_index(target.args) if target.args else None
-
-        def store(frame, value):
-            guard = None
-            if root_name:
-                found = interp._lookup_var(frame, root_name)
-                if found is not None:
-                    guard = found[0].readonly
-            base = base_fn(frame)
-            if not isinstance(base, DerivedValue):
-                raise FortranRuntimeError(
-                    f"component reference into non-derived value "
-                    f"{component!r}"
-                )
-            mask = interp._mask
-            if index_fn is not None:
-                array = base.get(component)
-                if not isinstance(array, np.ndarray):
-                    raise FortranRuntimeError(
-                        f"subscripted non-array component {component!r}"
-                    )
-                index = index_fn(frame)
-                if guard is not None and root_name in guard:
-                    raise IntentViolationError(
-                        f"cannot assign through read-only name {root_name!r}"
-                    )
-                interp._store_into_array(array, index, value, mask, component)
-                return
-            if guard is not None and root_name in guard:
-                raise IntentViolationError(
-                    f"cannot assign through read-only name {root_name!r}"
-                )
-            current = base.get(component)
-            if isinstance(current, np.ndarray):
-                interp._store_into_array(current, None, value, mask, component)
-                return
-            if isinstance(value, MemberBatch) or mask is not None:
-                raise VectorizationError(
-                    f"member-varying store into scalar component "
-                    f"{component!r}"
-                )
-            base.set(component, value)
-
-        return store
+    def _set_component(self, base, component, value):
+        current = base.get(component)
+        if isinstance(current, np.ndarray):
+            self.interp._store_into_array(
+                current, None, value, self.interp._mask, component
+            )
+            return
+        if isinstance(value, MemberBatch) or self.interp._mask is not None:
+            raise VectorizationError(
+                f"member-varying store into scalar component {component!r}"
+            )
+        base.set(component, value)
 
 
 # --------------------------------------------------------------------------- #
@@ -843,7 +855,8 @@ class VecInterpreter(Interpreter):
                 MemberBatch
             )
             if entity.init is not None:
-                array[...] = self.eval(entity.init, frame)
+                value = self.eval(entity.init, frame)
+                self._store_into_array(array, None, value, None)
             return array
         return super()._create_value(frame, decl, entity)
 
@@ -881,6 +894,13 @@ class VecInterpreter(Interpreter):
                 raise VectorizationError(
                     f"member-varying store into non-numeric scalar {rname!r}"
                 )
+            if (
+                mask is None
+                and value.ndim == 1
+                and value.dtype.type is dtype
+            ):
+                scope.store(rname, value.copy())
+                return
             new = np.empty(self.n_members, dtype=dtype)
             # numpy's unsafe float->int cast truncates toward zero, the
             # same coercion the scalar runtime applies per element
@@ -915,9 +935,7 @@ class VecInterpreter(Interpreter):
                     (value,) = lift_batches((value,), dest.ndim - 1)
                 dest[...] = value
                 return
-            where, v = lift_batches(
-                (mask.view(MemberBatch), value), dest.ndim - 1
-            )
+            where, v = _plain((mask.view(MemberBatch), value), dest.ndim - 1)
             np.copyto(dest, v, where=where, casting="unsafe")
             return
         if isinstance(value, MemberBatch) or mask is not None:

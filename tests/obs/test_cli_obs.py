@@ -83,6 +83,14 @@ class TestTracedRun:
             f"stage:{s['name']}" for s in doc["stages"]
         }
         assert names.count("ensemble.member") >= 6
+        # member-cache I/O has its own spans, with the bytes moved (a load
+        # that finds no entry reads 0)
+        for name in ("member_cache.load", "member_cache.store"):
+            assert all("bytes" in s.attrs for s in spans if s.name == name)
+        assert names.count("member_cache.load") >= 6
+        stores = [s.attrs["bytes"] for s in spans
+                  if s.name == "member_cache.store"]
+        assert len(stores) >= 6 and min(stores) > 0
         # stage records link back into the trace by span id
         trace_ids = {s.span_id for s in spans}
         for stage in doc["stages"]:
@@ -113,7 +121,8 @@ class TestTracedRun:
             ["trace", "chrome", trace_path, "--out", out_path]
         )
         assert code == 0
-        events = json.loads(open(out_path).read())
+        with open(out_path) as handle:
+            events = json.loads(handle.read())
         assert events and all(e["ph"] == "X" for e in events)
 
     def test_markdown_run_prints_profile_tables(self, store):

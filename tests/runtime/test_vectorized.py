@@ -4,9 +4,11 @@ Three layers of conformance:
 
 * the batched PRNG reproduces each member's scalar stream exactly;
 * ``run_model_batch`` over the real model — control, every registered
-  bug patch, and the FMA floating-point mode — matches per-member
-  ``run_model`` on outputs, first-write snapshots, coverage counts,
-  statement accounting and draw counts;
+  bug patch, and the FMA floating-point mode, plus batches as wide as the
+  model's own axes — matches per-member ``run_model`` on outputs,
+  first-write snapshots, coverage counts, statement accounting and draw
+  counts, without one batch operation reaching a ``MemberBatch``
+  override;
 * masked-divergence semantics over synthetic sources: ``if`` blocks whose
   conditions vary per member blend stores correctly (including scalar-slot
   promotion and nested divergence), and the safety rails refuse the
@@ -32,6 +34,7 @@ from repro.runtime import (
     run_model_batch,
 )
 from repro.runtime.prng import BatchedPRNGStreams, PRNGStreams
+from repro.runtime.values import lift_batches
 from repro.runtime.vec import VecInterpreter
 
 SEEDS = [101, 202, 303]
@@ -106,8 +109,28 @@ CASES = {
 }
 
 
+#: the ``MemberBatch`` methods a batch operation the vectorized compiler
+#: does not cover would reach (each raises ``VectorizationError``)
+OVERRIDES = ("__array_ufunc__", "__getitem__", "__setitem__")
+
+
+@pytest.fixture
+def override_calls(monkeypatch):
+    """Every call that reaches a ``MemberBatch`` override, by name."""
+    calls = []
+    for name in OVERRIDES:
+        guard = getattr(MemberBatch, name)
+
+        def counting(self, *args, _name=name, _guard=guard, **kwargs):
+            calls.append(_name)
+            return _guard(self, *args, **kwargs)
+
+        monkeypatch.setattr(MemberBatch, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_batch_matches_scalar_bit_for_bit(case):
+def test_batch_matches_scalar_bit_for_bit(case, override_calls):
     model, fp = CASES[case]
     source = build_model_source(model)
     configs = [
@@ -117,6 +140,25 @@ def test_batch_matches_scalar_bit_for_bit(case):
     batch = run_model_batch(configs, source=source)
     for config, batched in zip(configs, batch):
         _assert_member_matches(run_model(config, source=source), batched)
+    assert override_calls == []
+
+
+@pytest.mark.parametrize("fp", [FPConfig(), FPConfig(fma=True)],
+                         ids=["default", "fma"])
+@pytest.mark.parametrize("width", [8, 16], ids=["pver", "pcols"])
+def test_batch_matches_scalar_at_model_extents(width, fp, override_calls):
+    """A batch of ``pver`` or ``pcols`` members has a member axis as long
+    as a model axis, so a member axis taken for a model axis would
+    broadcast silently here instead of raising."""
+    source = build_model_source(ModelConfig())
+    configs = [
+        RunConfig(nsteps=2, pertlim=1e-14 * (m + 1), seed=700 + 13 * m, fp=fp)
+        for m in range(width)
+    ]
+    batch = run_model_batch(configs, source=source)
+    for config, batched in zip(configs, batch):
+        _assert_member_matches(run_model(config, source=source), batched)
+    assert override_calls == []
 
 
 def test_batch_validates_uniformity():
@@ -425,7 +467,10 @@ class TestMemberBatchLane:
 #: a rank-1 batch, batch x member-uniform INTEGER array, literal x batch, a
 #: comparison that splits an ``if`` between members, unary minus,
 #: mixed-rank max/min, and an element load stored elsewhere (which must
-#: not alias the array)
+#: not alias the array); ``logic`` covers ``.not.`` of a function result,
+#: ``.and.``/``.or.``, ``merge`` and elementwise intrinsics on batches, and
+#: ``flip`` an if-condition element its own branch overwrites (the member
+#: mask must not alias the array)
 ARITH_SRC = """
 module arith
   implicit none
@@ -474,6 +519,36 @@ contains
     k = int(x)
     y = k / 2
   end function halve
+
+  function positive(x) result(p)
+    real, intent(in) :: x
+    logical :: p
+    p = x > 1.0
+  end function positive
+
+  function logic(x) result(y)
+    real, intent(in) :: x
+    real :: y
+    logical :: p, q
+    p = .not. positive(x)
+    q = p .or. (x > 2.0)
+    y = merge(1.0, 0.0, q .and. (x < 2.5))
+    if (.not. q) y = y + 10.0
+    y = y + exp(x) + abs(-x) + mod(x, 0.7) + sign(1.5, -x) + x**2
+  end function logic
+
+  function flip(x) result(y)
+    real, intent(in) :: x
+    real :: y
+    logical :: f(2)
+    f(1) = x > 1.0
+    f(2) = .false.
+    y = 0.0
+    if (f(1)) then
+      f(1) = .false.
+      y = 1.0
+    end if
+  end function flip
 end module arith
 """
 
@@ -485,38 +560,76 @@ FP_MODES = pytest.mark.parametrize(
 
 
 @FP_MODES
-@pytest.mark.parametrize("function", ["mix", "halve"])
+@pytest.mark.parametrize("function", ["mix", "halve", "logic", "flip"])
 def test_compiled_arithmetic_matches_scalar_member_by_member(fp, function):
     from repro.runtime.interpreter import Interpreter
 
-    xs = [0.5, 1.5, 3.0] if function == "mix" else [3.0, 5.0, 7.0]
-    got = VecInterpreter.from_source(ARITH_SRC, seeds=[1, 2, 3], fp=fp).call(
-        "arith", function, [_batch(xs)]
-    )
+    xs = [3.0, 5.0, 7.0] if function == "halve" else [0.5, 1.5, 3.0]
+    interp = VecInterpreter.from_source(ARITH_SRC, seeds=[1, 2, 3], fp=fp)
+    got = interp.call("arith", function, [_batch(xs)])
     for m, x in enumerate(xs):
-        want = Interpreter.from_source(ARITH_SRC, fp=fp).call(
-            "arith", function, [x]
-        )
+        scalar = Interpreter.from_source(ARITH_SRC, fp=fp)
+        want = scalar.call("arith", function, [x])
         assert np.asarray(got)[m] == want, (m, x)
+        # each operand is evaluated once: a function operand's statements
+        # count once per member
+        assert interp.member_statements(m) == scalar.statements_executed
     if function == "halve":
         # Fortran integer division truncates each member toward zero
         np.testing.assert_array_equal(np.asarray(got), [1.0, 2.0, 3.0])
 
 
 @FP_MODES
-def test_control_pass_stays_off_the_array_ufunc_path(fp, monkeypatch):
-    """Compiled arithmetic and the FPU lift batches themselves, so the
-    ``MemberBatch.__array_ufunc__`` detour serves only uncompiled sites."""
-    calls = []
-    general = MemberBatch.__array_ufunc__
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return general(self, *args, **kwargs)
-
-    monkeypatch.setattr(MemberBatch, "__array_ufunc__", counting)
+def test_control_pass_stays_off_the_array_ufunc_path(fp, override_calls):
+    """Compiled closures strip, subscript and lift batches themselves, so
+    no operation of a pass reaches a ``MemberBatch`` override."""
     configs = [
         RunConfig(nsteps=1, pertlim=1e-14, seed=s, fp=fp) for s in SEEDS
     ]
     run_model_batch(configs)
-    assert len(calls) < 5_000
+    assert override_calls == []
+
+
+@FP_MODES
+def test_lifting_runs_only_where_model_ranks_differ(fp, monkeypatch):
+    """Operands of one model rank only lose their batch marker: every
+    ``lift_batches`` call of a pass has a batch to lift."""
+    from repro.runtime import vec
+
+    lifts = []
+
+    def checked(values, model_ndim=None):
+        ranks = [v.ndim - isinstance(v, MemberBatch) for v in values
+                 if isinstance(v, np.ndarray)]
+        top = max(ranks) if model_ndim is None else model_ndim
+        assert any(isinstance(v, MemberBatch) and v.ndim <= top
+                   for v in values), ranks
+        lifts.append(ranks)
+        return lift_batches(values, model_ndim)
+
+    monkeypatch.setattr(vec, "lift_batches", checked)
+    configs = [
+        RunConfig(nsteps=1, pertlim=1e-14, seed=s, fp=fp) for s in SEEDS
+    ]
+    run_model_batch(configs)
+    # the synthetic source mixes a rank-2 and a rank-1 batch, which lifts
+    VecInterpreter.from_source(ARITH_SRC, seeds=[1, 2, 3], fp=fp).call(
+        "arith", "mix", [_batch([0.5, 1.5, 3.0])]
+    )
+    assert lifts
+
+
+def test_uncovered_batch_operations_raise():
+    """``MemberBatch`` keeps no arithmetic: a ufunc, subscript or
+    subscripted store on the marked array raises, so an uncovered site
+    falls back to the serial interpreter instead of broadcasting members
+    against model axes."""
+    batch = _batch([1.0, 2.0, 3.0])
+    for operation in (
+        lambda: np.add(batch, 1.0),
+        lambda: batch * 2.0,
+        lambda: batch[0],
+        lambda: batch.__setitem__(0, 1.0),
+    ):
+        with pytest.raises(VectorizationError, match="uncompiled"):
+            operation()
