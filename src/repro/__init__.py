@@ -7,7 +7,6 @@ climate model:
 * :mod:`repro.fortran` — Fortran-subset front end (preprocessor, lexer, parser).
 * :mod:`repro.model` — the synthetic CAM-like model source and bug patches.
 * :mod:`repro.runtime` — numerical interpreter, FPU/FMA model, PRNGs, coverage.
-* :mod:`repro.coverage` — codecov-style report writing/parsing and filtering.
 * :mod:`repro.kgen` — kernel extraction and normalized-RMS comparison.
 * :mod:`repro.ensemble` — accepted-ensemble and experimental-run generation.
 * :mod:`repro.ect` — UF-CAM-ECT style PCA consistency testing.
@@ -65,8 +64,6 @@ _LAZY_EXPORTS: dict[str, tuple[str, str]] = {
     # graph
     "MetaGraph": ("repro.graphs", "MetaGraph"),
     "build_metagraph": ("repro.graphs", "build_metagraph"),
-    # coverage reports
-    "CoverageReport": ("repro.coverage", "CoverageReport"),
     # ensemble / ECT / selection
     "Ensemble": ("repro.ensemble", "Ensemble"),
     "EnsembleSpec": ("repro.ensemble", "EnsembleSpec"),

@@ -244,7 +244,9 @@ class UltraFastECT:
                 for name in names:
                     violated.setdefault(name)
             z = self._standardize(vector)
-            var_fail_counts += (np.abs(z) > config.variable_sigma).astype(int)
+            # a non-finite deviation (a NaN output) exceeds every bound
+            exceeds = ~np.isfinite(z) | (np.abs(z) > config.variable_sigma)
+            var_fail_counts += exceeds.astype(int)
             scores = (z @ self.components.T) / self.score_std
             run_scores[i] = scores
             pc_fail_counts += (np.abs(scores) > config.sigma).astype(int)

@@ -34,7 +34,6 @@ from typing import Any
 
 __all__ = [
     "ArtifactError",
-    "CoverageReportError",
     "FortranFrontEndError",
     "FortranRuntimeError",
     "InfeasibleSelectionError",
@@ -69,7 +68,6 @@ _ERROR_EXPORTS: dict[str, tuple[str, str]] = {
     "FortranFrontEndError": ("repro.fortran.errors", "FortranFrontEndError"),
     "FortranRuntimeError": ("repro.runtime.values", "FortranRuntimeError"),
     "ArtifactError": ("repro.ensemble.artifact", "ArtifactError"),
-    "CoverageReportError": ("repro.coverage.report", "CoverageReportError"),
     "PatchError": ("repro.model.patches", "PatchError"),
     "UnknownPatchError": ("repro.model.patches", "UnknownPatchError"),
     "UnknownExperimentError": ("repro.experiments", "UnknownExperimentError"),

@@ -24,9 +24,10 @@ Two cache granularities cooperate:
   pipeline skips even the cheap recomputation and its records say so.
 
 The experimental runs collect coverage, and their merged trace is the
-executed-line evidence of the slice, selection and refinement stages
-(each falls back to it when given no other coverage): no stage runs the
-model just to collect coverage.
+executed-line evidence of the slice: no stage runs the model just to
+collect coverage.  ``ranked_slice`` is the only stage that slices; it
+stores one per-field module-depth table that ``selection`` and
+``refined`` score from.
 
 The pipeline pulls: a warm run decodes only the ``report`` entry, and
 every other stage is decoded on first access to its value (see
@@ -243,7 +244,7 @@ def make_experimental_runs_stage(
     """K held-out experimental runs of the (possibly patched) build.
 
     The runs always collect coverage: their merged trace is the executed-
-    line evidence of slicing, selection and refinement.  Runs the member
+    line evidence of the slice.  Runs the member
     cache lacks run together on ``backend`` (one member-batched pass by
     default), which stays out of the key as for ``control_ensemble``.
     """
@@ -334,7 +335,11 @@ def make_slice_stage(
     decay: float = 0.5,
     max_module_fraction: float = 0.45,
 ) -> Stage:
-    """The coverage-filtered ranked backward slice of the failing runs."""
+    """The coverage-filtered ranked backward slice of the failing runs.
+
+    The pipeline's one slice: its value carries the module-depth table of
+    every output field, which ``selection`` and ``refined`` score from.
+    """
 
     def func(
         ctx: StageContext,
@@ -407,32 +412,17 @@ def make_selection_stage(
     """Optimization-based culprit selection between slicing and refinement.
 
     Runs :func:`repro.selection.select_culprits`: robust evidence
-    selection over the ECT-failing variables, then the anchored
-    minimum-weight set cover over the ranked slice's candidate pool,
-    warm-started from the ``communities`` stage's partition.  The refine
-    stage consumes the result as its initial suspect set.
+    selection over the ranked slice's ECT-failing variable weights, then
+    the anchored minimum-weight set cover over its candidate pool and
+    depth table, warm-started from the ``communities`` stage's
+    partition.  The refine stage consumes the result as its initial
+    suspect set.
     """
     selection_spec = selection or SelectionSpec()
 
-    def func(
-        ctx: StageContext,
-        control_ensemble,
-        experimental_runs,
-        ect,
-        metagraph,
-        control_source,
-        ranked_slice,
-        communities,
-    ) -> SelectionResult:
+    def func(ctx: StageContext, ranked_slice, communities) -> SelectionResult:
         result = select_culprits(
-            control_ensemble,
-            experimental_runs,
-            graph=metagraph,
-            source=control_source,
-            ect_result=ect,
-            communities=communities,
-            ranked=ranked_slice,
-            spec=selection_spec,
+            ranked_slice, communities=communities, spec=selection_spec
         )
         ctx.annotate(
             selected_modules=len(result.modules),
@@ -445,15 +435,7 @@ def make_selection_stage(
     return Stage(
         name="selection",
         func=func,
-        inputs=(
-            "control_ensemble",
-            "experimental_runs",
-            "ect",
-            "metagraph",
-            "control_source",
-            "ranked_slice",
-            "communities",
-        ),
+        inputs=("ranked_slice", "communities"),
         params={"selection": selection_spec},
         **_codec(SelectionResult),
     )
@@ -464,7 +446,8 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
     """Algorithm 5.4 community-guided refinement of the ranked slice.
 
     The refiner fits on rows of the accepted ensemble already in memory,
-    so this stage touches no member artifact.
+    so this stage touches no member artifact, and scores modules from the
+    slice's depth table.
     """
     refine_config = refine or RefinementConfig()
 
@@ -474,18 +457,14 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
         selection,
         control_ensemble,
         experimental_runs,
-        metagraph,
-        control_source,
         communities,
     ) -> RefinementResult:
         result = refine_slice(
             ranked_slice,
             control_ensemble,
             experimental_runs,
-            config=refine_config,
-            graph=metagraph,
-            source=control_source,
             communities=communities,
+            config=refine_config,
             selection=selection,
         )
         ctx.annotate(
@@ -502,8 +481,6 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
             "selection",
             "control_ensemble",
             "experimental_runs",
-            "metagraph",
-            "control_source",
             "communities",
         ),
         params={"refine": refine_config},

@@ -9,8 +9,10 @@ signal intact, keeping the ones the signal collapses without.
 
 >>> from repro.ensemble import generate_ensemble
 >>> from repro.ect import UltraFastECT
->>> from repro.model import ModelConfig
+>>> from repro.model import ModelConfig, build_model_source
 >>> from repro.runtime import RunConfig, run_model
+>>> from repro.analysis import girvan_newman_communities, quotient_graph
+>>> from repro.graphs import build_metagraph
 >>> from repro.slicing import slice_failing_runs
 >>> from repro.refine import refine_slice
 >>> ens = generate_ensemble(n=30)
@@ -18,13 +20,15 @@ signal intact, keeping the ones the signal collapses without.
 >>> runs = [run_model(ens.spec.experimental_config(i, model=bad))
 ...         for i in range(3)]
 >>> verdict = UltraFastECT(ens).test(runs)       # inconsistent
->>> sl = slice_failing_runs(ens, runs, ect_result=verdict)
->>> result = refine_slice(sl, ens, runs)
+>>> graph = build_metagraph(build_model_source(ModelConfig()))
+>>> sl = slice_failing_runs(ens, runs, graph=graph, ect_result=verdict)
+>>> comms = girvan_newman_communities(quotient_graph(graph))
+>>> result = refine_slice(sl, ens, runs, communities=comms)
 >>> "microp_aero" in result and len(result) <= 10
 True
 
-:class:`IterativeRefinement` is the fitted object (control graph,
-communities, refinement ensemble) for refining many slices;
+:class:`IterativeRefinement` is the fitted object (communities,
+refinement ensemble) for refining many slices;
 :func:`refine_slice` the one-shot wrapper; :class:`RefinementConfig` the
 knobs; :class:`RefinementResult` the refined module set plus the full
 iteration trajectory.

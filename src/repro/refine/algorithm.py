@@ -11,8 +11,8 @@ the ones the failure signal does not need:
     :mod:`repro.analysis`) — scopes in one community share data tightly and
     are exonerated or retained together.
 2.  Fit on a *small* accepted ensemble — the first rows of the full one,
-    already in memory — and re-derive the per-variable deviation evidence
-    from it.
+    already in memory — re-derive the per-variable deviation evidence
+    from it, and score modules from the slice's depth table.
 3.  Iterate: sample a candidate scope subset from the weakest-evidence
     community chunk, project ensemble and experimental runs onto the output
     variables still attributable to the *remaining* suspects, and re-run
@@ -42,15 +42,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
+from ..analysis import CommunityResult
 from ..ect import EctConfig, EctResult, UltraFastECT
 from ..ensemble import Ensemble
 from ..ensemble.generate import FIRST_SUFFIX
-from ..graphs import MetaGraph, build_metagraph
 from ..obs import get_metrics, get_tracer
 from ..runtime import CoverageTrace
-from ..selection.evidence import EvidenceSelection
-from ..slicing import RankedSlice, slice_failing_runs, variable_weights
+from ..slicing import RankedSlice, module_scores, variable_weights
 
 __all__ = [
     "IterativeRefinement",
@@ -199,12 +197,12 @@ class RefinementResult:
 class IterativeRefinement:
     """Algorithm 5.4, fitted once and applicable to many failing slices.
 
-    Construction builds (or accepts) the control metagraph and its
-    quotient communities, and takes the small refinement ensemble as the
-    accepted ensemble's first ``config.members`` rows.  Member ``i``
-    derives from the spec's ``(base_seed, i)`` alone, so those rows are
-    exactly the members a ``config.members``-sized spec generates; they
-    are already in memory, so fitting runs and loads no model member.
+    Construction takes the control build's quotient ``communities`` and
+    the small refinement ensemble: the accepted ensemble's first
+    ``config.members`` rows.  Member ``i`` derives from the spec's
+    ``(base_seed, i)`` alone, so those rows are exactly the members a
+    ``config.members``-sized spec generates; they are already in memory,
+    so fitting runs and loads no model member.
 
     :meth:`refine` then runs the sampling loop for one
     :class:`~repro.slicing.RankedSlice` and its ECT-failing runs.
@@ -214,22 +212,12 @@ class IterativeRefinement:
         self,
         ensemble: Ensemble,
         *,
+        communities: CommunityResult,
         config: Optional[RefinementConfig] = None,
-        source=None,
-        graph: Optional[MetaGraph] = None,
-        communities: Optional[CommunityResult] = None,
     ):
         self.config = config or RefinementConfig()
         self.config.check_fits(ensemble.n_members)
         self.accepted = ensemble
-        if source is None:
-            from ..model.builder import build_model_source
-
-            source = build_model_source(ensemble.spec.model)
-        self.source = source
-        self.graph = graph if graph is not None else build_metagraph(source)
-        if communities is None:
-            communities = girvan_newman_communities(quotient_graph(self.graph))
         self.communities = communities
         k = self.config.members
         members = ensemble.members[:k]
@@ -300,15 +288,13 @@ class IterativeRefinement:
         slice_: RankedSlice,
         runs: Sequence,
         *,
-        coverage=None,
         selection=None,
     ) -> RefinementResult:
         """Shrink ``slice_`` by iterative exclusion testing (Algorithm 5.4).
 
         ``runs`` are the ECT-failing experimental runs the slice was built
-        from; ``coverage`` the executed-line evidence of the failing
-        configuration (falls back to the runs' merged traces, like the
-        slicer).  ``selection``, when given (a non-empty
+        from; the slice's depth table places every module relative to the
+        refinement evidence.  ``selection``, when given (a non-empty
         :class:`~repro.selection.SelectionResult`), warm-starts the loop:
         the initial suspects are the set-cover optimum instead of the full
         slice, so refinement begins at (often below) its target and spends
@@ -316,33 +302,19 @@ class IterativeRefinement:
         Deterministic for a fixed :class:`RefinementConfig`.
         """
         config = self.config
-        total = len(self.graph.modules())
+        total = slice_.total_modules
         target = max(1, math.floor(config.target_fraction * total))
 
-        # refreshed evidence from the refinement ensemble: weights first,
-        # then one slicer pass over exactly the top evidence variables
-        # (the `evidence=` injection point) for scores + depths
+        # refreshed evidence from the refinement ensemble: the strongest
+        # deviating variables, scored through the slice's depth table
         all_weights = variable_weights(self.ensemble, runs)
-        evidence = [
-            name
-            for name, _ in sorted(
-                all_weights.items(), key=lambda kv: (-kv[1], kv[0])
-            )[: config.evidence_variables]
-        ]
-        ranked = slice_failing_runs(
-            self.ensemble,
-            runs,
-            graph=self.graph,
-            source=self.source,
-            coverage=coverage,
-            decay=config.decay,
-            evidence=EvidenceSelection(variables=tuple(evidence)),
+        weights = dict(
+            sorted(all_weights.items(), key=lambda kv: (-kv[1], kv[0]))[
+                : config.evidence_variables
+            ]
         )
-        weights = ranked.variable_weights
-        depths = {
-            name: sl.module_depths() for name, sl in ranked.slices.items()
-        }
-        scores = dict(ranked.ranking)
+        depths = slice_.depths
+        scores = module_scores(depths, weights, config.decay)
 
         vectors = [self.ensemble.run_vector(run) for run in runs]
         baseline = self.scoped_verdict(
@@ -552,28 +524,20 @@ def refine_slice(
     ensemble: Ensemble,
     runs: Sequence,
     *,
+    communities: CommunityResult,
     config: Optional[RefinementConfig] = None,
-    graph: Optional[MetaGraph] = None,
-    source=None,
-    coverage=None,
-    communities: Optional[CommunityResult] = None,
     selection=None,
 ) -> RefinementResult:
     """One-shot Algorithm 5.4: fit :class:`IterativeRefinement` and refine.
 
-    Parameters mirror :func:`~repro.slicing.slice_failing_runs` —
     ``ensemble`` is the accepted ensemble (its first ``config.members``
     rows are the refinement ensemble), ``runs`` the ECT-failing
-    experimental runs, ``coverage`` the failing configuration's
-    executed-line evidence.  ``selection`` (a
+    experimental runs ``slice_`` was built from, ``communities`` the
+    control build's quotient communities.  ``selection`` (a
     :class:`~repro.selection.SelectionResult`) warm-starts the loop from
     the set-cover optimum — see :meth:`IterativeRefinement.refine`.
     """
     refiner = IterativeRefinement(
-        ensemble,
-        config=config,
-        source=source,
-        graph=graph,
-        communities=communities,
+        ensemble, communities=communities, config=config
     )
-    return refiner.refine(slice_, runs, coverage=coverage, selection=selection)
+    return refiner.refine(slice_, runs, selection=selection)

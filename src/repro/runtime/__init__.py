@@ -5,7 +5,7 @@ an AST-walking interpreter (:mod:`repro.runtime.interpreter`) runs over the
 *same* cached ASTs that :meth:`repro.model.builder.ModelSource.parse` shares
 with the metagraph builder, so numbers and digraph always describe one build.
 The stable entry point is :func:`run_model`; downstream modules
-(``repro.ensemble``, ``repro.ect``, ``repro.coverage``, ``repro.slicing``)
+(``repro.ensemble``, ``repro.ect``, ``repro.slicing``)
 consume only :class:`RunResult` and never touch evaluator internals.
 :func:`run_model_batch` (:mod:`repro.runtime.vec`) is the member-batched
 variant: one vectorized evaluation advances a whole ensemble and returns a

@@ -5,14 +5,12 @@ and uses the resulting per-line execution data to discard the large part of
 the compiled source that is never executed before building/slicing the
 digraph (§4.3, the 820 → ~230 module reduction).  :class:`CoverageTrace` is
 the runtime half of that step: the interpreter records every executed
-statement as a ``(filename, line) -> count`` entry; ``repro.coverage``
-turns traces into codecov-style :class:`~repro.coverage.CoverageReport`
-objects and ``repro.slicing`` filters backward slices against the
-executed lines.
+statement as a ``(filename, line) -> count`` entry, and ``repro.slicing``
+filters backward slices against the executed lines.
 
 Traces compare by value (bit-identical runs produce equal traces), merge
-across runs (ensemble members), and can be reduced to the per-file line sets
-a codecov-style report needs.
+across runs (ensemble members), and reduce to the per-file executed line
+sets the slice filter needs.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ small, exactly-solved combinatorial program:
    modules in, fewer exclusion iterations, tighter localizations out.
 
 >>> from repro.selection import SelectionSpec, select_culprits
->>> result = select_culprits(ensemble, failing_runs, graph=graph,
-...                          source=source, ect_result=verdict,
+>>> from repro.slicing import slice_failing_runs
+>>> ranked = slice_failing_runs(ensemble, failing_runs, ect_result=verdict)
+>>> result = select_culprits(ranked, communities=communities,
 ...                          spec=SelectionSpec())
 >>> result.modules  # minimum-weight cover, strongest evidence first
 """

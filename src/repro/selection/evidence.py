@@ -53,9 +53,7 @@ class EvidenceSelection:
 
     ``variables`` are ordered strongest evidence first (ties broken by
     name); ``anchors`` is the prefix of *strong* variables whose slice
-    neighbourhoods anchor the set-cover stage.  Also the replacement for
-    the deprecated ``slice_failing_runs(variables=...)`` kwarg — pass one
-    of these as ``evidence=`` instead.
+    neighbourhoods anchor the set-cover stage.
     """
 
     #: selected variable base names, ordered by (-weight, name)

@@ -1,15 +1,14 @@
 """``select_culprits``: evidence → anchored set cover → culprit modules.
 
 The orchestration layer of :mod:`repro.selection` and the programmatic
-face of the pipeline's ``selection`` stage.  Given the accepted ensemble
-and the ECT-failing runs, it
+face of the pipeline's ``selection`` stage.  Given the slicing stage's
+:class:`~repro.slicing.RankedSlice`, it
 
-1. derives per-variable deviation weights restricted to the ECT-failing
-   variables and runs the robust evidence selection
-   (:func:`repro.selection.select_affected_variables`);
-2. slices backward from exactly those variables
-   (``slice_failing_runs(evidence=...)``) for per-variable module depths,
-   module scores, and the ranked candidate pool;
+1. runs the robust evidence selection
+   (:func:`repro.selection.select_affected_variables`) over the slice's
+   ECT-failing variable weights;
+2. scores modules from exactly those variables through the slice's
+   per-variable depth table (:func:`repro.slicing.module_scores`);
 3. builds the anchored :class:`~repro.selection.setcover.SetCoverProblem`
    — candidates restricted to the ranked slice, coverage within
    ``depth_cap`` BFS levels, module weight ``1 / (1 + score)`` so strong
@@ -26,10 +25,10 @@ Instrumented via :mod:`repro.obs`: a ``selection.solve`` span plus the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from ..obs import get_metrics, get_tracer
-from ..slicing import slice_failing_runs, variable_weights
+from ..slicing import RankedSlice, module_scores
 from .evidence import EVIDENCE_METHODS, EvidenceSelection, select_affected_variables
 from .setcover import BranchAndBoundSolver, SetCoverProblem
 
@@ -134,38 +133,26 @@ class SelectionResult:
 
 
 def select_culprits(
-    ensemble,
-    runs: Sequence,
+    ranked: RankedSlice,
     *,
-    graph=None,
-    source=None,
-    coverage=None,
-    ect_result=None,
     communities=None,
-    ranked=None,
     spec: Optional[SelectionSpec] = None,
 ) -> SelectionResult:
-    """Optimization-based culprit selection for a set of ECT-failing runs.
+    """Optimization-based culprit selection over one ranked slice.
 
-    Parameters mirror :func:`repro.slicing.slice_failing_runs`;
-    additionally ``communities`` (a
-    :class:`~repro.analysis.CommunityResult`) guides the solver's greedy
-    warm start and ``ranked`` (the slicing stage's
-    :class:`~repro.slicing.RankedSlice`) restricts the candidate pool to
-    the slice — anchor modules stay candidates regardless, their
-    reachability constraint outranks the cap.  Deterministic for a fixed
+    ``ranked`` (the slicing stage's :class:`~repro.slicing.RankedSlice`)
+    supplies everything the cover needs: its ECT-failing
+    ``variable_weights`` are the evidence population, its ``depths``
+    table places every module relative to each evidence variable, and
+    its ``modules`` are the candidate pool — anchor modules stay
+    candidates regardless, their reachability constraint outranks the
+    cap.  ``communities`` (a :class:`~repro.analysis.CommunityResult`)
+    guides the solver's greedy warm start.  Deterministic for a fixed
     :class:`SelectionSpec`.
     """
     spec = spec or SelectionSpec()
-    if not runs:
-        raise ValueError("select_culprits needs at least one failing run")
-
-    failing = (
-        list(ect_result.failing_variables) if ect_result is not None else None
-    )
-    weights = variable_weights(ensemble, runs, failing)
     evidence = select_affected_variables(
-        weights,
+        ranked.variable_weights,
         method=spec.method,
         strength=spec.strength,
         min_variables=spec.min_variables,
@@ -175,23 +162,9 @@ def select_culprits(
     if not evidence.variables:
         return SelectionResult.empty(evidence)
 
-    # one slicer pass over exactly the selected evidence: per-variable
-    # depths + module scores.  ``ranked`` was sliced from the top-k most
-    # deviant variables, not from this evidence, so its slices differ
-    sliced = slice_failing_runs(
-        ensemble,
-        runs,
-        graph=graph,
-        source=source,
-        coverage=coverage,
-        evidence=evidence,
-    )
-    depths = {
-        name: sl.module_depths() for name, sl in sliced.slices.items()
-    }
-    scores = dict(sliced.ranking)
-
-    pool = None if ranked is None else set(ranked.modules)
+    depths = ranked.depths
+    scores = module_scores(depths, evidence.weights)
+    pool = set(ranked.modules)
     anchors: set[str] = set()
     for name in evidence.anchors:
         for module, depth in depths.get(name, {}).items():
@@ -205,7 +178,7 @@ def select_culprits(
             module
             for module, depth in depths.get(name, {}).items()
             if depth <= spec.depth_cap
-            and (pool is None or module in pool or module in anchors)
+            and (module in pool or module in anchors)
         }
         if near:
             coverers[name] = frozenset(near)

@@ -21,9 +21,12 @@ modules into a root-cause search space:
 True
 >>> sl.fraction < 0.5                     # ... and the space is halved
 True
+>>> sl.depths["WSUB"]["microp_aero"]      # one depth table, every field
+0
 
 :func:`backward_slice` is the underlying pure graph operation (reverse
-BFS with depths, coverage-filtered); :func:`output_field_seeds` maps
+BFS with depths, coverage-filtered); :func:`module_scores` the one
+scoring rule over a depth table; :func:`output_field_seeds` maps
 history field names to their ``outfld`` payload nodes.
 """
 
@@ -33,6 +36,7 @@ from .backward import (
     BackwardSlice,
     RankedSlice,
     backward_slice,
+    module_scores,
     slice_failing_runs,
     variable_weights,
 )
@@ -43,6 +47,7 @@ __all__ = [
     "RankedSlice",
     "backward_slice",
     "module_file_map",
+    "module_scores",
     "output_field_seeds",
     "slice_failing_runs",
     "variable_weights",

@@ -88,3 +88,18 @@ class TestVerdicts:
         assert not result.consistent
         implicated = " ".join(result.failing_variables)
         assert "RHPERT" in implicated
+
+    def test_nan_output_fails_the_gross_outlier_guard(
+        self, accepted_ensemble, ect
+    ):
+        """A NaN output fails no ``> sigma`` comparison and turns every PC
+        score of its run into NaN: the guard must count it as an
+        exceedance, so the field is flagged instead of passing."""
+        column = accepted_ensemble.variable_names.index("PRECT")
+        assert column not in ect._invariant_cols  # a varying field
+        vectors = accepted_ensemble.matrix[:3].copy()
+        vectors[:, column] = np.nan
+        result = ect.test(list(vectors))
+        assert not result.consistent, result.summary()
+        assert "PRECT" in result.outlier_variables
+        assert "PRECT" in result.failing_variables

@@ -91,6 +91,13 @@ class TestTracedRun:
         stores = [s.attrs["bytes"] for s in spans
                   if s.name == "member_cache.store"]
         assert len(stores) >= 6 and min(stores) > 0
+        # the cold run slices once, inside the ranked_slice stage, over
+        # every output field
+        slice_spans = [s for s in spans if s.name == "slicing.slice"]
+        assert len(slice_spans) == 1
+        by_id = {s.span_id: s for s in spans}
+        assert by_id[slice_spans[0].parent_id].name == "stage:ranked_slice"
+        assert slice_spans[0].attrs["fields"] == 40
         # stage records link back into the trace by span id
         trace_ids = {s.span_id for s in spans}
         for stage in doc["stages"]:

@@ -74,6 +74,18 @@ class TestRootCausePipeline:
         assert names[-1] == "report"
         assert "patched_source" in names  # wsubbug is a patched experiment
 
+    def test_only_ranked_slice_reads_the_graph(self):
+        """The slice is the tail's one graph walk: selection and refinement
+        score from its depth table, so neither reads the metagraph or the
+        control tree."""
+        pipeline = root_cause_pipeline(SMALL_EXPERIMENT)
+        assert pipeline.stage("selection").inputs == (
+            "ranked_slice", "communities"
+        )
+        refined = set(pipeline.stage("refined").inputs)
+        assert not refined & {"metagraph", "control_source"}
+        assert "metagraph" in pipeline.stage("ranked_slice").inputs
+
     def test_refinement_larger_than_accepted_fails_at_compile(self):
         # the default 16-member refinement ensemble needs 16 accepted rows
         with pytest.raises(ValueError, match="of 16 members .* of 6 members"):

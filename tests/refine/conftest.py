@@ -3,12 +3,13 @@
 The accepted 30-member ensemble comes from the session-scoped fixture in
 ``tests/conftest.py``; everything derived from the control model (source,
 metagraph, communities, the fitted refiner) is package-scoped, and the
-per-patch failing pipeline (runs, verdict, coverage, ranked slice) is
-memoized so the two test files never re-run a patch.
+per-patch failing pipeline (runs, verdict, ranked slice) is memoized so
+the two test files never re-run a patch.
 """
 
 import pytest
 
+from repro.analysis import girvan_newman_communities, quotient_graph
 from repro.ect import UltraFastECT
 from repro.graphs import build_metagraph
 from repro.model import ModelConfig, build_model_source, get_patch
@@ -41,18 +42,21 @@ def accepted_ect(accepted_ensemble_30):
 
 
 @pytest.fixture(scope="package")
-def refiner(accepted_ensemble_30, control_source, control_graph):
+def communities(control_graph):
+    return girvan_newman_communities(quotient_graph(control_graph))
+
+
+@pytest.fixture(scope="package")
+def refiner(accepted_ensemble_30, communities):
     """One fitted Algorithm 5.4 refiner shared by the whole suite."""
-    return IterativeRefinement(
-        accepted_ensemble_30, source=control_source, graph=control_graph
-    )
+    return IterativeRefinement(accepted_ensemble_30, communities=communities)
 
 
 @pytest.fixture(scope="package")
 def failing_case(
     accepted_ensemble_30, accepted_ect, control_source, control_graph
 ):
-    """``failing_case(patch)`` -> (runs, verdict, coverage, ranked slice)."""
+    """``failing_case(patch)`` -> (runs, verdict, ranked slice)."""
     spec = accepted_ensemble_30.spec
     cache = {}
 
@@ -81,7 +85,7 @@ def failing_case(
             coverage=coverage,
             ect_result=verdict,
         )
-        cache[patch] = (runs, verdict, coverage, ranked)
+        cache[patch] = (runs, verdict, ranked)
         return cache[patch]
 
     return build

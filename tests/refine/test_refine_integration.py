@@ -19,8 +19,8 @@ TARGET = 10
 def test_refinement_localizes_every_patch(
     patch, refiner, failing_case, file_modules
 ):
-    runs, _, coverage, ranked = failing_case(patch)
-    result = refiner.refine(ranked, runs, coverage=coverage)
+    runs, _, ranked = failing_case(patch)
+    result = refiner.refine(ranked, runs)
     patched_modules = file_modules[get_patch(patch).filename]
     assert any(m in result for m in patched_modules), (
         f"{patch}: none of {sorted(patched_modules)} survived refinement "
@@ -41,9 +41,9 @@ def test_refinement_localizes_every_patch(
 def test_refinement_is_deterministic_per_patch(
     patch, refiner, failing_case
 ):
-    runs, _, coverage, ranked = failing_case(patch)
-    first = refiner.refine(ranked, runs, coverage=coverage)
-    second = refiner.refine(ranked, runs, coverage=coverage)
+    runs, _, ranked = failing_case(patch)
+    first = refiner.refine(ranked, runs)
+    second = refiner.refine(ranked, runs)
     assert first.modules == second.modules
     assert [s.candidate for s in first.steps] == [
         s.candidate for s in second.steps
@@ -51,19 +51,12 @@ def test_refinement_is_deterministic_per_patch(
 
 
 def test_refine_slice_wrapper_matches_fitted_refiner(
-    refiner, accepted_ensemble_30, control_graph, control_source,
-    failing_case, file_modules,
+    refiner, accepted_ensemble_30, failing_case
 ):
-    runs, _, coverage, ranked = failing_case("wsubbug")
+    runs, _, ranked = failing_case("wsubbug")
     result = refine_slice(
-        ranked,
-        accepted_ensemble_30,
-        runs,
-        graph=control_graph,
-        source=control_source,
-        coverage=coverage,
-        communities=refiner.communities,
+        ranked, accepted_ensemble_30, runs, communities=refiner.communities
     )
-    fitted = refiner.refine(ranked, runs, coverage=coverage)
+    fitted = refiner.refine(ranked, runs)
     assert result.modules == fitted.modules
     assert "microp_aero" in result

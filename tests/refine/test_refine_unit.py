@@ -51,10 +51,14 @@ def test_refinement_ensemble_is_a_member_prefix(
     )
 
 
-def test_refinement_larger_than_accepted_is_rejected(accepted_ensemble_30):
+def test_refinement_larger_than_accepted_is_rejected(
+    accepted_ensemble_30, communities
+):
     config = RefinementConfig(members=31)
     with pytest.raises(ValueError, match="of 31 members .* of 30 members"):
-        IterativeRefinement(accepted_ensemble_30, config=config)
+        IterativeRefinement(
+            accepted_ensemble_30, communities=communities, config=config
+        )
 
 
 def test_scoped_ect_restricts_to_requested_variables(refiner):
@@ -84,8 +88,8 @@ def test_refine_refuses_to_prune_without_a_signal(
     good_runs = [
         run_model(spec.experimental_config(i)) for i in range(3)
     ]
-    _, _, coverage, ranked = failing_case("wsubbug")
-    result = refiner.refine(ranked, good_runs, coverage=coverage)
+    _, _, ranked = failing_case("wsubbug")
+    result = refiner.refine(ranked, good_runs)
     assert set(result.modules) == set(ranked.modules)
     assert result.steps == []
     assert result.verdict is None or result.verdict.consistent
@@ -97,7 +101,7 @@ def test_refine_never_prunes_scopes_it_cannot_test(
     """A suspect set outside every evidence slice (never-executed modules)
     leaves the exclusion test nothing to project onto: the refinement must
     mark such scopes essential instead of exonerating them untested."""
-    runs, _, coverage, ranked = failing_case("wsubbug")
+    runs, _, ranked = failing_case("wsubbug")
     config = dataclasses.replace(
         refiner.config,
         target_fraction=0.025,  # target of 1 forces the loop to the end
@@ -107,7 +111,7 @@ def test_refine_never_prunes_scopes_it_cannot_test(
         modules=["restart_mod", "seasalt_optics"],
         ranking=[("restart_mod", 2.0), ("seasalt_optics", 1.0)],
         variable_weights=dict(ranked.variable_weights),
-        slices=dict(ranked.slices),
+        depths=dict(ranked.depths),
         total_modules=ranked.total_modules,
     )
     # IterativeRefinement is not a dataclass: rebind the config on a copy
@@ -115,7 +119,7 @@ def test_refine_never_prunes_scopes_it_cannot_test(
 
     refiner2 = copy.copy(refiner)
     refiner2.config = config
-    result = refiner2.refine(tiny, runs, coverage=coverage)
+    result = refiner2.refine(tiny, runs)
     assert set(result.modules) == set(tiny.modules)  # nothing pruned
     assert all(step.action == "essential" for step in result.steps)
     assert all(step.consistent is None for step in result.steps)
@@ -124,9 +128,9 @@ def test_refine_never_prunes_scopes_it_cannot_test(
 
 
 def test_refine_is_deterministic_for_a_fixed_seed(refiner, failing_case):
-    runs, _, coverage, ranked = failing_case("wsubbug")
-    first = refiner.refine(ranked, runs, coverage=coverage)
-    second = refiner.refine(ranked, runs, coverage=coverage)
+    runs, _, ranked = failing_case("wsubbug")
+    first = refiner.refine(ranked, runs)
+    second = refiner.refine(ranked, runs)
     assert first.modules == second.modules
     assert [s.candidate for s in first.steps] == [
         s.candidate for s in second.steps
@@ -137,8 +141,8 @@ def test_refine_is_deterministic_for_a_fixed_seed(refiner, failing_case):
 
 
 def test_result_reporting_surface(refiner, failing_case):
-    runs, _, coverage, ranked = failing_case("wsubbug")
-    result = refiner.refine(ranked, runs, coverage=coverage)
+    runs, _, ranked = failing_case("wsubbug")
+    result = refiner.refine(ranked, runs)
     assert isinstance(result, RefinementResult)
     assert result.summary().startswith("RefinementResult(")
     assert len(result) == len(result.modules)

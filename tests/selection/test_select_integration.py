@@ -10,12 +10,12 @@ from repro.experiments import get_experiment
 from repro.pipeline import RootCauseAnalysis, root_cause_pipeline
 from repro.pipeline.store import decode_dataclass, encode_dataclass
 from repro.refine import RefinementConfig
-from repro.runtime import CoverageTrace
 from repro.selection import (
     SelectionResult,
     SelectionSpec,
     select_culprits,
 )
+from repro.slicing import module_scores
 
 SMALL_EXPERIMENT = get_experiment("wsubbug").with_(
     members=6, nsteps=1, refine=RefinementConfig(members=4)
@@ -100,28 +100,22 @@ class TestStage:
 class TestSelectCulprits:
     def test_is_deterministic_for_fixed_inputs(self, small_run):
         _, result = small_run
-        kwargs = dict(
-            graph=result["metagraph"],
-            source=result["control_source"],
-            coverage=CoverageTrace().merged(
-                *(run.coverage for run in result["experimental_runs"])
-            ),
-            ect_result=result["ect"],
-            ranked=result["ranked_slice"],
-        )
-        first = select_culprits(
-            result["control_ensemble"], result["experimental_runs"], **kwargs
-        )
-        second = select_culprits(
-            result["control_ensemble"], result["experimental_runs"], **kwargs
-        )
+        ranked, communities = result["ranked_slice"], result["communities"]
+        first = select_culprits(ranked, communities=communities)
+        second = select_culprits(ranked, communities=communities)
         assert first == second
         assert first.nodes_explored == second.nodes_explored
+        # the stage is exactly this call on its two inputs
+        assert first == result["selection"]
 
-    def test_requires_failing_runs(self, small_run):
+    def test_scores_come_from_the_slice_depth_table(self, small_run):
         _, result = small_run
-        with pytest.raises(ValueError, match="at least one failing run"):
-            select_culprits(result["control_ensemble"], [])
+        ranked, selection = result["ranked_slice"], result["selection"]
+        scores = module_scores(ranked.depths, selection.evidence.weights)
+        assert dict(selection.scores) == {
+            m: scores[m] for m in selection.modules
+        }
+        assert set(selection.evidence.variables) <= set(ranked.variable_weights)
 
     def test_round_trip(self, small_run):
         _, result = small_run

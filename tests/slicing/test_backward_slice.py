@@ -1,5 +1,7 @@
-"""Backward slicing: unit semantics on a toy graph, seeds, coverage filter."""
+"""Backward slicing: unit semantics on a toy graph, seeds, coverage filter,
+the scoring rule and the deviation weights."""
 
+import numpy as np
 import pytest
 
 from repro.graphs import MetaGraph, build_metagraph
@@ -9,7 +11,9 @@ from repro.runtime import CoverageTrace
 from repro.slicing import (
     backward_slice,
     module_file_map,
+    module_scores,
     output_field_seeds,
+    variable_weights,
 )
 
 
@@ -74,6 +78,70 @@ class TestBackwardSliceUnit:
         )
         assert sl.nodes == {("mod_b", "run", "c")}
         assert ("mod_b", "run", "b") in sl.unexecuted
+
+
+class TestModuleScores:
+    DEPTHS = {"A": {"m1": 0, "m2": 1}, "B": {"m2": 0, "m3": 2}}
+
+    def test_score_is_the_decayed_weighted_sum(self):
+        scores = module_scores(self.DEPTHS, {"A": 2.0, "B": 1.0}, 0.5)
+        assert scores == {"m1": 2.0, "m2": 2.0, "m3": 0.25}
+        assert module_scores(self.DEPTHS, {"A": 2.0}, 1.0) == {
+            "m1": 2.0, "m2": 2.0
+        }
+
+    def test_unknown_or_non_deviating_fields_contribute_nothing(self):
+        # a field without seed nodes has no depth entry, and a field that
+        # did not deviate has no weight
+        base = module_scores(self.DEPTHS, {"A": 1.0})
+        assert module_scores(self.DEPTHS, {"A": 1.0, "NOT_A_FIELD": 5.0}) == base
+        assert module_scores(self.DEPTHS, {"NOT_A_FIELD": 3.0}) == {}
+        assert module_scores(self.DEPTHS, {}) == {}
+
+    def test_terms_are_summed_in_weight_order(self):
+        depths = {name: {"m": 0} for name in "abc"}
+        weights = {"a": 1e16, "b": 1.0, "c": 1.0}
+        assert module_scores(depths, weights) == {"m": (1e16 + 1.0) + 1.0}
+        reordered = {"b": 1.0, "c": 1.0, "a": 1e16}
+        assert module_scores(depths, reordered) == {"m": (1.0 + 1.0) + 1e16}
+
+
+class FakeEnsemble:
+    """Two varying fields and one bit-invariant field (sd == 0)."""
+
+    variable_names = ["A", "A@first", "B", "C"]
+
+    def mean(self):
+        return np.array([1.0, 1.0, 2.0, 3.0])
+
+    def std(self):
+        return np.array([0.5, 0.0, 0.5, 0.0])
+
+    def run_vector(self, run):
+        return np.asarray(run, dtype=float)
+
+
+class TestVariableWeights:
+    BROKEN = float(np.log1p(1.0e6))
+
+    def test_deviations_are_log_damped_and_invariants_dominate(self):
+        run = [2.0, 1.0, 3.0, 3.5]
+        weights = variable_weights(FakeEnsemble(), [run])
+        assert weights == {
+            "A": float(np.log1p(2.0)),
+            "B": float(np.log1p(2.0)),
+            "C": self.BROKEN,
+        }
+        restricted = variable_weights(FakeEnsemble(), [run], ["A@first", "C"])
+        assert set(restricted) == {"A", "C"}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_weigh_as_broken_invariants(self, bad):
+        for column, name in ((0, "A"), (1, "A"), (2, "B"), (3, "C")):
+            run = [1.0, 1.0, 2.0, 3.0]
+            run[column] = bad
+            weights = variable_weights(FakeEnsemble(), [run])
+            assert weights == {name: self.BROKEN}, (column, weights)
 
 
 @pytest.fixture(scope="module")

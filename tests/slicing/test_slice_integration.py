@@ -7,14 +7,23 @@ coverage — and the resulting ranked module slice must contain the patched
 module while covering less than half of the graph's modules.
 """
 
+import functools
+
 import pytest
 
 from repro.ect import UltraFastECT
 from repro.ensemble import EnsembleSpec
 from repro.model import ModelConfig, build_model_source, get_patch, list_patches
+from repro.model.registry import iter_output_fields
 from repro.runtime import RunConfig, run_model
 from repro.graphs import build_metagraph
-from repro.slicing import module_file_map, slice_failing_runs
+from repro.slicing import (
+    backward_slice,
+    module_file_map,
+    module_scores,
+    output_field_seeds,
+    slice_failing_runs,
+)
 
 SPEC = EnsembleSpec(n_members=30, collect_coverage=False)
 
@@ -48,19 +57,28 @@ def file_modules(control_source):
     return out
 
 
-def patched_slice(patch, accepted_ensemble, ect, control_source, control_graph):
+@functools.lru_cache(maxsize=None)
+def patched_runs(patch):
     model = ModelConfig(patches=(patch,))
     patched_source = build_model_source(model)
-    runs = [
+    return tuple(
         run_model(SPEC.experimental_config(i, model=model), source=patched_source)
         for i in range(3)
-    ]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def failing_coverage(patch):
+    """The paper's coverage step: instrument the *failing* configuration."""
+    model = ModelConfig(patches=(patch,))
+    return run_model(RunConfig(model=model, nsteps=1)).coverage
+
+
+def patched_slice(patch, accepted_ensemble, ect, control_source, control_graph):
+    runs = list(patched_runs(patch))
     verdict = ect.test(runs)
     assert not verdict.consistent, f"{patch} must fail ECT before slicing"
-    # the paper's coverage step: instrument the *failing* configuration
-    coverage = run_model(
-        RunConfig(model=model, nsteps=1), source=patched_source
-    ).coverage
+    coverage = failing_coverage(patch)
     return slice_failing_runs(
         accepted_ensemble,
         runs,
@@ -98,53 +116,48 @@ def test_slice_is_ranked_and_reports_evidence(
     scores = [score for _, score in sl.ranking]
     assert scores == sorted(scores, reverse=True)
     # the most anomalous variable (bit-invariant violation) leads the
-    # evidence, and its slice descends to (module, scope) granularity
-    assert "WSUB" in sl.variable_weights
-    assert ("microp_aero", "microp_aero_run") in sl.slices["WSUB"].scopes()
+    # evidence, and its depth table starts at the module that writes it
+    assert max(sl.variable_weights, key=sl.variable_weights.get) == "WSUB"
+    assert sl.depths["WSUB"]["microp_aero"] == 0
     assert sl.summary().startswith("RankedSlice(")
 
 
-def test_explicit_evidence_override_replaces_the_topk_heuristic(
+def test_one_depth_table_feeds_the_ranking(
     accepted_ensemble, ect, control_source, control_graph
 ):
-    """The refinement and selection stages inject their own
-    affected-variable set: the ``evidence=`` override must slice from
-    exactly those fields (with their own evidence weights), ignoring the
-    internal top-k selection and the ect_result filter."""
-    from repro.selection import EvidenceSelection
+    """The slice is computed once, for every output field with seed
+    nodes; the ranking scores the ``top_k`` strongest ECT-failing fields
+    from that table with the one scoring rule."""
+    sl = patched_slice(
+        "wsubbug", accepted_ensemble, ect, control_source, control_graph
+    )
+    seeds = output_field_seeds(control_source, control_graph)
+    assert set(sl.depths) == {name for name, keys in seeds.items() if keys}
+    declared = {f.name for f in iter_output_fields(control_source.compset)}
+    assert set(sl.depths) == declared
+    # every field's entry is the coverage-filtered backward slice of its
+    # seed nodes, collapsed to module depths
+    coverage = failing_coverage("wsubbug")
+    files = module_file_map(control_source)
+    for name in ("WSUB", "PRECT", "RHPERT"):
+        direct = backward_slice(
+            control_graph, seeds[name], coverage=coverage, module_files=files
+        )
+        assert sl.depths[name] == direct.module_depths()
+    # ECT-failing weights are all kept; the ranking uses the top 8
+    verdict = ect.test(patched_runs("wsubbug"))
+    assert set(sl.variable_weights) <= {
+        name.replace("@first", "") for name in verdict.failing_variables
+    }
+    top = sorted(sl.variable_weights.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert dict(sl.ranking) == module_scores(sl.depths, dict(top[:8]))
 
-    model = ModelConfig(patches=("wsubbug",))
-    patched_source = build_model_source(model)
-    runs = [
-        run_model(SPEC.experimental_config(i, model=model), source=patched_source)
-        for i in range(3)
-    ]
-    coverage = run_model(
-        RunConfig(model=model, nsteps=1), source=patched_source
-    ).coverage
-    kwargs = dict(
-        graph=control_graph, source=control_source, coverage=coverage
-    )
-    injected = slice_failing_runs(
-        accepted_ensemble, runs,
-        evidence=EvidenceSelection(variables=("WSUB", "WSUB@first", "PRECT")),
-        **kwargs,
-    )
-    # only the requested fields carry evidence (@first folds into its base)
-    assert set(injected.variable_weights) == {"WSUB", "PRECT"}
-    assert set(injected.slices) <= {"WSUB", "PRECT"}
-    assert "microp_aero" in injected
-    # and the override genuinely changes the outcome vs. the heuristic
-    default = slice_failing_runs(accepted_ensemble, runs, **kwargs)
-    assert set(default.variable_weights) != set(injected.variable_weights)
-    # unknown / non-deviating fields contribute nothing rather than fail
-    silent = slice_failing_runs(
-        accepted_ensemble, runs,
-        evidence=EvidenceSelection(variables=("NOT_A_FIELD",)),
-        **kwargs,
-    )
-    assert silent.variable_weights == {}
-    assert silent.modules == []
+
+def test_requires_failing_runs(accepted_ensemble, control_source, control_graph):
+    with pytest.raises(ValueError, match="at least one failing run"):
+        slice_failing_runs(
+            accepted_ensemble, [], graph=control_graph, source=control_source
+        )
 
 
 def test_never_executed_modules_are_sliced_away(
@@ -155,8 +168,8 @@ def test_never_executed_modules_are_sliced_away(
     sl = patched_slice(
         "goffgratch", accepted_ensemble, ect, control_source, control_graph
     )
-    for per_var in sl.slices.values():
-        assert "seasalt_optics" not in {k[0] for k in per_var.depths}
-        assert "restart_mod" not in {k[0] for k in per_var.depths}
+    for per_field in sl.depths.values():
+        assert "seasalt_optics" not in per_field
+        assert "restart_mod" not in per_field
     assert "seasalt_optics" not in sl.modules
     assert "restart_mod" not in sl.modules
