@@ -9,13 +9,13 @@ Writes ``BENCH_ensemble.json`` (repo root by default) with
   semantics) vs. the compiled-closure interpreter, same build, same seed,
   coverage on;
 * ``speedup`` — ``dispatch_s / compiled_s`` (the PR acceptance floor is 2x);
-* ``backends`` — ``members_per_s`` of the same cached-off ensemble
+* ``backends`` — ``members_per_s`` of the same uncached ensemble
   generation on both execution backends (``serial``, ``vectorized``).
 * ``vectorized`` — the member-batched runtime over ``VEC_MEMBERS``
-  members: one member-cache **cold** pass (``total_s`` /
-  ``members_per_s``) and a ``warm`` pass against a populated member
-  cache, which must re-run zero members.  The strict floor for the cold
-  number is 5x the ``serial`` backend, the scalar reference
+  members: one uncached **cold** pass (``total_s`` / ``members_per_s``)
+  and a ``warm`` pass, the second of two ``accepted_ensemble`` calls on
+  one store, which must re-run zero members.  The strict floor for the
+  cold number is 5x the ``serial`` backend, the scalar reference
   (``speedup_vs_serial``).
 * ``localization`` — the whole pipeline per registered bug patch, driven
   through :func:`repro.pipeline.root_cause_pipeline` against one shared
@@ -66,7 +66,8 @@ from repro.experiments import get_experiment
 from repro.model import list_patches
 from repro.model.builder import ModelConfig, build_model_source
 from repro.obs import get_metrics, runtime_info
-from repro.pipeline import root_cause_pipeline
+from repro.pipeline import Pipeline, root_cause_pipeline
+from repro.pipeline.stages import make_ensemble_stage, make_source_stage
 from repro.runtime.interpreter import Interpreter
 
 REPEATS = 5
@@ -108,35 +109,50 @@ def time_single_run(asts, compile_flag: bool) -> float:
     return best
 
 
-def bench_backend(spec, source, backend: str, cache_dir=None) -> dict:
+def bench_backend(spec, source, backend: str) -> dict:
     start = time.perf_counter()
-    ensemble = generate_ensemble(
-        spec, source=source, backend=backend, cache_dir=cache_dir
-    )
+    ensemble = generate_ensemble(spec, source=source, backend=backend)
     total = time.perf_counter() - start
     return {
         "total_s": round(total, 3),
         "members_per_s": round(ensemble.n_members / total, 2),
-        "members_rerun": ensemble.cache_misses if cache_dir else spec.n_members,
+        "members_rerun": spec.n_members,
+    }
+
+
+def bench_warm(spec, store_dir) -> dict:
+    """The second of two ``accepted_ensemble`` calls on one store: its
+    ``control_ensemble`` record books the members it re-ran."""
+    pipeline = Pipeline(
+        [make_source_stage("control_source", spec.model),
+         make_ensemble_stage(spec, backend="vectorized")],
+        store_dir=store_dir,
+    )
+    pipeline.run()
+    start = time.perf_counter()
+    result = pipeline.run()
+    ensemble = result["control_ensemble"]
+    total = time.perf_counter() - start
+    return {
+        "total_s": round(total, 3),
+        "members_per_s": round(ensemble.n_members / total, 2),
+        "members_rerun": result.record("control_ensemble").member_misses,
     }
 
 
 def bench_vectorized(source) -> dict:
     """The member-batched runtime, one cold pass plus a warm pair.
 
-    The cold pass runs with no ``cache_dir`` at all, so it cannot absorb
-    member-cache hits; the warm pair (populate a member cache, then re-run
+    The cold pass runs with no store at all, so it cannot absorb store
+    hits; the warm pair (fill a store, then run the same ensemble
     against it) is recorded under ``warm`` with its re-run count — which
     must be zero.
     """
     spec = EnsembleSpec(n_members=VEC_MEMBERS, nsteps=NSTEPS)
     cold = bench_backend(spec, source, "vectorized")
 
-    with tempfile.TemporaryDirectory(prefix="bench-vec-warm-") as cache_dir:
-        generate_ensemble(
-            spec, source=source, backend="vectorized", cache_dir=cache_dir
-        )
-        warm = bench_backend(spec, source, "vectorized", cache_dir=cache_dir)
+    with tempfile.TemporaryDirectory(prefix="bench-vec-warm-") as store_dir:
+        warm = bench_warm(spec, store_dir)
 
     return {
         "members": VEC_MEMBERS,
@@ -293,7 +309,7 @@ def main() -> int:
     if vec["warm"]["members_rerun"] != 0:
         print(
             f"WARNING: warm vectorized pass re-ran "
-            f"{vec['warm']['members_rerun']} members — the member cache "
+            f"{vec['warm']['members_rerun']} members — the store "
             "should have satisfied all of them",
             file=sys.stderr,
         )

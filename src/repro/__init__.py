@@ -67,7 +67,6 @@ _LAZY_EXPORTS: dict[str, tuple[str, str]] = {
     # ensemble / ECT / selection
     "Ensemble": ("repro.ensemble", "Ensemble"),
     "EnsembleSpec": ("repro.ensemble", "EnsembleSpec"),
-    "RunArtifact": ("repro.ensemble", "RunArtifact"),
     "generate_ensemble": ("repro.ensemble", "generate_ensemble"),
     "EctConfig": ("repro.ect", "EctConfig"),
     "EctResult": ("repro.ect", "EctResult"),

@@ -11,8 +11,8 @@ One entry point over the whole stack::
     python -m repro tables                       # Table 1/2 metagraph tables
 
 ``run`` and ``sweep`` print the markdown localization report plus a
-per-stage execution table (status, wall seconds, store and member-cache
-hits/misses); ``--json`` switches to a machine-readable document carrying
+per-stage execution table (status, wall seconds, store hits/misses and
+the model runs each stage executed); ``--json`` switches to a machine-readable document carrying
 the report, the stage records, the store statistics and the metrics
 counters that moved — what the CI smoke job and the bench parse to
 assert cache behavior.
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--store",
             default=".repro-store",
-            help="pipeline store directory (stage + member caches); "
+            help="pipeline store directory (one entry per stage); "
             "re-running against the same store resumes "
             "(default: %(default)s)",
         )
@@ -233,13 +233,13 @@ def _print_profile(result, spans, out, top: int = 10) -> None:
 
 
 def _print_stage_table(result, out) -> None:
-    print("| stage | status | wall s | store h/m | members h/m |", file=out)
+    print("| stage | status | wall s | store h/m | members run |", file=out)
     print("| --- | --- | --- | --- | --- |", file=out)
     for rec in result.records:
         print(
             f"| {rec.name} | {rec.status} | {rec.wall_s:.2f} "
             f"| {rec.store_hits}/{rec.store_misses} "
-            f"| {rec.member_hits}/{rec.member_misses} |",
+            f"| {rec.member_misses} |",
             file=out,
         )
 

@@ -6,13 +6,12 @@ initial-temperature perturbations and independent PRNG seeds) defines the
 distribution a change must stay inside to count as "the same climate".
 :class:`EnsembleSpec` derives the N member configs deterministically from
 one base seed, :func:`generate_ensemble` runs them against one parsed
-:class:`~repro.model.builder.ModelSource`, with an optional
-content-addressed :class:`RunArtifact` disk cache making re-runs
-incremental (coverage included), and the resulting :class:`Ensemble`
-holds the member matrix plus merged coverage for the ECT / slicing
-stages.  The two backends (:mod:`repro.ensemble.backends`) are
-bit-identical: ``vectorized``, the default, advances every member in one
-numpy pass, and ``serial`` is the scalar reference it falls back to.
+:class:`~repro.model.builder.ModelSource`, and the resulting
+:class:`Ensemble` holds the member matrix plus merged coverage for the
+ECT / slicing stages; the pipeline store (:mod:`repro.pipeline`) caches
+it as one stage entry.  The two backends (:mod:`repro.ensemble.backends`)
+are bit-identical: ``vectorized``, the default, advances every member in
+one numpy pass, and ``serial`` is the scalar reference it falls back to.
 
 Quickstart — does the ``cldfrc-premib`` bug patch change the climate?
 
@@ -34,19 +33,14 @@ True
 
 from __future__ import annotations
 
-from .artifact import RunArtifact
 from .backends import UnknownBackendError
-from .cache import MemberCache, member_cache_key
 from .generate import Ensemble, generate_ensemble, run_vector
 from .spec import EnsembleSpec
 
 __all__ = [
     "Ensemble",
     "EnsembleSpec",
-    "MemberCache",
-    "RunArtifact",
     "UnknownBackendError",
     "generate_ensemble",
-    "member_cache_key",
     "run_vector",
 ]

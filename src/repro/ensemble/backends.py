@@ -1,8 +1,8 @@
 """Where ensemble members run: one batched pass, or one member at a time.
 
-``generate_ensemble`` is a *coordinator*: it derives member configs,
-consults the artifact cache, and hands the cache misses to
-:func:`run_members` under one of two backend names:
+``generate_ensemble`` and the experimental-runs stage derive member
+configs and hand them to :func:`run_members` under one of two backend
+names:
 
 ``vectorized`` (the default)
     One member-batched interpreter pass (:mod:`repro.runtime.vec`) that
@@ -17,8 +17,9 @@ consults the artifact cache, and hands the cache misses to
     semantics ``vectorized`` must match bit-for-bit (a conformance test
     holds it to that), and the scalar path it falls back to.
 
-Both map the same ``(index, RunConfig)`` list to bit-identical artifacts,
-so the backend only decides how fast an ensemble is produced.
+Both map the same ``(index, RunConfig)`` list to bit-identical
+:class:`~repro.runtime.RunResult` values, so the backend only decides how
+fast an ensemble is produced.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from typing import Iterator
 from ..errors import ReproError
 from ..model.builder import ModelSource
 from ..obs import Span, get_metrics, get_tracer, new_span_id
-from ..runtime import RunConfig, VectorizationError, run_model
+from ..runtime import RunConfig, RunResult, VectorizationError, run_model
 from ..runtime.vec import batch_key
-from .artifact import RunArtifact
-from .cache import member_cache_key
 
 __all__ = [
     "BACKENDS",
@@ -75,8 +74,8 @@ def run_members(
     source: ModelSource,
     jobs: list[tuple[int, RunConfig]],
     backend: str,
-) -> Iterator[tuple[int, RunArtifact]]:
-    """Yield ``(index, artifact)`` for every ``(index, config)`` job,
+) -> Iterator[tuple[int, RunResult]]:
+    """Yield ``(index, result)`` for every ``(index, config)`` job,
     running them on ``backend``.
 
     ``source`` is the shared built model every job runs against; the first
@@ -84,18 +83,18 @@ def run_members(
     """
     if check_backend(backend) == "serial":
         for index, config in jobs:
-            yield index, _serial_artifact(source, config)
+            yield index, _serial_run(source, config)
         return
     groups: dict[RunConfig, list[tuple[int, RunConfig]]] = {}
     for index, config in jobs:
         groups.setdefault(batch_key(config), []).append((index, config))
     for batch in groups.values():
-        artifacts = _run_batch(source, batch)
-        for (index, _), artifact in zip(batch, artifacts):
-            yield index, artifact
+        results = _run_batch(source, batch)
+        for (index, _), result in zip(batch, results):
+            yield index, result
 
 
-def _serial_artifact(source: ModelSource, config: RunConfig) -> RunArtifact:
+def _serial_run(source: ModelSource, config: RunConfig) -> RunResult:
     """One member on the scalar interpreter, under an ``ensemble.member``
     span."""
     span = get_tracer().span(
@@ -106,15 +105,13 @@ def _serial_artifact(source: ModelSource, config: RunConfig) -> RunArtifact:
     with span:
         result = run_model(config, source=source)
         span.annotate(statements=int(result.statements_executed))
-        return RunArtifact.from_result(
-            result, member_cache_key(source, config)
-        )
+        return result
 
 
 def _run_batch(
     source: ModelSource, batch: list[tuple[int, RunConfig]]
-) -> list[RunArtifact]:
-    """One batch's artifacts: one vectorized pass, or the serial path
+) -> list[RunResult]:
+    """One batch's results: one vectorized pass, or the serial path
     member by member when the pass raises ``VectorizationError``.
 
     The fallback is bit-identical, just slower, with each member under a
@@ -136,17 +133,14 @@ def _run_batch(
         except VectorizationError as exc:
             get_metrics().inc("vec.fallbacks")
             batch_span.annotate(fallback=str(exc))
-            return [_serial_artifact(source, config) for config in configs]
+            return [_serial_run(source, config) for config in configs]
     if tracer.enabled:
         # one interpreter pass advanced the whole batch, so true
         # per-member walls don't exist; synthesize member spans with the
         # amortized share (flagged `estimated`) so the trace still
         # accounts for every member.
         _adopt_member_spans(tracer, batch_span, configs)
-    return [
-        RunArtifact.from_result(result, member_cache_key(source, config))
-        for config, result in zip(configs, results)
-    ]
+    return results
 
 
 def _adopt_member_spans(tracer, batch_span, configs) -> None:

@@ -9,7 +9,7 @@ expands into N :class:`~repro.runtime.RunConfig` objects: member ``i``'s
 ``pertlim`` draw and seed come from a dedicated splitmix64 stream keyed by
 ``(base_seed, i)``, so adding members never reshuffles existing ones and a
 re-run with the same spec reproduces every member bit-for-bit (which is
-what makes the on-disk member cache sound).
+what makes caching an ensemble under its spec's key sound).
 """
 
 from __future__ import annotations

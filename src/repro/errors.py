@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = [
-    "ArtifactError",
     "FortranFrontEndError",
     "FortranRuntimeError",
     "InfeasibleSelectionError",
@@ -67,7 +66,6 @@ class ReproError(Exception):
 _ERROR_EXPORTS: dict[str, tuple[str, str]] = {
     "FortranFrontEndError": ("repro.fortran.errors", "FortranFrontEndError"),
     "FortranRuntimeError": ("repro.runtime.values", "FortranRuntimeError"),
-    "ArtifactError": ("repro.ensemble.artifact", "ArtifactError"),
     "PatchError": ("repro.model.patches", "PatchError"),
     "UnknownPatchError": ("repro.model.patches", "UnknownPatchError"),
     "UnknownExperimentError": ("repro.experiments", "UnknownExperimentError"),

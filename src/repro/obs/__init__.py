@@ -7,7 +7,7 @@ Three pieces, threaded through every layer of the stack:
   (thread-local stacks, span-id-deduplicated adoption, zero overhead
   while disabled).
 * :mod:`repro.obs.metrics` — always-on counters/gauges/histograms in a
-  :class:`MetricsRegistry` unifying the store / member-cache /
+  :class:`MetricsRegistry` unifying the store / ensemble /
   interpreter / refinement telemetry under one dotted namespace.
 * :mod:`repro.obs.export` — JSONL traces, a Chrome ``trace_event``
   converter, span summaries, and the hottest-modules profile table.

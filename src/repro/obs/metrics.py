@@ -1,13 +1,12 @@
 """Process-wide counters, gauges, and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` unifies the telemetry previously scattered
-across `ArtifactStore`, `MemberCache`, and the bench script behind a
-dotted namespace:
+across `ArtifactStore`, the ensemble generator, and the bench script
+behind a dotted namespace:
 
 =========================  ==================================================
 ``store.hits/misses/writes``        pipeline artifact-store traffic
-``member_cache.hits/misses``        per-member run-artifact cache traffic
-``ensemble.members_run/_cached``    member volume per ensemble generation
+``ensemble.members_run``            members run per ensemble generation
 ``interpreter.runs/statements``     scalar-interpreter work
 ``vec.batches/mask_collapses``      vectorized-runtime work and divergence
 ``vec.fallbacks``                   vectorized batches re-run scalar

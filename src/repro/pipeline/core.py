@@ -8,10 +8,9 @@ determines its behaviour*, and (when cacheable) an ``encode``/``decode``
 pair mapping its value to a flat ndarray payload for the
 :class:`~repro.pipeline.store.ArtifactStore`.
 
-Cache keys are content hashes, derived the same way the ensemble member
-cache hashes run configurations (:func:`repro.ensemble.cache.member_cache_key`):
-a SHA-256 over the stage name, a canonical-JSON token of its params, a
-format version, and the *fingerprints of its inputs* — so a changed
+Cache keys are content hashes: a SHA-256 over the stage name, a
+canonical-JSON token of its params (:func:`config_token`), a format
+version, and the *fingerprints of its inputs* — so a changed
 upstream stage (new patch, different ensemble size, edited model source)
 transitively invalidates everything downstream, while an untouched prefix
 of the DAG resumes from cache bit-identically.  Stage functions are
@@ -26,8 +25,8 @@ ties), so a warm run reads only the sink entries.  Its
 :class:`PipelineResult` decodes other stages on first access, and its
 :class:`StageRecord` list says for every stage whether it ``ran``, was a
 cache ``hit``, was ``skipped`` or raised an ``error``, how long it took,
-and its store / member-cache hits and misses — the observability that
-makes resume semantics testable.
+its store hits and misses and the model runs it executed — the
+observability that makes resume semantics testable.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..ensemble.cache import MemberCache, _json_safe
 from ..errors import ReproError
 from ..obs import get_metrics, get_tracer, round_wall
 from .store import ArtifactStore, find_nonfinite
@@ -83,10 +81,11 @@ class StageError(ReproError, RuntimeError):
 def config_token(value: Any) -> Any:
     """A deterministic JSON-safe token of a (possibly nested) config value.
 
-    Dataclasses (``EnsembleSpec``, ``EctConfig``, ``RefinementConfig``,
+    Dataclasses (``EnsembleSpec``, ``FPConfig``, ``RefinementConfig``,
     ...) are expanded field by field — a knob added to a config later
-    automatically changes every key it participates in, the same
-    regression-proofing the member cache applies to ``FPConfig``.
+    automatically changes every key it participates in.  Sets are
+    sorted and floats hex-exact, so -0.0 or rounding can never alias two
+    configs.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -99,7 +98,11 @@ def config_token(value: Any) -> Any:
         return [config_token(v) for v in value]
     if isinstance(value, (frozenset, set)):
         return sorted(config_token(v) for v in value)
-    return _json_safe(value)
+    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        return float(value).hex()
+    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,13 @@ class Stage:
 
     ``func(ctx, **inputs)`` computes the value; ``inputs`` are keyword
     arguments named after the upstream stages.  Cacheable stages must
-    supply ``encode(value, ctx, inputs) -> payload`` and ``decode(payload,
-    ctx, inputs) -> value``; ``fingerprint(value)``, when given, replaces the
-    stage key as this stage's contribution to downstream keys (used by
-    non-cacheable stages whose *content* matters downstream, e.g. the
-    built model source contributing its content digest).  A fingerprint
-    stage is evaluated before any downstream key is known, on every run,
-    so it must stay cheap.  ``decode`` sees only the inputs already
-    evaluated, which always include the fingerprint stages.
+    supply ``encode(value) -> payload`` and ``decode(payload) -> value``;
+    ``fingerprint(value)``, when given, replaces the stage key as this
+    stage's contribution to downstream keys (used by non-cacheable stages
+    whose *content* matters downstream, e.g. the built model source
+    contributing its content digest).  A fingerprint stage is evaluated
+    before any downstream key is known, on every run, so it must stay
+    cheap.
     """
 
     name: str
@@ -123,8 +125,8 @@ class Stage:
     inputs: tuple[str, ...] = ()
     params: Mapping[str, Any] = field(default_factory=dict)
     cacheable: bool = True
-    encode: Optional[Callable[[Any, "StageContext", dict], Mapping]] = None
-    decode: Optional[Callable[[Mapping, "StageContext", dict], Any]] = None
+    encode: Optional[Callable[[Any], Mapping]] = None
+    decode: Optional[Callable[[Mapping], Any]] = None
     fingerprint: Optional[Callable[[Any], str]] = None
 
     def __post_init__(self) -> None:
@@ -182,8 +184,7 @@ class StageRecord:
     #: store loads this stage answered from disk / missed
     store_hits: int = 0
     store_misses: int = 0
-    #: ensemble member-cache hits/misses attributable to this stage
-    member_hits: int = 0
+    #: model runs this stage executed (0 when its entry was a hit)
     member_misses: int = 0
     #: free-form annotations from the stage function (``ctx.annotate``)
     info: dict = field(default_factory=dict)
@@ -197,37 +198,22 @@ class StageRecord:
 
 
 class StageContext:
-    """What a running stage sees of its pipeline.
+    """What a running stage sees of its pipeline: its own record.
 
-    ``member_cache`` is the shared content-addressed
-    :class:`~repro.ensemble.cache.MemberCache` under the pipeline store
-    (None when the pipeline runs uncached): stage adapters route every
-    model run through it, so *member simulations* are cached at run
-    granularity below the stage granularity — a resumed pipeline re-runs
-    no member the store already holds.  ``annotate`` attaches structured
-    details to the stage record; ``count_members`` accounts member-cache
-    traffic that went through a private cache instance (e.g. inside
-    ``generate_ensemble``).
+    ``annotate`` attaches structured details to the stage record;
+    ``count_members`` books the model runs the stage executed.  Model
+    runs are cached at stage granularity only: a stage whose entry the
+    store holds runs nothing.
     """
 
-    def __init__(
-        self,
-        record: StageRecord,
-        member_cache: Optional[MemberCache],
-    ):
+    def __init__(self, record: StageRecord):
         self.record = record
-        self.member_cache = member_cache
-
-    @property
-    def member_cache_dir(self):
-        return None if self.member_cache is None else self.member_cache.directory
 
     def annotate(self, **info: Any) -> None:
         self.record.info.update(info)
 
-    def count_members(self, hits: int, misses: int) -> None:
-        self.record.member_hits += hits
-        self.record.member_misses += misses
+    def count_members(self, runs: int) -> None:
+        self.record.member_misses += runs
 
 
 @dataclass
@@ -270,15 +256,9 @@ class PipelineResult:
     wall_by_stage = timings
 
     def counters(self) -> dict[str, int]:
-        """Store / member-cache traffic summed over every stage."""
-        totals = {"store_hits": 0, "store_misses": 0, "member_hits": 0,
-                  "member_misses": 0}
-        for rec in self.records:
-            totals["store_hits"] += rec.store_hits
-            totals["store_misses"] += rec.store_misses
-            totals["member_hits"] += rec.member_hits
-            totals["member_misses"] += rec.member_misses
-        return totals
+        """Store traffic and model runs summed over every stage."""
+        names = ("store_hits", "store_misses", "member_misses")
+        return {n: sum(getattr(rec, n) for rec in self.records) for n in names}
 
     def to_dict(self) -> dict:
         return {
@@ -292,9 +272,9 @@ class PipelineResult:
 class Pipeline:
     """Demand-driven stage DAG over one artifact store (module docstring).
 
-    ``store_dir`` roots both caches: ``<store_dir>/stages`` holds the
-    per-stage payloads, ``<store_dir>/members`` the run-level member
-    artifacts.  ``None`` disables caching entirely (every stage runs).
+    ``store_dir`` roots the store: ``<store_dir>/stages`` holds one
+    payload per stage key.  ``None`` disables caching entirely (every
+    stage runs).
     """
 
     def __init__(
@@ -377,10 +357,9 @@ class Pipeline:
 
     def run(self) -> PipelineResult:
         """Compute every key, then decode or run what the sinks need."""
-        store = member_cache = None
+        store = None
         if self.store_dir is not None:
             store = ArtifactStore(self.store_dir / "stages")
-            member_cache = MemberCache(self.store_dir / "members")
 
         tracer, metrics = get_tracer(), get_metrics()
         by_name = {stage.name: stage for stage in self.stages}
@@ -398,8 +377,6 @@ class Pipeline:
                 "wall_s": time.perf_counter(),
                 "store_hits": store.hits if store else 0,
                 "store_misses": store.misses if store else 0,
-                "member_hits": member_cache.hits if member_cache else 0,
-                "member_misses": member_cache.misses if member_cache else 0,
             }
 
         def since(before: dict) -> dict:
@@ -408,8 +385,7 @@ class Pipeline:
         def settle(record: StageRecord, before: dict, upstream: dict) -> None:
             """Book what moved since ``before``, less the upstream pulls."""
             moved = {k: v - upstream.get(k, 0) for k, v in since(before).items()}
-            for name in ("wall_s", "store_hits", "store_misses",
-                         "member_hits", "member_misses"):
+            for name in ("wall_s", "store_hits", "store_misses"):
                 setattr(record, name, getattr(record, name) + moved.pop(name))
             record.metrics = {k: v for k, v in moved.items() if v}
 
@@ -421,19 +397,17 @@ class Pipeline:
         def evaluate(stage: Stage) -> None:
             """Decode ``stage`` from the store, else pull its inputs and run it."""
             record = records[stage.name]
-            ctx = StageContext(record, member_cache)
+            ctx = StageContext(record)
             span = tracer.span(f"stage:{stage.name}", {"key": record.key[:12]})
             record.span_id = span.span_id
             before, upstream = tally(), {}
             with span:
                 hit = None
                 if store is not None and stage.cacheable:
-                    known = {i: values[i] for i in stage.inputs if i in values}
                     # a 1-tuple, so a stored None is a hit too; an entry
                     # that fails to decode is a miss and the stage runs
                     hit = store.load(
-                        record.key,
-                        lambda payload: (stage.decode(payload, ctx, known),),
+                        record.key, lambda payload: (stage.decode(payload),)
                     )
                 if hit is not None:
                     (value,) = hit
@@ -453,7 +427,7 @@ class Pipeline:
                         raise StageError(stage.name, exc, touched) from exc
                     record.status = "ran"
                     if store is not None and stage.cacheable:
-                        store.save(record.key, stage.encode(value, ctx, inputs))
+                        store.save(record.key, stage.encode(value))
                 span.annotate(status=record.status)
             settle(record, before, upstream)
             values[stage.name] = value

@@ -11,17 +11,12 @@ gains a thin :class:`~repro.pipeline.core.Stage` adapter here, so
 :func:`repro.refine.refine_slice` stop being hand-wired calls and become
 cacheable, resumable, schedulable DAG nodes.
 
-Two cache granularities cooperate:
-
-* **member level** — every model run (ensemble member or experimental
-  run) goes through the shared content-addressed
-  :class:`~repro.ensemble.cache.MemberCache` under ``<store>/members``, so
-  no simulation the store already holds is ever re-run, and the runs the
-  store lacks run as one member-batched pass per stage;
-* **stage level** — each stage's *derived* product (ensemble matrix, ECT
-  verdict, ranked slice, refinement trajectory, report) is one payload in
-  ``<store>/stages`` under the stage's content-hashed key, so a resumed
-  pipeline skips even the cheap recomputation and its records say so.
+One store caches every stage: each stage's product (accepted ensemble,
+experimental runs, ECT verdict, ranked slice, refinement trajectory,
+report) is one payload in ``<store>/stages`` under the stage's
+content-hashed key.  Each model pass is one entry: a stage the store
+holds runs no model member, and one the store lacks runs its members as
+one member-batched pass.
 
 The experimental runs collect coverage, and their merged trace is the
 executed-line evidence of the slice: no stage runs the model just to
@@ -34,11 +29,11 @@ every other stage is decoded on first access to its value (see
 :mod:`repro.pipeline.core`).  The source stages only build their trees;
 the metagraph, the model runs and the slicer parse on first use.
 
-Every stage value from ``ect`` on is a dataclass stored by the one stage
-codec (:func:`~repro.pipeline.store.encode_dataclass`), so a hit decodes
-to exactly the value the stage computed.  Only ``control_ensemble`` and
-``experimental_runs`` keep their own ``encode``/``decode``: their payload
-is member-cache keys, and a hit rebuilds every run from the member cache.
+Every cacheable stage value is stored by the one stage codec
+(:func:`~repro.pipeline.store.encode_dataclass`), so a hit decodes to
+exactly the value the stage computed.  The one difference: a decoded
+run's ``outputs`` iterate in name order, and every consumer looks them
+up by name.
 """
 
 from __future__ import annotations
@@ -46,22 +41,19 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
 from ..ect import EctConfig, EctResult, UltraFastECT
-from ..ensemble import Ensemble, generate_ensemble, member_cache_key
+from ..ensemble import Ensemble, generate_ensemble
 from ..ensemble.backends import DEFAULT_BACKEND, check_backend, run_members
 from ..ensemble.spec import EnsembleSpec
 from ..graphs import build_metagraph
 from ..model.builder import ModelConfig, ModelSource, build_model_source
 from ..refine import RefinementConfig, RefinementResult, refine_slice
 from ..reporting import LocalizationReport, build_report
-from ..runtime import CoverageTrace, RunConfig, RunResult
+from ..runtime import RunResult
 from ..selection import SelectionResult, SelectionSpec, select_culprits
 from ..slicing import RankedSlice, slice_failing_runs
 from .core import Pipeline, PipelineResult, Stage, StageContext
-from .store import StoreError, json_payload, payload_json
 from .store import decode_dataclass, encode_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,34 +74,9 @@ __all__ = [
 def _codec(cls: type) -> dict:
     """The ``encode``/``decode`` slots of a stage whose value is a ``cls``."""
     return {
-        "encode": lambda value, ctx, inputs: encode_dataclass(value, cls),
-        "decode": lambda payload, ctx, inputs: decode_dataclass(payload, cls),
+        "encode": lambda value: encode_dataclass(value, cls),
+        "decode": lambda payload: decode_dataclass(payload, cls),
     }
-
-
-# --------------------------------------------------------------------- runs
-def _load_cached_runs(
-    ctx: StageContext,
-    source: ModelSource,
-    configs: list[RunConfig],
-    keys: list[str],
-) -> list[RunResult]:
-    """Rehydrate runs from the member cache; StoreError on any gap."""
-    if ctx.member_cache is None:
-        raise StoreError("no member cache to rehydrate runs from")
-    if len(keys) != len(configs):
-        raise StoreError(
-            f"cached run count {len(keys)} != expected {len(configs)}"
-        )
-    runs: list[RunResult] = []
-    for key, config in zip(keys, configs):
-        if key != member_cache_key(source, config):
-            raise StoreError("cached run key does not match its config")
-        artifact = ctx.member_cache.load_artifact(key)
-        if artifact is None:
-            raise StoreError(f"member artifact {key[:12]}... missing")
-        runs.append(artifact.to_result(config))
-    return runs
 
 
 # ------------------------------------------------------------ source stages
@@ -163,71 +130,25 @@ def make_ensemble_stage(
     The backend is a *where* knob, not a *what* knob — ``vectorized`` and
     ``serial`` are bit-identical — so it stays out of the cache key; an
     unknown name raises :class:`~repro.ensemble.UnknownBackendError` here,
-    before any stage runs.  The stage payload is the member key list plus
-    the stacked matrix; a hit rehydrates every member from the member
-    cache (raising a store miss, and thus re-running, if any artifact is
-    gone).
+    before any stage runs.  The whole :class:`Ensemble` is one entry, so
+    a hit runs no member.
     """
     check_backend(backend)
 
-    def member_keys(source: ModelSource) -> list[str]:
-        return [
-            member_cache_key(source, config)
-            for config in spec.member_configs()
-        ]
-
     def func(ctx: StageContext, **inputs) -> Ensemble:
         ensemble = generate_ensemble(
-            spec,
-            source=inputs[source_input],
-            cache_dir=ctx.member_cache_dir,
-            backend=backend,
+            spec, source=inputs[source_input], backend=backend
         )
-        ctx.count_members(ensemble.cache_hits, ensemble.cache_misses)
-        ctx.annotate(
-            backend=ensemble.stats.get("backend"),
-            n_members=ensemble.n_members,
-        )
+        ctx.count_members(ensemble.n_members)
+        ctx.annotate(backend=backend, n_members=ensemble.n_members)
         return ensemble
-
-    def encode(ensemble: Ensemble, ctx: StageContext, inputs) -> dict:
-        return json_payload(
-            {
-                "member_keys": member_keys(inputs[source_input]),
-                "variable_names": list(ensemble.variable_names),
-            },
-            arrays={"matrix": ensemble.matrix},
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> Ensemble:
-        meta = payload_json(payload)
-        source = inputs[source_input]
-        configs = spec.member_configs()
-        members = _load_cached_runs(
-            ctx, source, configs, list(meta["member_keys"])
-        )
-        matrix = np.asarray(payload["matrix"], dtype=float)
-        if matrix.shape[0] != len(members):
-            raise StoreError("cached ensemble matrix does not match members")
-        ctx.annotate(backend="store", n_members=len(members))
-        return Ensemble(
-            spec=spec,
-            variable_names=list(meta["variable_names"]),
-            matrix=matrix,
-            members=members,
-            coverage=CoverageTrace().merged(*(m.coverage for m in members)),
-            cache_hits=len(members),
-            cache_misses=0,
-            stats={"backend": "store"},
-        )
 
     return Stage(
         name=name,
         func=func,
         inputs=(source_input,),
         params={"spec": spec},
-        encode=encode,
-        decode=decode,
+        **_codec(Ensemble),
     )
 
 
@@ -244,62 +165,30 @@ def make_experimental_runs_stage(
     """K held-out experimental runs of the (possibly patched) build.
 
     The runs always collect coverage: their merged trace is the executed-
-    line evidence of the slice.  Runs the member
-    cache lacks run together on ``backend`` (one member-batched pass by
-    default), which stays out of the key as for ``control_ensemble``.
+    line evidence of the slice.  They run together on ``backend`` (one
+    member-batched pass by default), which stays out of the key as for
+    ``control_ensemble``.
     """
     check_backend(backend)
 
-    def configs() -> list[RunConfig]:
-        return [
-            dataclasses.replace(
+    def func(ctx: StageContext, **inputs) -> list[RunResult]:
+        jobs = [
+            (i, dataclasses.replace(
                 spec.experimental_config(i, model=model, fp=fp),
                 collect_coverage=True,
-            )
+            ))
             for i in range(n_runs)
         ]
-
-    def func(ctx: StageContext, **inputs) -> list[RunResult]:
-        source = inputs[source_input]
-        cache = ctx.member_cache
-        jobs = list(enumerate(configs()))
-        artifacts = {}
-        if cache is not None:
-            for index, config in jobs:
-                key = member_cache_key(source, config)
-                artifact = cache.load_artifact(key)
-                if artifact is not None:
-                    artifacts[index] = artifact
-        misses = [job for job in jobs if job[0] not in artifacts]
-        for index, artifact in run_members(source, misses, backend):
-            artifacts[index] = artifact
-            if cache is not None:
-                cache.store_artifact(artifact)
-        return [artifacts[index].to_result(config) for index, config in jobs]
-
-    def encode(runs, ctx: StageContext, inputs) -> dict:
-        source = inputs[source_input]
-        return json_payload(
-            {
-                "run_keys": [
-                    member_cache_key(source, config) for config in configs()
-                ]
-            }
-        )
-
-    def decode(payload, ctx: StageContext, inputs) -> list[RunResult]:
-        meta = payload_json(payload)
-        return _load_cached_runs(
-            ctx, inputs[source_input], configs(), list(meta["run_keys"])
-        )
+        runs = dict(run_members(inputs[source_input], jobs, backend))
+        ctx.count_members(len(jobs))
+        return [runs[i] for i, _ in jobs]
 
     return Stage(
         name="experimental_runs",
         func=func,
         inputs=(source_input,),
         params={"spec": spec, "model": model, "fp": fp, "n_runs": n_runs},
-        encode=encode,
-        decode=decode,
+        **_codec(list[RunResult]),
     )
 
 
@@ -446,8 +335,8 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
     """Algorithm 5.4 community-guided refinement of the ranked slice.
 
     The refiner fits on rows of the accepted ensemble already in memory,
-    so this stage touches no member artifact, and scores modules from the
-    slice's depth table.
+    so this stage runs no model, and scores modules from the slice's
+    depth table.
     """
     refine_config = refine or RefinementConfig()
 
@@ -542,7 +431,7 @@ def root_cause_pipeline(
 
     ``backend`` chooses *where* the accepted ensemble and the
     experimental runs run and never enters a cache key: both backends are
-    bit-identical, so artifacts are shared across them.  An unknown
+    bit-identical, so stage entries are shared across them.  An unknown
     backend, fewer than one experimental run, or a refinement ensemble
     larger than the accepted one raises ``ValueError`` here, before any
     stage runs.

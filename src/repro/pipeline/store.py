@@ -1,12 +1,11 @@
 """On-disk per-stage artifact store with hit/miss counters.
 
 One pipeline stage result is one ``.npz`` file under the stage's
-content-addressed cache key, following the conventions of
-:mod:`repro.ensemble.artifact`: flat ``{name: ndarray}`` payloads written
-with ``allow_pickle=False`` (no code execution on load, ever) through a
-temp file + ``os.replace`` so a killed pipeline never leaves a truncated
-entry behind — which is exactly what makes resume-from-cache safe after a
-crash mid-stage.
+content-addressed cache key: a flat ``{name: ndarray}`` payload loaded
+with ``allow_pickle=False`` (no code execution on load, ever) and written
+through a temp file + ``os.replace``, so a killed pipeline never leaves a
+truncated entry behind — which is exactly what makes resume-from-cache
+safe after a crash mid-stage.
 
 Anything JSON-serializable rides along as a single-element string array
 under a reserved key (:func:`json_payload` / :func:`payload_json`), so
@@ -19,7 +18,8 @@ another key loads as a miss.
 The store counts ``hits`` / ``misses`` / ``writes``; the pipeline surfaces
 per-stage deltas in its :class:`~repro.pipeline.core.StageRecord` values,
 so resume behavior is observable and testable instead of inferred from
-wall clock.
+wall clock.  Every load and save runs under a ``store.load`` /
+``store.save`` span carrying the ``bytes`` it moved.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ import tempfile
 import types
 import typing
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from ..errors import ReproError
-from ..obs import get_metrics
+from ..obs import get_metrics, get_tracer
 
 __all__ = [
     "ArtifactStore",
@@ -56,6 +57,8 @@ __all__ = [
 JSON_KEY = "__json__"
 #: reserved payload key naming the store key an entry was saved under
 OWNER_KEY = "__key__"
+#: name prefix of a save's temp file, which is never an entry
+TMP_PREFIX = ".tmp-"
 
 
 class StoreError(ReproError, ValueError):
@@ -229,7 +232,8 @@ def _walk(x: Any, tp: Any, path: str, arrays: dict, encoding: bool) -> Any:
 
 
 def encode_dataclass(value: Any, cls: type) -> dict[str, np.ndarray]:
-    """The store payload of ``value``, walking ``cls``'s declared field types.
+    """The store payload of ``value``, walking ``cls``'s declared field types
+    (``cls`` may be a ``list`` of dataclasses, as for stored runs).
 
     Scalars are coerced to their declared type (a non-finite float is a
     :class:`StoreError` naming the field path); a ``frozenset`` becomes a
@@ -255,10 +259,9 @@ def decode_dataclass(payload: Mapping[str, np.ndarray], cls: type) -> Any:
 class ArtifactStore:
     """Load/store flat ndarray payloads under content-addressed keys.
 
-    The same conventions as the ensemble member cache: atomic writes,
-    ``allow_pickle=False`` loads, corruption handled as a miss (the stage
-    simply re-runs).  ``hits`` / ``misses`` / ``writes`` count every
-    :meth:`load` / :meth:`save` outcome since construction;
+    Atomic writes, ``allow_pickle=False`` loads, corruption handled as a
+    miss (the stage simply re-runs).  ``hits`` / ``misses`` / ``writes``
+    count every :meth:`load` / :meth:`save` outcome since construction;
     :meth:`stats` snapshots them for stage records.
     """
 
@@ -284,31 +287,29 @@ class ArtifactStore:
         and an entry it cannot read (raising one of :data:`DECODE_ERRORS`)
         counts as a miss, not a hit.  Arrays are materialized before the
         file closes, so the returned mapping is independent of the store.
+        Runs under a ``store.load`` span whose ``bytes`` is the size of
+        the entry served (0 for a miss).
         """
         path = self._path(key)
-        if not path.exists():
-            self._miss()
-            return None
-        try:
-            # the loader owns the handle, so a corrupt body numpy rejects
-            # after opening the file still closes it
-            with open(path, "rb") as handle, np.load(
-                handle, allow_pickle=False
-            ) as data:
-                payload = {name: np.asarray(data[name]) for name in data.files}
-            owner = payload.pop(OWNER_KEY)
-        except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError):
-            self._miss()
-            return None
-        if owner.shape != (1,) or str(owner[0]) != key:
-            self._miss()  # never serve an entry under another key
-            return None
-        if decode is not None:
+        with get_tracer().span("store.load", {"bytes": 0}) as span:
             try:
-                payload = decode(payload)
-            except DECODE_ERRORS:
+                # the loader owns the handle, so a corrupt body numpy
+                # rejects after opening the file still closes it
+                with open(path, "rb") as handle, np.load(
+                    handle, allow_pickle=False
+                ) as data:
+                    size = os.fstat(handle.fileno()).st_size
+                    payload = {n: np.asarray(data[n]) for n in data.files}
+                owner = payload.pop(OWNER_KEY)
+                if owner.shape != (1,) or str(owner[0]) != key:
+                    raise KeyError(key)  # never serve another key's entry
+                if decode is not None:
+                    payload = decode(payload)
+            except (OSError, EOFError, zipfile.BadZipFile, zlib.error,
+                    *DECODE_ERRORS):
                 self._miss()
                 return None
+            span.annotate(bytes=size)
         self.hits += 1
         get_metrics().inc("store.hits")
         return payload
@@ -319,10 +320,11 @@ class ArtifactStore:
 
     def save(self, key: str, payload: Mapping[str, np.ndarray]) -> None:
         """Persist ``payload`` under ``key`` (atomic write), stamped with
-        ``key`` itself so :meth:`load` can tell a misplaced entry."""
+        ``key`` itself so :meth:`load` can tell a misplaced entry, under a
+        ``store.save`` span whose ``bytes`` is the size written."""
         payload = {**payload, OWNER_KEY: np.array([key])}
         fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".npz"
+            dir=self.directory, prefix=TMP_PREFIX, suffix=".npz"
         )
         try:
             try:
@@ -330,10 +332,11 @@ class ArtifactStore:
             except BaseException:
                 os.close(fd)  # fdopen failed: the raw fd is still ours
                 raise
-            with handle:
+            with get_tracer().span("store.save") as span, handle:
                 np.savez_compressed(
                     handle, **{k: np.asarray(v) for k, v in payload.items()}
                 )
+                span.annotate(bytes=handle.tell())
             os.replace(tmp, self._path(key))
         except BaseException:
             try:
@@ -345,12 +348,14 @@ class ArtifactStore:
         get_metrics().inc("store.writes")
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot: ``{"hits", "misses", "writes", "entries"}``."""
+        """Counter snapshot: ``{"hits", "misses", "writes", "entries"}``;
+        a temp file a killed writer left behind is no entry."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "entries": sum(
-                1 for p in self.directory.iterdir() if p.suffix == ".npz"
+                1 for p in self.directory.iterdir()
+                if p.suffix == ".npz" and not p.name.startswith(TMP_PREFIX)
             ),
         }

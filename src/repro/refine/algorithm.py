@@ -202,7 +202,7 @@ class IterativeRefinement:
     ``config.members`` rows.  Member ``i`` derives from the spec's
     ``(base_seed, i)`` alone, so those rows are exactly the members a
     ``config.members``-sized spec generates; they are already in memory,
-    so fitting runs and loads no model member.
+    so fitting runs no model member.
 
     :meth:`refine` then runs the sampling loop for one
     :class:`~repro.slicing.RankedSlice` and its ECT-failing runs.
@@ -220,14 +220,13 @@ class IterativeRefinement:
         self.accepted = ensemble
         self.communities = communities
         k = self.config.members
-        members = ensemble.members[:k]
-        #: the small accepted ensemble the scoped tests are fitted on
+        #: the small accepted ensemble the scoped tests are fitted on; no
+        #: test reads its coverage, so it carries an empty trace
         self.ensemble = Ensemble(
             spec=dataclasses.replace(ensemble.spec, n_members=k),
             variable_names=list(ensemble.variable_names),
             matrix=ensemble.matrix[:k],
-            members=members,
-            coverage=CoverageTrace().merged(*(m.coverage for m in members)),
+            coverage=CoverageTrace(),
         )
         self._ect_cache: dict[frozenset[str], Optional[UltraFastECT]] = {}
 

@@ -32,7 +32,7 @@ def count_calls(monkeypatch):
 
     The ``count_calls`` helper of ``tests/experiments/test_experiments.py``
     as a fixture that also reaches class attributes, so a method such as
-    ``MemberCache.load_artifact`` is counted as well as a function every
+    ``ArtifactStore.load`` is counted as well as a function every
     ``repro`` module imported by name.
     """
 

@@ -10,9 +10,11 @@ from repro.ensemble import (
     UnknownBackendError,
     generate_ensemble,
 )
+from repro.ensemble.backends import run_members
 from repro.model import build_model_source
 
 SMALL = EnsembleSpec(n_members=4, nsteps=1)
+JOBS = list(enumerate(SMALL.member_configs()))
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +37,27 @@ class TestConformance:
         ens = generate_ensemble(SMALL, source=shared_source, backend=backend)
         np.testing.assert_array_equal(ens.matrix, serial_ensemble.matrix)
         assert ens.variable_names == serial_ensemble.variable_names
-        # merged coverage must be identical too — coverage is part of the
-        # artifact, not a serial-only extra
+        # merged coverage must be identical too — coverage is part of a
+        # run, not a serial-only extra
         assert ens.coverage == serial_ensemble.coverage
-        for mine, ref in zip(ens.members, serial_ensemble.members):
-            assert mine.coverage == ref.coverage
-            assert mine.statements_executed == ref.statements_executed
-            assert mine.prng_draws == ref.prng_draws
+        # and so is every member, outputs and @first snapshots included
+        mine = dict(run_members(shared_source, JOBS, backend))
+        ref = dict(run_members(shared_source, JOBS, "serial"))
+        assert sorted(mine) == sorted(ref) == [i for i, _ in JOBS]
+        for index, want in ref.items():
+            got = mine[index]
+            assert got.config == want.config
+            assert got.coverage == want.coverage
+            assert got.statements_executed == want.statements_executed
+            assert got.prng_draws == want.prng_draws
+            assert list(got.outputs) == list(want.outputs)
+            for name in want.outputs:
+                np.testing.assert_array_equal(
+                    got.outputs[name], want.outputs[name]
+                )
+                np.testing.assert_array_equal(
+                    got.first_outputs[name], want.first_outputs[name]
+                )
 
     def test_backend_name_recorded_in_stats(self, serial_ensemble):
         assert serial_ensemble.stats["backend"] == "serial"
@@ -70,18 +86,18 @@ class TestBackendNames:
 
 
 class TestBackendCacheInterplay:
-    def test_vectorized_misses_fill_cache_for_serial_hits(
-        self, shared_source, tmp_path
-    ):
-        cold = generate_ensemble(
-            SMALL, source=shared_source, cache_dir=tmp_path,
-            backend="vectorized",
-        )
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        warm = generate_ensemble(
-            SMALL, source=shared_source, cache_dir=tmp_path, backend="serial"
-        )
-        assert warm.cache_hits == 4 and warm.cache_misses == 0
+    def test_vectorized_misses_fill_cache_for_serial_hits(self, tmp_path):
+        """The backend stays out of the stage key: a store filled on
+        ``vectorized`` serves ``serial`` without running a member."""
+        from repro.obs import get_metrics
+        from repro.pipeline import accepted_ensemble
+
+        cold = accepted_ensemble(SMALL, store_dir=tmp_path, backend="vectorized")
+        before = get_metrics().counters()
+        warm = accepted_ensemble(SMALL, store_dir=tmp_path, backend="serial")
+        moved = get_metrics().counter_delta(before)
+        assert moved["store.hits"] == 1
+        assert "ensemble.members_run" not in moved
         np.testing.assert_array_equal(warm.matrix, cold.matrix)
         assert warm.coverage == cold.coverage
 

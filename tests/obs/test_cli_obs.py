@@ -83,19 +83,20 @@ class TestTracedRun:
             f"stage:{s['name']}" for s in doc["stages"]
         }
         assert names.count("ensemble.member") >= 6
-        # member-cache I/O has its own spans, with the bytes moved (a load
-        # that finds no entry reads 0)
-        for name in ("member_cache.load", "member_cache.store"):
+        # store I/O has its own spans, with the bytes moved (a load that
+        # finds no entry reads 0); each model pass is saved as one entry
+        by_id = {s.span_id: s for s in spans}
+        for name in ("store.load", "store.save"):
             assert all("bytes" in s.attrs for s in spans if s.name == name)
-        assert names.count("member_cache.load") >= 6
-        stores = [s.attrs["bytes"] for s in spans
-                  if s.name == "member_cache.store"]
-        assert len(stores) >= 6 and min(stores) > 0
+        for stage in ("control_ensemble", "experimental_runs"):
+            (save,) = [s for s in spans if s.name == "store.save"
+                       and by_id[s.parent_id].name == f"stage:{stage}"]
+            assert save.attrs["bytes"] > 0
+        assert not [n for n in names if n.startswith("member_cache.")]
         # the cold run slices once, inside the ranked_slice stage, over
         # every output field
         slice_spans = [s for s in spans if s.name == "slicing.slice"]
         assert len(slice_spans) == 1
-        by_id = {s.span_id: s for s in spans}
         assert by_id[slice_spans[0].parent_id].name == "stage:ranked_slice"
         assert slice_spans[0].attrs["fields"] == 40
         # stage records link back into the trace by span id
@@ -107,6 +108,23 @@ class TestTracedRun:
         assert [s.name for s in roots] == ["pipeline.run"]
         assert roots[0].attrs["experiment"] == "wsubbug"
         assert "python" in roots[0].attrs
+
+    def test_traced_warm_run_loads_one_entry(
+        self, traced_run, store, tmp_path
+    ):
+        from repro.obs import read_trace
+
+        trace = str(tmp_path / "warm.jsonl")
+        code, _ = invoke(
+            ["run", "wsubbug", "--store", store, "--trace", trace, *RUN_ARGS]
+        )
+        assert code == 0
+        spans = read_trace(trace)
+        by_id = {s.span_id: s for s in spans}
+        (load,) = [s for s in spans if s.name == "store.load"]
+        assert by_id[load.parent_id].name == "stage:report"
+        assert load.attrs["bytes"] > 0
+        assert not [s for s in spans if s.name == "store.save"]
 
     def test_trace_summarize_renders_markdown(self, traced_run, trace_path):
         code, text = invoke(["trace", "summarize", trace_path, "--top", "5"])

@@ -71,8 +71,7 @@ class TestColdThenWarm:
     def test_warm_run_reads_one_entry(self, cold, store):
         doc = invoke(["run", "wsubbug", "--store", store, "--json", *RUN_ARGS])
         assert doc["metrics"]["store.hits"] == 1
-        assert not [k for k in doc["metrics"]
-                    if k.startswith("member_cache.") or k == "model.parses"]
+        assert "model.parses" not in doc["metrics"]
         assert doc["report"] == cold[0]["report"]
         # every stage is listed and every cacheable one is a hit
         assert [s["name"] for s in doc["stages"]] == \
@@ -87,12 +86,15 @@ class TestColdThenWarm:
             [r["module"] for r in cold[0]["profile"]]
 
 
-def test_ensemble_served_from_the_member_cache_parses_nothing(tmp_path):
-    from repro.ensemble import EnsembleSpec, generate_ensemble
+def test_ensemble_served_from_the_store_parses_nothing(tmp_path):
+    from repro.ensemble import EnsembleSpec
+    from repro.pipeline import accepted_ensemble
 
     spec = EnsembleSpec(n_members=2, nsteps=1)
-    generate_ensemble(spec, cache_dir=tmp_path)
+    accepted_ensemble(spec, store_dir=tmp_path)
     before = get_metrics().counters()
-    again = generate_ensemble(spec, cache_dir=tmp_path)
-    assert again.cache_hits == 2
-    assert "model.parses" not in get_metrics().counter_delta(before)
+    again = accepted_ensemble(spec, store_dir=tmp_path)
+    assert again.n_members == 2
+    moved = get_metrics().counter_delta(before)
+    assert moved["store.hits"] == 1
+    assert "model.parses" not in moved

@@ -30,8 +30,8 @@ def value_stage(name, value, inputs=(), params=None, combine=None):
         func=func,
         inputs=tuple(inputs),
         params=dict(params or {"value": value}),
-        encode=lambda v, ctx, inputs: json_payload({"v": v}),
-        decode=lambda payload, ctx, inputs: payload_json(payload)["v"],
+        encode=lambda v: json_payload({"v": v}),
+        decode=lambda payload: payload_json(payload)["v"],
     )
 
 
@@ -233,7 +233,7 @@ class TestCaching:
         stage = pipeline.stages[0]
         broken = dataclasses.replace(
             stage,
-            decode=lambda payload, ctx, inputs: (_ for _ in ()).throw(
+            decode=lambda payload: (_ for _ in ()).throw(
                 ValueError("stale payload")
             ),
         )
@@ -356,7 +356,7 @@ class TestPull:
         stages = list(self.two_sinks(tmp_path, calls).stages)
         stages[1] = dataclasses.replace(
             stages[1],
-            decode=lambda payload, ctx, inputs: (_ for _ in ()).throw(
+            decode=lambda payload: (_ for _ in ()).throw(
                 ValueError("stale payload")
             ),
         )

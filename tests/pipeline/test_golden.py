@@ -31,8 +31,8 @@ from repro.refine import RefinementConfig
 GOLDEN = Path(__file__).parent / "golden"
 
 #: the stages whose value the one dataclass codec stores
-CODEC_STAGES = ("ect", "ranked_slice", "communities", "selection", "refined",
-                "report")
+CODEC_STAGES = ("control_ensemble", "experimental_runs", "ect", "ranked_slice",
+                "communities", "selection", "refined", "report")
 
 
 def small(name):
@@ -134,9 +134,9 @@ def test_codec_stages_round_trip_losslessly(sweep, name):
     decoded = {}
     for stage_name in CODEC_STAGES:
         stage = pipeline.stage(stage_name)
-        payload = stage.encode(result[stage_name], None, {})
-        decoded[stage_name] = stage.decode(payload, None, {})
-        assert_same_arrays(stage.encode(decoded[stage_name], None, {}), payload)
+        payload = stage.encode(result[stage_name])
+        decoded[stage_name] = stage.decode(payload)
+        assert_same_arrays(stage.encode(decoded[stage_name]), payload)
 
     assert decoded["ranked_slice"].depths == result["ranked_slice"].depths
     assert decoded["ranked_slice"] == result["ranked_slice"]

@@ -1,6 +1,8 @@
 """ArtifactStore: payloads, atomicity conventions, counters, stage codec."""
 
 import dataclasses
+import struct
+import zipfile
 from typing import Mapping, Optional
 
 import numpy as np
@@ -58,6 +60,48 @@ def test_truncated_entry_is_a_miss(tmp_path):
     path = tmp_path / "k.npz"
     path.write_bytes(path.read_bytes()[:10])
     assert store.load("k") is None
+
+
+def test_corrupt_deflate_stream_is_a_miss(tmp_path):
+    """An entry whose zip structure is intact but whose compressed body
+    is not raises ``zlib.error`` on read: a miss, not a crash."""
+    store = ArtifactStore(tmp_path)
+    store.save("k", json_payload({"x": 1}, arrays={"a": np.arange(50.0)}))
+    path = tmp_path / "k.npz"
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo("__json__.npy").header_offset
+    data = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)
+    data[offset + 30 + name_len + extra_len] = 0xFF  # a reserved block type
+    path.write_bytes(bytes(data))
+    assert store.load("k") is None
+    assert (store.hits, store.misses) == (0, 1)
+
+
+def test_entries_count_no_temp_file(tmp_path):
+    """A writer killed between its temp file and the rename leaves the
+    temp file behind; it is no entry."""
+    store = ArtifactStore(tmp_path)
+    store.save("k", json_payload({}))
+    (tmp_path / ".tmp-orphan.npz").write_bytes(b"half written")
+    assert store.stats()["entries"] == 1
+
+
+def test_load_and_save_spans_carry_bytes(tmp_path):
+    from repro.obs import disable_tracing, enable_tracing
+
+    store = ArtifactStore(tmp_path)
+    enable_tracing()
+    try:
+        store.save("k", json_payload({"x": 1}))
+        store.load("k")
+        store.load("absent")
+    finally:
+        spans = disable_tracing()
+    size = (tmp_path / "k.npz").stat().st_size
+    assert [(s.name, s.attrs["bytes"]) for s in spans] == [
+        ("store.save", size), ("store.load", size), ("store.load", 0)
+    ]
 
 
 class TestNonFinitePayloads:

@@ -44,7 +44,6 @@ class TestHierarchy:
         assert issubclass(errors_module.StageError, RuntimeError)
         assert issubclass(errors_module.UnknownExperimentError, KeyError)
         assert issubclass(errors_module.UnknownBackendError, KeyError)
-        assert issubclass(errors_module.ArtifactError, ValueError)
 
     def test_one_except_catches_scattered_raisers(self):
         from repro.experiments import get_experiment
