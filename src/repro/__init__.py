@@ -28,116 +28,69 @@ cheap and does not build the model.
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import Any
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
 #: name -> (module, attribute) lazy export table
-_LAZY_EXPORTS: dict[str, tuple[str, str]] = {
-    # front end
-    "parse_source": ("repro.fortran", "parse_source"),
-    # model
-    "build_model_source": ("repro.model", "build_model_source"),
-    "ModelConfig": ("repro.model", "ModelConfig"),
-    "list_patches": ("repro.model", "list_patches"),
-    "get_patch": ("repro.model", "get_patch"),
-    "PatchError": ("repro.model", "PatchError"),
-    # runtime
-    "run_model": ("repro.runtime", "run_model"),
-    "run_model_batch": ("repro.runtime", "run_model_batch"),
-    "RunConfig": ("repro.runtime", "RunConfig"),
-    "RunResult": ("repro.runtime", "RunResult"),
-    "FPConfig": ("repro.runtime", "FPConfig"),
-    "CoverageTrace": ("repro.runtime", "CoverageTrace"),
-    "Interpreter": ("repro.runtime", "Interpreter"),
-    "MemberBatch": ("repro.runtime", "MemberBatch"),
-    "VecInterpreter": ("repro.runtime", "VecInterpreter"),
-    "VectorizationError": ("repro.runtime", "VectorizationError"),
+_LAZY_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fortran": ("parse_source",),
+    "repro.model": (
+        "build_model_source", "ModelConfig", "list_patches", "get_patch",
+        "PatchError",
+    ),
+    "repro.runtime": (
+        "run_model", "run_model_batch", "RunConfig", "RunResult", "FPConfig",
+        "CoverageTrace", "Interpreter", "MemberBatch", "VecInterpreter",
+        "VectorizationError",
+    ),
     # kernel extraction
-    "Kernel": ("repro.kgen", "Kernel"),
-    "KernelError": ("repro.kgen", "KernelError"),
-    "KernelReport": ("repro.kgen", "KernelReport"),
-    "extract_default_kernels": ("repro.kgen", "extract_default_kernels"),
-    "extract_kernel": ("repro.kgen", "extract_kernel"),
-    "verify_kernel": ("repro.kgen", "verify_kernel"),
-    # graph
-    "MetaGraph": ("repro.graphs", "MetaGraph"),
-    "build_metagraph": ("repro.graphs", "build_metagraph"),
-    # ensemble / ECT / selection
-    "Ensemble": ("repro.ensemble", "Ensemble"),
-    "EnsembleSpec": ("repro.ensemble", "EnsembleSpec"),
-    "generate_ensemble": ("repro.ensemble", "generate_ensemble"),
-    "EctConfig": ("repro.ect", "EctConfig"),
-    "EctResult": ("repro.ect", "EctResult"),
-    "UltraFastECT": ("repro.ect", "UltraFastECT"),
-    "ect_test": ("repro.ect", "ect_test"),
-    "select_affected_variables": ("repro.selection", "select_affected_variables"),
-    "select_culprits": ("repro.selection", "select_culprits"),
-    "EvidenceSelection": ("repro.selection", "EvidenceSelection"),
-    "SelectionSpec": ("repro.selection", "SelectionSpec"),
-    "SelectionResult": ("repro.selection", "SelectionResult"),
-    "SetCoverProblem": ("repro.selection", "SetCoverProblem"),
-    "SelectionError": ("repro.selection", "SelectionError"),
-    "InfeasibleSelectionError": ("repro.selection", "InfeasibleSelectionError"),
+    "repro.kgen": (
+        "Kernel", "KernelError", "KernelReport", "extract_default_kernels",
+        "extract_kernel", "verify_kernel",
+    ),
+    "repro.graphs": ("MetaGraph", "build_metagraph"),
+    "repro.ensemble": ("Ensemble", "EnsembleSpec", "generate_ensemble"),
+    "repro.ect": ("EctConfig", "EctResult", "UltraFastECT", "ect_test"),
+    "repro.selection": (
+        "select_affected_variables", "select_culprits", "EvidenceSelection",
+        "SelectionSpec", "SelectionResult", "SetCoverProblem",
+        "SelectionError", "InfeasibleSelectionError",
+    ),
     # consolidated error hierarchy
-    "ReproError": ("repro.errors", "ReproError"),
-    # slicing / analysis / refinement
-    "backward_slice": ("repro.slicing", "backward_slice"),
-    "slice_failing_runs": ("repro.slicing", "slice_failing_runs"),
-    "variable_weights": ("repro.slicing", "variable_weights"),
-    "RankedSlice": ("repro.slicing", "RankedSlice"),
-    "QuotientGraph": ("repro.analysis", "QuotientGraph"),
-    "quotient_graph": ("repro.analysis", "quotient_graph"),
-    "CommunityResult": ("repro.analysis", "CommunityResult"),
-    "girvan_newman_communities": ("repro.analysis", "girvan_newman_communities"),
-    "modularity": ("repro.analysis", "modularity"),
-    "degree_centrality": ("repro.analysis", "degree_centrality"),
-    "betweenness_centrality": ("repro.analysis", "betweenness_centrality"),
-    "closeness_centrality": ("repro.analysis", "closeness_centrality"),
-    "eigenvector_in_centrality": ("repro.analysis", "eigenvector_in_centrality"),
-    "degree_stats": ("repro.analysis", "degree_stats"),
-    "IterativeRefinement": ("repro.refine", "IterativeRefinement"),
-    "RefinementConfig": ("repro.refine", "RefinementConfig"),
-    "RefinementResult": ("repro.refine", "RefinementResult"),
-    "refine_slice": ("repro.refine", "refine_slice"),
+    "repro.errors": ("ReproError",),
+    "repro.slicing": (
+        "backward_slice", "slice_failing_runs", "variable_weights",
+        "RankedSlice",
+    ),
+    "repro.analysis": (
+        "QuotientGraph", "quotient_graph", "CommunityResult",
+        "girvan_newman_communities", "modularity", "degree_centrality",
+        "betweenness_centrality", "closeness_centrality",
+        "eigenvector_in_centrality", "degree_stats",
+    ),
+    "repro.refine": (
+        "IterativeRefinement", "RefinementConfig", "RefinementResult",
+        "refine_slice",
+    ),
     # observability
-    "Span": ("repro.obs", "Span"),
-    "Tracer": ("repro.obs", "Tracer"),
-    "MetricsRegistry": ("repro.obs", "MetricsRegistry"),
-    "enable_tracing": ("repro.obs", "enable_tracing"),
-    "disable_tracing": ("repro.obs", "disable_tracing"),
-    "get_tracer": ("repro.obs", "get_tracer"),
-    "get_metrics": ("repro.obs", "get_metrics"),
-    "round_wall": ("repro.obs", "round_wall"),
-    "runtime_info": ("repro.obs", "runtime_info"),
-    # experiments / pipeline / reporting
-    "ExperimentSpec": ("repro.experiments", "ExperimentSpec"),
-    "get_experiment": ("repro.experiments", "get_experiment"),
-    "list_experiments": ("repro.experiments", "list_experiments"),
-    "run_experiment": ("repro.experiments", "run_experiment"),
-    "run_sweep": ("repro.experiments", "run_sweep"),
-    "Pipeline": ("repro.pipeline", "Pipeline"),
-    "RootCauseAnalysis": ("repro.pipeline", "RootCauseAnalysis"),
-    "Stage": ("repro.pipeline", "Stage"),
-    "accepted_ensemble": ("repro.pipeline", "accepted_ensemble"),
-    "root_cause_pipeline": ("repro.pipeline", "root_cause_pipeline"),
-    "LocalizationReport": ("repro.reporting", "LocalizationReport"),
-    "build_report": ("repro.reporting", "build_report"),
-    "centrality_table": ("repro.reporting", "centrality_table"),
-    "degree_table": ("repro.reporting", "degree_table"),
-}
+    "repro.obs": (
+        "Span", "Tracer", "MetricsRegistry", "enable_tracing",
+        "disable_tracing", "get_tracer", "get_metrics", "round_wall",
+        "runtime_info",
+    ),
+    "repro.experiments": (
+        "ExperimentSpec", "get_experiment", "list_experiments",
+        "run_experiment", "run_sweep",
+    ),
+    "repro.pipeline": (
+        "Pipeline", "RootCauseAnalysis", "Stage", "accepted_ensemble",
+        "root_cause_pipeline",
+    ),
+    "repro.reporting": (
+        "LocalizationReport", "build_report", "centrality_table",
+        "degree_table",
+    ),
+})
 
 __all__ = ["__version__", *sorted(_LAZY_EXPORTS)]
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from exc
-    return getattr(import_module(module_name), attr)
-
-
-def __dir__() -> list[str]:  # pragma: no cover - trivial
-    return sorted(__all__)

@@ -39,6 +39,17 @@ from typing import Optional, Sequence
 __all__ = ["build_parser", "main"]
 
 
+def _row_count(text: str) -> int:
+    """The ``--top`` type: a number of rows, 0 for all of them."""
+    try:
+        rows = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if rows < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all), got {rows}")
+    return rows
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -135,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path for `chrome` (default: PATH.chrome.json)",
     )
     trace.add_argument(
-        "--top", type=int, default=0, help="top-N summary rows (0 = all)"
+        "--top",
+        type=_row_count,
+        default=0,
+        help="top-N summary rows (0 = all)",
     )
     trace.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -143,18 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
         "tables", help="print the paper-style metagraph tables (Tables 1/2)"
     )
     tables.add_argument(
-        "--top", type=int, default=None, help="top-N rows of the centrality table"
+        "--top",
+        type=_row_count,
+        default=0,
+        help="top-N rows of the centrality table (0 = all)",
     )
     tables.add_argument("--json", action="store_true", help="emit JSON")
 
     return parser
 
 
-def _resolve_experiment(args):
-    """The (possibly overridden) ExperimentSpec the run/sweep args name."""
+def _resolve_experiment(args, name: str):
+    """The experiment ``name``, with the run/sweep args' overrides."""
     from .experiments import get_experiment
 
-    spec = get_experiment(args.experiment)
+    spec = get_experiment(name)
     overrides = {}
     if args.members is not None:
         overrides["members"] = args.members
@@ -244,25 +261,38 @@ def _print_stage_table(result, out) -> None:
         )
 
 
-#: exit code for bad experiment/backend names, sizes or run counts —
-#: distinct from exit 1, which means "ran fine but did not localize"
+#: exit code for bad experiment/backend names, sizes, run counts or
+#: stores — distinct from exit 1, which means "ran fine but did not
+#: localize"
 EX_USAGE = 2
 
 
-def _validate_names(args) -> Optional[str]:
-    """Resolve the experiment and compile its pipeline up front; the error
-    message (naming every known candidate) on a bad name, size or run
-    count, else None."""
+def _validate(args, names: Sequence[str]) -> Optional[str]:
+    """Resolve every experiment, compile its pipeline and then open the
+    store up front; the error message (naming every known candidate) on a
+    bad name, size or run count, or on a store path that cannot hold a
+    store, else None."""
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
     try:
         # compiling checks the backend name and the sizes, e.g. a
         # refinement ensemble larger than the accepted one
-        root_cause_pipeline(_resolve_experiment(args), backend=args.backend)
+        pipelines = [
+            root_cause_pipeline(
+                _resolve_experiment(args, name),
+                store_dir=args.store,
+                backend=args.backend,
+            )
+            for name in names
+        ]
     # unknown backends and bad sizes raise ValueError subclasses
     except (UnknownExperimentError, ValueError) as exc:
         return str(exc)
+    try:
+        pipelines[0].open_store()  # the experiments share one store
+    except OSError as exc:
+        return f"cannot use store {args.store!r}: {exc}"
     return None
 
 
@@ -270,7 +300,7 @@ def _cmd_run(args, out) -> int:
     from .obs import disable_tracing, enable_tracing, get_metrics, write_trace
     from .pipeline import RootCauseAnalysis
 
-    error = _validate_names(args)
+    error = _validate(args, [args.experiment])
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EX_USAGE
@@ -281,7 +311,7 @@ def _cmd_run(args, out) -> int:
         enable_tracing(experiment=args.experiment)
     try:
         result = RootCauseAnalysis(
-            _resolve_experiment(args),
+            _resolve_experiment(args, args.experiment),
             store_dir=args.store,
             backend=args.backend,
         ).run()
@@ -314,23 +344,20 @@ def _cmd_sweep(args, out) -> int:
     from .pipeline import RootCauseAnalysis
 
     names = args.experiments or list_experiments()
-    for name in names:
-        sweep_args = argparse.Namespace(**{**vars(args), "experiment": name})
-        error = _validate_names(sweep_args)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return EX_USAGE
+    error = _validate(args, names)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EX_USAGE
     tracing = bool(args.trace or args.profile)
     documents, failures = {}, []
     try:
         for name in names:
-            sweep_args = argparse.Namespace(**{**vars(args), "experiment": name})
             metrics_before = get_metrics().counters()
             if tracing:  # one trace buffer per experiment, appended to one file
                 enable_tracing(experiment=name)
             try:
                 result = RootCauseAnalysis(
-                    _resolve_experiment(sweep_args),
+                    _resolve_experiment(args, name),
                     store_dir=args.store,
                     backend=args.backend,
                 ).run()
@@ -401,7 +428,8 @@ def _cmd_tables(args, out) -> int:
     from .reporting import centrality_table, degree_table
 
     graph = build_metagraph(build_model_source(ModelConfig()))
-    tables = [degree_table(graph), centrality_table(graph, top=args.top)]
+    top = args.top or None  # 0 = every row
+    tables = [degree_table(graph), centrality_table(graph, top=top)]
     if args.json:
         print(
             json.dumps(

@@ -5,7 +5,8 @@ experimental runs (a bug patch, a compiler-flag change such as FMA
 contraction, a swapped PRNG) are statistically distinguishable from the
 accepted climate.  See :mod:`repro.ect.core` for the two-channel design
 (truncated-PCA scores with the paper's failure-count rule, plus bit-exact
-first-step invariants for ULP-level effects).
+first-step invariants for ULP-level effects).  Names are exported lazily:
+:class:`EctConfig` (:mod:`repro.ect.config`) imports without numpy.
 
 Quickstart — the ``cldfrc-premib`` patch fails ECT, held-out seeds pass:
 
@@ -27,6 +28,11 @@ True
 
 from __future__ import annotations
 
-from .core import EctConfig, EctResult, UltraFastECT, ect_test
+from .._lazy import lazy_exports
 
-__all__ = ["EctConfig", "EctResult", "UltraFastECT", "ect_test"]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("EctConfig",),
+    ".core": ("EctResult", "UltraFastECT", "ect_test"),
+})
+
+__all__ = sorted(_EXPORTS)

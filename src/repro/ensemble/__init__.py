@@ -12,6 +12,8 @@ ECT / slicing stages; the pipeline store (:mod:`repro.pipeline`) caches
 it as one stage entry.  The two backends (:mod:`repro.ensemble.backends`)
 are bit-identical: ``vectorized``, the default, advances every member in
 one numpy pass, and ``serial`` is the scalar reference it falls back to.
+Names are exported lazily: :class:`EnsembleSpec` and the backend names
+import without numpy or the runtime, which load on the first run.
 
 Quickstart — does the ``cldfrc-premib`` bug patch change the climate?
 
@@ -33,14 +35,12 @@ True
 
 from __future__ import annotations
 
-from .backends import UnknownBackendError
-from .generate import Ensemble, generate_ensemble, run_vector
-from .spec import EnsembleSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Ensemble",
-    "EnsembleSpec",
-    "UnknownBackendError",
-    "generate_ensemble",
-    "run_vector",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": ("UnknownBackendError",),
+    ".generate": ("Ensemble", "generate_ensemble", "run_vector"),
+    ".spec": ("EnsembleSpec",),
+})
+
+__all__ = sorted(_EXPORTS)

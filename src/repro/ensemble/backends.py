@@ -24,13 +24,14 @@ fast an ensemble is produced.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import ReproError
-from ..model.builder import ModelSource
 from ..obs import Span, get_metrics, get_tracer, new_span_id
-from ..runtime import RunConfig, RunResult, VectorizationError, run_model
-from ..runtime.vec import batch_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..model.builder import ModelSource
+    from ..runtime import RunConfig, RunResult
 
 __all__ = [
     "BACKENDS",
@@ -79,12 +80,15 @@ def run_members(
     running them on ``backend``.
 
     ``source`` is the shared built model every job runs against; the first
-    run parses it, the rest reuse its cached ASTs.
+    run parses it, the rest reuse its cached ASTs.  The runtime is imported
+    on the first run, not with this module.
     """
     if check_backend(backend) == "serial":
         for index, config in jobs:
             yield index, _serial_run(source, config)
         return
+    from ..runtime.vec import batch_key
+
     groups: dict[RunConfig, list[tuple[int, RunConfig]]] = {}
     for index, config in jobs:
         groups.setdefault(batch_key(config), []).append((index, config))
@@ -97,6 +101,8 @@ def run_members(
 def _serial_run(source: ModelSource, config: RunConfig) -> RunResult:
     """One member on the scalar interpreter, under an ``ensemble.member``
     span."""
+    from ..runtime.interpreter import run_model
+
     span = get_tracer().span(
         "ensemble.member",
         lambda: {"seed": config.seed, "nsteps": config.nsteps,
@@ -120,6 +126,7 @@ def _run_batch(
     attribute of its ``ensemble.batch`` span.  Any other error (an
     exhausted statement budget, a model runtime error) propagates.
     """
+    from ..runtime.values import VectorizationError
     from ..runtime.vec import run_model_batch
 
     tracer = get_tracer()

@@ -27,7 +27,8 @@ import numpy as np
 
 from ..model.builder import ModelSource, build_model_source
 from ..obs import get_metrics, get_tracer
-from ..runtime import CoverageTrace, RunResult
+from ..runtime.coverage import CoverageTrace
+from ..runtime.result import RunResult
 from .backends import DEFAULT_BACKEND, check_backend, run_members
 from .spec import EnsembleSpec
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model.builder import ModelConfig
-from ..runtime import FPConfig, RunConfig
+from ..runtime.config import FPConfig, RunConfig
 from ..runtime.prng import PRNGStreams
 
 __all__ = ["EnsembleSpec"]

@@ -30,7 +30,7 @@ Two usage conventions the CLI maps onto exit codes (tested in
 
 from __future__ import annotations
 
-from typing import Any
+from ._lazy import lazy_exports
 
 __all__ = [
     "FortranFrontEndError",
@@ -63,34 +63,16 @@ class ReproError(Exception):
 #: name -> (module, attribute): the concrete classes, re-exported lazily
 #: from their defining modules (importing them eagerly here would create
 #: cycles — those modules import ReproError from this one)
-_ERROR_EXPORTS: dict[str, tuple[str, str]] = {
-    "FortranFrontEndError": ("repro.fortran.errors", "FortranFrontEndError"),
-    "FortranRuntimeError": ("repro.runtime.values", "FortranRuntimeError"),
-    "PatchError": ("repro.model.patches", "PatchError"),
-    "UnknownPatchError": ("repro.model.patches", "UnknownPatchError"),
-    "UnknownExperimentError": ("repro.experiments", "UnknownExperimentError"),
-    "UnknownBackendError": ("repro.ensemble.backends", "UnknownBackendError"),
-    "StoreError": ("repro.pipeline.store", "StoreError"),
-    "PipelineError": ("repro.pipeline.core", "PipelineError"),
-    "StageError": ("repro.pipeline.core", "StageError"),
-    "VectorizationError": ("repro.runtime.values", "VectorizationError"),
-    "KernelError": ("repro.kgen.extract", "KernelError"),
-    "SelectionError": ("repro.selection.setcover", "SelectionError"),
-    "InfeasibleSelectionError": ("repro.selection.setcover", "InfeasibleSelectionError"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _ERROR_EXPORTS[name]
-    except KeyError as exc:
-        raise AttributeError(
-            f"module 'repro.errors' has no attribute {name!r}"
-        ) from exc
-    from importlib import import_module
-
-    return getattr(import_module(module_name), attr)
-
-
-def __dir__() -> list[str]:  # pragma: no cover - trivial
-    return sorted(__all__)
+_ERROR_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fortran.errors": ("FortranFrontEndError",),
+    "repro.runtime.values": ("FortranRuntimeError", "VectorizationError"),
+    "repro.model.patches": ("PatchError", "UnknownPatchError"),
+    "repro.experiments": ("UnknownExperimentError",),
+    "repro.ensemble.backends": ("UnknownBackendError",),
+    "repro.pipeline.store": ("StoreError",),
+    "repro.pipeline.core": ("PipelineError", "StageError"),
+    "repro.kgen.extract": ("KernelError",),
+    "repro.selection.setcover": (
+        "SelectionError", "InfeasibleSelectionError",
+    ),
+})

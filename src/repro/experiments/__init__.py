@@ -28,14 +28,14 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..ect import EctConfig
+from ..ect.config import EctConfig
 from ..ensemble.backends import DEFAULT_BACKEND
 from ..ensemble.spec import EnsembleSpec
 from ..errors import ReproError
 from ..model.builder import ModelConfig
-from ..refine import RefinementConfig
-from ..runtime import FPConfig
-from ..selection import SelectionSpec
+from ..refine.config import RefinementConfig
+from ..runtime.config import FPConfig
+from ..selection.spec import SelectionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pipeline import PipelineResult

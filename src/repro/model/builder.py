@@ -15,21 +15,24 @@ True
 ``ModelSource.parse()`` preprocesses with the compset's macros and caches the
 ASTs, so the metagraph builder (:mod:`repro.graphs`), the runtime and the
 slicer all share one parse of the tree.  Building is cheap and parsing is
-not, so nothing parses until a consumer first needs the ASTs, and trees
-that share a ``parse_cache`` parse each unchanged file once.
+not, so nothing parses until a consumer first needs the ASTs (the Fortran
+front end is not even imported before then), and trees that share a
+``parse_cache`` parse each unchanged file once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..fortran import parse_source
-from ..fortran.ast_nodes import ModuleNode, SourceFileAST
 from ..obs import get_metrics, get_tracer
 from .patches import get_patch
 from .registry import CompsetSpec, get_compset, iter_module_specs
 from . import modules as _modules
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..fortran.ast_nodes import ModuleNode, SourceFileAST
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ class ModelSource:
     def _parse(
         self, files: dict[str, str], cache: dict | None
     ) -> dict[str, SourceFileAST]:
+        from ..fortran import parse_source  # loaded by the first parse
+
         macros = tuple(sorted(self.macros.items()))
         asts: dict[str, SourceFileAST] = {}
         reused = 0

@@ -5,7 +5,7 @@ A :class:`Stage` is one unit of the root-cause workflow — "generate the
 accepted ensemble", "run the consistency test" — with a name, the names of
 the upstream stages it consumes, a ``params`` mapping that *fully
 determines its behaviour*, and (when cacheable) an ``encode``/``decode``
-pair mapping its value to a flat ndarray payload for the
+pair mapping its value to a payload (JSON text plus ndarrays) for the
 :class:`~repro.pipeline.store.ArtifactStore`.
 
 Cache keys are content hashes: a SHA-256 over the stage name, a
@@ -355,11 +355,17 @@ class Pipeline:
             fps[stage.name] = key
         return out
 
+    def open_store(self) -> Optional[ArtifactStore]:
+        """The artifact store under ``store_dir``, created when absent (None
+        without a ``store_dir``); an ``OSError`` when ``store_dir`` cannot
+        hold one, e.g. because it is a file."""
+        if self.store_dir is None:
+            return None
+        return ArtifactStore(self.store_dir / "stages")
+
     def run(self) -> PipelineResult:
         """Compute every key, then decode or run what the sinks need."""
-        store = None
-        if self.store_dir is not None:
-            store = ArtifactStore(self.store_dir / "stages")
+        store = self.open_store()
 
         tracer, metrics = get_tracer(), get_metrics()
         by_name = {stage.name: stage for stage in self.stages}

@@ -27,7 +27,10 @@ stores one per-field module-depth table that ``selection`` and
 The pipeline pulls: a warm run decodes only the ``report`` entry, and
 every other stage is decoded on first access to its value (see
 :mod:`repro.pipeline.core`).  The source stages only build their trees;
-the metagraph, the model runs and the slicer parse on first use.
+the metagraph, the model runs and the slicer parse on first use.  Each
+stage imports its implementation when it runs, and its codec resolves the
+value type on first use, so compiling a pipeline imports only the config
+dataclasses, and a warm run loads neither numpy nor the runtime.
 
 Every cacheable stage value is stored by the one stage codec
 (:func:`~repro.pipeline.store.encode_dataclass`), so a hit decodes to
@@ -39,25 +42,28 @@ up by name.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
-from ..analysis import CommunityResult, girvan_newman_communities, quotient_graph
-from ..ect import EctConfig, EctResult, UltraFastECT
-from ..ensemble import Ensemble, generate_ensemble
-from ..ensemble.backends import DEFAULT_BACKEND, check_backend, run_members
+from ..ect.config import EctConfig
+from ..ensemble.backends import DEFAULT_BACKEND, check_backend
 from ..ensemble.spec import EnsembleSpec
-from ..graphs import build_metagraph
 from ..model.builder import ModelConfig, ModelSource, build_model_source
-from ..refine import RefinementConfig, RefinementResult, refine_slice
-from ..reporting import LocalizationReport, build_report
-from ..runtime import RunResult
-from ..selection import SelectionResult, SelectionSpec, select_culprits
-from ..slicing import RankedSlice, slice_failing_runs
+from ..refine.config import RefinementConfig
+from ..selection.spec import SelectionSpec
 from .core import Pipeline, PipelineResult, Stage, StageContext
 from .store import decode_dataclass, encode_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis import CommunityResult
+    from ..ensemble import Ensemble
     from ..experiments import ExperimentSpec
+    from ..refine import RefinementResult
+    from ..reporting import LocalizationReport
+    from ..runtime import RunResult
+    from ..selection import SelectionResult
+    from ..slicing import RankedSlice
 
 __all__ = [
     "RootCauseAnalysis",
@@ -71,11 +77,20 @@ __all__ = [
 ]
 
 
-def _codec(cls: type) -> dict:
-    """The ``encode``/``decode`` slots of a stage whose value is a ``cls``."""
+def _codec(package: str, name: str, *, many: bool = False) -> dict:
+    """The ``encode``/``decode`` slots of a stage whose value is a
+    ``package.name`` (a list of them when ``many``).  The type resolves on
+    the first encode or decode, so compiling a pipeline imports no stage
+    implementation."""
+
+    @functools.cache
+    def cls():
+        value_type = getattr(import_module(package, __package__), name)
+        return list[value_type] if many else value_type
+
     return {
-        "encode": lambda value: encode_dataclass(value, cls),
-        "decode": lambda payload: decode_dataclass(payload, cls),
+        "encode": lambda value: encode_dataclass(value, cls()),
+        "decode": lambda payload: decode_dataclass(payload, cls()),
     }
 
 
@@ -109,9 +124,15 @@ def make_source_stage(
 
 def make_metagraph_stage(source_input: str = "control_source") -> Stage:
     """Build the variable-dependency metagraph of the control tree."""
+
+    def func(ctx: StageContext, **inputs):
+        from ..graphs import build_metagraph
+
+        return build_metagraph(inputs[source_input])
+
     return Stage(
         name="metagraph",
-        func=lambda ctx, **inputs: build_metagraph(inputs[source_input]),
+        func=func,
         inputs=(source_input,),
         cacheable=False,
     )
@@ -136,6 +157,8 @@ def make_ensemble_stage(
     check_backend(backend)
 
     def func(ctx: StageContext, **inputs) -> Ensemble:
+        from ..ensemble.generate import generate_ensemble
+
         ensemble = generate_ensemble(
             spec, source=inputs[source_input], backend=backend
         )
@@ -148,7 +171,7 @@ def make_ensemble_stage(
         func=func,
         inputs=(source_input,),
         params={"spec": spec},
-        **_codec(Ensemble),
+        **_codec("..ensemble", "Ensemble"),
     )
 
 
@@ -172,6 +195,8 @@ def make_experimental_runs_stage(
     check_backend(backend)
 
     def func(ctx: StageContext, **inputs) -> list[RunResult]:
+        from ..ensemble.backends import run_members
+
         jobs = [
             (i, dataclasses.replace(
                 spec.experimental_config(i, model=model, fp=fp),
@@ -188,7 +213,7 @@ def make_experimental_runs_stage(
         func=func,
         inputs=(source_input,),
         params={"spec": spec, "model": model, "fp": fp, "n_runs": n_runs},
-        **_codec(list[RunResult]),
+        **_codec("..runtime", "RunResult", many=True),
     )
 
 
@@ -198,6 +223,8 @@ def make_ect_stage(ect: Optional[EctConfig] = None) -> Stage:
     ect_config = ect or EctConfig()
 
     def func(ctx: StageContext, control_ensemble, experimental_runs):
+        from ..ect.core import UltraFastECT
+
         result = UltraFastECT(control_ensemble, ect_config).test(
             experimental_runs
         )
@@ -213,7 +240,7 @@ def make_ect_stage(ect: Optional[EctConfig] = None) -> Stage:
         func=func,
         inputs=("control_ensemble", "experimental_runs"),
         params={"ect": ect_config},
-        **_codec(EctResult),
+        **_codec("..ect", "EctResult"),
     )
 
 
@@ -238,6 +265,8 @@ def make_slice_stage(
         metagraph,
         control_source,
     ) -> RankedSlice:
+        from ..slicing import slice_failing_runs
+
         ranked = slice_failing_runs(
             control_ensemble,
             experimental_runs,
@@ -266,7 +295,7 @@ def make_slice_stage(
             "decay": decay,
             "max_module_fraction": max_module_fraction,
         },
-        **_codec(RankedSlice),
+        **_codec("..slicing", "RankedSlice"),
     )
 
 
@@ -282,6 +311,8 @@ def make_communities_stage() -> Stage:
     """
 
     def func(ctx: StageContext, metagraph) -> CommunityResult:
+        from ..analysis import girvan_newman_communities, quotient_graph
+
         result = girvan_newman_communities(quotient_graph(metagraph))
         ctx.annotate(communities=len(result))
         return result
@@ -290,7 +321,7 @@ def make_communities_stage() -> Stage:
         name="communities",
         func=func,
         inputs=("metagraph",),
-        **_codec(CommunityResult),
+        **_codec("..analysis", "CommunityResult"),
     )
 
 
@@ -310,6 +341,8 @@ def make_selection_stage(
     selection_spec = selection or SelectionSpec()
 
     def func(ctx: StageContext, ranked_slice, communities) -> SelectionResult:
+        from ..selection.select import select_culprits
+
         result = select_culprits(
             ranked_slice, communities=communities, spec=selection_spec
         )
@@ -326,7 +359,7 @@ def make_selection_stage(
         func=func,
         inputs=("ranked_slice", "communities"),
         params={"selection": selection_spec},
-        **_codec(SelectionResult),
+        **_codec("..selection", "SelectionResult"),
     )
 
 
@@ -348,6 +381,8 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
         experimental_runs,
         communities,
     ) -> RefinementResult:
+        from ..refine.algorithm import refine_slice
+
         result = refine_slice(
             ranked_slice,
             control_ensemble,
@@ -373,7 +408,7 @@ def make_refine_stage(refine: Optional[RefinementConfig] = None) -> Stage:
             "communities",
         ),
         params={"refine": refine_config},
-        **_codec(RefinementResult),
+        **_codec("..refine", "RefinementResult"),
     )
 
 
@@ -389,6 +424,8 @@ def make_report_stage(
     def func(
         ctx: StageContext, ect, ranked_slice, selection, refined, control_source
     ) -> LocalizationReport:
+        from ..reporting.report import build_report
+
         report = build_report(
             experiment=experiment_name,
             patch=patch,
@@ -416,7 +453,7 @@ def make_report_stage(
             "fma": fma,
             "target_modules": target_modules,
         },
-        **_codec(LocalizationReport),
+        **_codec("..reporting", "LocalizationReport"),
     )
 
 

@@ -1,19 +1,26 @@
 """On-disk per-stage artifact store with hit/miss counters.
 
-One pipeline stage result is one ``.npz`` file under the stage's
-content-addressed cache key: a flat ``{name: ndarray}`` payload loaded
-with ``allow_pickle=False`` (no code execution on load, ever) and written
+One pipeline stage result is one entry, ``<key>.npz``, under the stage's
+content-addressed cache key: a deflated zip holding a ``__key__`` member
+(the key the entry was saved under, UTF-8), a ``__json__`` member (the
+payload's JSON text, UTF-8) and one ``<name>.npy`` member per bulk array,
+written and read with :mod:`numpy.lib.format` and ``allow_pickle=False``
+(no code execution on load, ever) — the layout ``np.savez_compressed``
+writes, with the two text members stored as plain UTF-8.  Writes go
 through a temp file + ``os.replace``, so a killed pipeline never leaves a
 truncated entry behind — which is exactly what makes resume-from-cache
 safe after a crash mid-stage.
 
-Anything JSON-serializable rides along as a single-element string array
-under a reserved key (:func:`json_payload` / :func:`payload_json`), so
-one payload mixes structured metadata with bulk arrays.  On top sits the
+A payload is ``{"__json__": text, name: ndarray, ...}``: anything
+JSON-serializable rides along as the JSON text (:func:`json_payload` /
+:func:`payload_json`), so one payload mixes structured metadata with bulk
+arrays.  numpy is imported only for an entry that has arrays, so saving
+or loading a JSON-only entry (a report) needs no numpy.  On top sits the
 one stage codec, :func:`encode_dataclass` / :func:`decode_dataclass`,
-driven by a dataclass's declared field types.  Every entry also carries
-the key it was saved under, so a valid file copied or renamed onto
-another key loads as a miss.
+driven by a dataclass's declared field types.  Because every entry names
+its own key, a valid file copied or renamed onto another key loads as a
+miss, and so does an entry of the older all-arrays layout (no ``__key__``
+member): it is recomputed once.
 
 The store counts ``hits`` / ``misses`` / ``writes``; the pipeline surfaces
 per-stage deltas in its :class:`~repro.pipeline.core.StageRecord` values,
@@ -30,6 +37,7 @@ import functools
 import json
 import math
 import os
+import sys
 import tempfile
 import types
 import typing
@@ -37,8 +45,6 @@ import zipfile
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
-
-import numpy as np
 
 from ..errors import ReproError
 from ..obs import get_metrics, get_tracer
@@ -53,10 +59,12 @@ __all__ = [
     "payload_json",
 ]
 
-#: reserved payload key carrying the JSON side-channel
+#: reserved payload key (and entry member) carrying the JSON text
 JSON_KEY = "__json__"
-#: reserved payload key naming the store key an entry was saved under
+#: reserved entry member naming the store key an entry was saved under
 OWNER_KEY = "__key__"
+#: entry member suffix of a payload array
+ARRAY_SUFFIX = ".npy"
 #: name prefix of a save's temp file, which is never an entry
 TMP_PREFIX = ".tmp-"
 
@@ -69,6 +77,13 @@ class StoreError(ReproError, ValueError):
 DECODE_ERRORS = (StoreError, ValueError, KeyError, IndexError, TypeError)
 
 
+def _numpy():
+    """numpy when something already imported it, else None.  A numpy value
+    (an array, a numpy scalar) cannot exist before that, so the codec asks
+    this instead of importing numpy for values that are plain Python."""
+    return sys.modules.get("numpy")
+
+
 def find_nonfinite(obj: Any, path: str = "$") -> Optional[str]:
     """JSONPath-ish location of the first NaN/Infinity in ``obj``, or None.
 
@@ -78,7 +93,7 @@ def find_nonfinite(obj: Any, path: str = "$") -> Optional[str]:
     produce a payload ``payload_json`` cannot read back, and (in cache
     keys) hash unequal to every re-computation of itself.
     """
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return path
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -93,16 +108,15 @@ def find_nonfinite(obj: Any, path: str = "$") -> Optional[str]:
     return None
 
 
-def json_payload(
-    obj: Any, arrays: Optional[Mapping[str, np.ndarray]] = None
-) -> dict[str, np.ndarray]:
+def json_payload(obj: Any, arrays: Optional[Mapping[str, Any]] = None) -> dict:
     """A store payload carrying ``obj`` as JSON plus optional bulk arrays.
 
     ``obj`` must be strictly JSON-serializable — NaN/Infinity raise
     :class:`StoreError` naming the offending field rather than writing a
     payload the loader would reject; array names must not collide with
-    the reserved JSON key.  The JSON text is canonical (sorted keys), so
-    identical objects always produce byte-identical payload entries.
+    the reserved names.  The JSON text, ``payload["__json__"]``, is
+    canonical (sorted keys), so identical objects always produce
+    byte-identical payload entries.
     """
     try:
         text = json.dumps(obj, sort_keys=True, allow_nan=False)
@@ -113,26 +127,42 @@ def json_payload(
             f"{where or '<unknown>'}; drop or encode the value (e.g. as a "
             "string) before storing"
         ) from exc
-    payload: dict[str, np.ndarray] = {JSON_KEY: np.array([text])}
-    for name, value in (arrays or {}).items():
-        if name in (JSON_KEY, OWNER_KEY):
-            raise StoreError(f"array name {name!r} is reserved")
-        payload[name] = np.asarray(value)
+    payload: dict[str, Any] = {JSON_KEY: text}
+    if arrays:
+        import numpy as np
+
+        for name, value in arrays.items():
+            if name in (JSON_KEY, OWNER_KEY):
+                raise StoreError(f"array name {name!r} is reserved")
+            payload[name] = np.asarray(value)
     return payload
 
 
-def payload_json(payload: Mapping[str, np.ndarray]) -> Any:
+def payload_json(payload: Mapping[str, Any]) -> Any:
     """The JSON object a :func:`json_payload` payload carries."""
     try:
-        return json.loads(str(np.asarray(payload[JSON_KEY])[0]))
-    except (KeyError, IndexError, ValueError) as exc:
+        text = payload[JSON_KEY]
+        if not isinstance(text, str):
+            raise TypeError(f"JSON text is a {type(text).__name__}")
+        return json.loads(text)
+    except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"payload carries no valid JSON entry: {exc}") from exc
 
 
 # ---------------------------------------------------------- dataclass codec
-#: JSON scalar types, each with the Python and numpy values it accepts
-_SCALARS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,),
-            float: (int, float, np.integer, np.floating)}
+#: JSON scalar types, each with the Python values it accepts ...
+_SCALARS = {bool: (bool,), int: (int,), str: (str,), float: (int, float)}
+#: ... and the numpy scalar types it accepts besides
+_NUMPY_SCALARS = {bool: ("bool_",), int: ("integer",), str: (),
+                  float: ("integer", "floating")}
+
+
+def _accepted(tp: type) -> tuple[type, ...]:
+    """The value types a field declared ``tp`` accepts."""
+    np = _numpy()
+    if np is None:
+        return _SCALARS[tp]
+    return _SCALARS[tp] + tuple(getattr(np, n) for n in _NUMPY_SCALARS[tp])
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,8 +187,8 @@ def _expect(x: Any, kind: "type | tuple[type, ...]", path: str) -> Any:
 
 def _scalar(x: Any, tp: type, path: str) -> Any:
     """``x`` coerced to the scalar type ``tp`` (numpy scalars too)."""
-    is_bool = isinstance(x, (bool, np.bool_))  # a bool is no number here
-    if is_bool != (tp is bool) or not isinstance(x, _SCALARS[tp]):
+    is_bool = isinstance(x, _accepted(bool))  # a bool is no number here
+    if is_bool != (tp is bool) or not isinstance(x, _accepted(tp)):
         raise StoreError(
             f"field {path!r}: expected {tp.__name__}, got {type(x).__name__}"
         )
@@ -174,10 +204,11 @@ def _walk(x: Any, tp: Any, path: str, arrays: dict, encoding: bool) -> Any:
         return _scalar(x, tp, path)
     if tp is dict:
         return _expect(x, dict, path)
-    if tp is np.ndarray and encoding:
-        arrays[path] = _expect(x, np.ndarray, path)
-        return path
-    if tp is np.ndarray:
+    # a field declared np.ndarray means its module imported numpy
+    if tp is getattr(_numpy(), "ndarray", None):
+        if encoding:
+            arrays[path] = _expect(x, tp, path)
+            return path
         if not isinstance(x, str) or x not in arrays:
             raise StoreError(f"field {path!r}: no payload array {x!r}")
         return arrays.pop(x)
@@ -231,7 +262,7 @@ def _walk(x: Any, tp: Any, path: str, arrays: dict, encoding: bool) -> Any:
     raise TypeError(f"the stage codec cannot store {tp!r} (field {path!r})")
 
 
-def encode_dataclass(value: Any, cls: type) -> dict[str, np.ndarray]:
+def encode_dataclass(value: Any, cls: type) -> dict:
     """The store payload of ``value``, walking ``cls``'s declared field types
     (``cls`` may be a ``list`` of dataclasses, as for stored runs).
 
@@ -241,11 +272,11 @@ def encode_dataclass(value: Any, cls: type) -> dict[str, np.ndarray]:
     value]`` pairs, and an ``np.ndarray`` a payload array named by its
     field path (``verdict.run_scores``).  Equal values encode identically.
     """
-    arrays: dict[str, np.ndarray] = {}
+    arrays: dict[str, Any] = {}
     return json_payload(_walk(value, cls, "", arrays, True), arrays)
 
 
-def decode_dataclass(payload: Mapping[str, np.ndarray], cls: type) -> Any:
+def decode_dataclass(payload: Mapping[str, Any], cls: type) -> Any:
     """The ``cls`` value an :func:`encode_dataclass` payload carries; a
     missing, unknown or wrong-typed field, or an array no field names, is
     a :class:`StoreError` (so the pipeline books a miss and recomputes)."""
@@ -256,8 +287,46 @@ def decode_dataclass(payload: Mapping[str, np.ndarray], cls: type) -> Any:
     return value
 
 
+def _write_entry(handle, key: str, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` to ``handle`` as the entry of ``key`` (module
+    docstring); numpy is imported for the first array only."""
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr(OWNER_KEY, key)
+        for name, value in payload.items():
+            if name == JSON_KEY:
+                archive.writestr(name, value)
+                continue
+            import numpy as np
+            from numpy.lib import format as npy
+
+            with archive.open(name + ARRAY_SUFFIX, "w", force_zip64=True) as f:
+                npy.write_array(f, np.asarray(value), allow_pickle=False)
+
+
+def _read_entry(handle, key: str) -> dict[str, Any]:
+    """The payload of the entry in ``handle``; a ``KeyError`` unless the
+    entry names ``key`` as its own and has only known members."""
+    with zipfile.ZipFile(handle) as archive:
+        if archive.read(OWNER_KEY).decode("utf-8") != key:
+            raise KeyError(key)  # never serve another key's entry
+        payload: dict[str, Any] = {}
+        for name in archive.namelist():
+            if name == JSON_KEY:
+                payload[name] = archive.read(name).decode("utf-8")
+            elif name.endswith(ARRAY_SUFFIX):
+                from numpy.lib import format as npy
+
+                with archive.open(name) as f:
+                    array = npy.read_array(f, allow_pickle=False)
+                payload[name[: -len(ARRAY_SUFFIX)]] = array
+            elif name != OWNER_KEY:
+                raise KeyError(name)
+    return payload
+
+
 class ArtifactStore:
-    """Load/store flat ndarray payloads under content-addressed keys.
+    """Load/store payloads (JSON text plus ndarrays) under
+    content-addressed keys.
 
     Atomic writes, ``allow_pickle=False`` loads, corruption handled as a
     miss (the stage simply re-runs).  ``hits`` / ``misses`` / ``writes``
@@ -282,27 +351,22 @@ class ArtifactStore:
         """The payload stored under ``key``, or None on miss/corruption.
 
         An entry that does not name ``key`` as its own (copied or renamed
-        from another key, or written before entries carried their key) is
-        a miss too.  Given ``decode``, the result is ``decode(payload)``,
-        and an entry it cannot read (raising one of :data:`DECODE_ERRORS`)
-        counts as a miss, not a hit.  Arrays are materialized before the
-        file closes, so the returned mapping is independent of the store.
-        Runs under a ``store.load`` span whose ``bytes`` is the size of
-        the entry served (0 for a miss).
+        from another key, or written in the older layout, which stored
+        the key as an array) is a miss too, and so is one with an
+        unreadable member: a deflate error, or an object array, which is
+        never unpickled.  Given ``decode``, the result is
+        ``decode(payload)``, and an entry it cannot read (raising one of
+        :data:`DECODE_ERRORS`) counts as a miss, not a hit.  Arrays are
+        materialized before the file closes, so the returned mapping is
+        independent of the store.  Runs under a ``store.load`` span whose
+        ``bytes`` is the size of the entry served (0 for a miss).
         """
         path = self._path(key)
         with get_tracer().span("store.load", {"bytes": 0}) as span:
             try:
-                # the loader owns the handle, so a corrupt body numpy
-                # rejects after opening the file still closes it
-                with open(path, "rb") as handle, np.load(
-                    handle, allow_pickle=False
-                ) as data:
+                with open(path, "rb") as handle:
                     size = os.fstat(handle.fileno()).st_size
-                    payload = {n: np.asarray(data[n]) for n in data.files}
-                owner = payload.pop(OWNER_KEY)
-                if owner.shape != (1,) or str(owner[0]) != key:
-                    raise KeyError(key)  # never serve another key's entry
+                    payload = _read_entry(handle, key)
                 if decode is not None:
                     payload = decode(payload)
             except (OSError, EOFError, zipfile.BadZipFile, zlib.error,
@@ -318,11 +382,10 @@ class ArtifactStore:
         self.misses += 1
         get_metrics().inc("store.misses")
 
-    def save(self, key: str, payload: Mapping[str, np.ndarray]) -> None:
+    def save(self, key: str, payload: Mapping[str, Any]) -> None:
         """Persist ``payload`` under ``key`` (atomic write), stamped with
         ``key`` itself so :meth:`load` can tell a misplaced entry, under a
         ``store.save`` span whose ``bytes`` is the size written."""
-        payload = {**payload, OWNER_KEY: np.array([key])}
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=TMP_PREFIX, suffix=".npz"
         )
@@ -333,9 +396,7 @@ class ArtifactStore:
                 os.close(fd)  # fdopen failed: the raw fd is still ours
                 raise
             with get_tracer().span("store.save") as span, handle:
-                np.savez_compressed(
-                    handle, **{k: np.asarray(v) for k, v in payload.items()}
-                )
+                _write_entry(handle, key, payload)
                 span.annotate(bytes=handle.tell())
             os.replace(tmp, self._path(key))
         except BaseException:

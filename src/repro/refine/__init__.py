@@ -31,23 +31,20 @@ True
 refinement ensemble) for refining many slices;
 :func:`refine_slice` the one-shot wrapper; :class:`RefinementConfig` the
 knobs; :class:`RefinementResult` the refined module set plus the full
-iteration trajectory.
+iteration trajectory.  Names are exported lazily: the knobs
+(:mod:`repro.refine.config`) import without numpy or the refiner.
 """
 
 from __future__ import annotations
 
-from .algorithm import (
-    IterativeRefinement,
-    RefinementConfig,
-    RefinementResult,
-    RefinementStep,
-    refine_slice,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IterativeRefinement",
-    "RefinementConfig",
-    "RefinementResult",
-    "RefinementStep",
-    "refine_slice",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".algorithm": (
+        "IterativeRefinement", "RefinementResult", "RefinementStep",
+        "refine_slice",
+    ),
+    ".config": ("RefinementConfig",),
+})
+
+__all__ = sorted(_EXPORTS)

@@ -6,7 +6,9 @@ verdict + slice → refinement trajectory + the ≤ ``target_modules``
 success criterion), and :func:`degree_table` / :func:`centrality_table`
 reproduce the paper's Table 1/2-style metagraph summaries over
 :mod:`repro.analysis`.  Everything renders to both JSON (machines, the
-pipeline store, CI) and markdown (humans).
+pipeline store, CI) and markdown (humans).  Names are exported lazily, so
+decoding a stored report imports neither the tables nor the analysis
+layer behind them.
 
 >>> from repro.reporting import degree_table
 >>> from repro.graphs import build_metagraph
@@ -17,20 +19,14 @@ pipeline store, CI) and markdown (humans).
 
 from __future__ import annotations
 
-from .report import (
-    LocalizationReport,
-    VerdictReport,
-    build_report,
-    expected_culprit_modules,
-)
-from .tables import ReportTable, centrality_table, degree_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LocalizationReport",
-    "ReportTable",
-    "VerdictReport",
-    "build_report",
-    "centrality_table",
-    "degree_table",
-    "expected_culprit_modules",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".report": (
+        "LocalizationReport", "VerdictReport", "build_report",
+        "expected_culprit_modules",
+    ),
+    ".tables": ("ReportTable", "centrality_table", "degree_table"),
+})
+
+__all__ = sorted(_EXPORTS)

@@ -28,11 +28,9 @@ Knobs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from .config import FPConfig
 from .values import FortranRuntimeError
 
 __all__ = ["FPConfig", "FPU"]
@@ -42,27 +40,6 @@ _SPLIT = 134217729.0
 
 #: Smallest positive normal binary64 number (threshold for flush-to-zero).
 _MIN_NORMAL = np.finfo(np.float64).tiny
-
-
-@dataclass(frozen=True)
-class FPConfig:
-    """Floating-point behaviour of one model build (see module docstring)."""
-
-    fma: bool = False
-    fma_modules: Optional[frozenset[str]] = None
-    flush_to_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.fma_modules is not None and not isinstance(
-            self.fma_modules, frozenset
-        ):
-            object.__setattr__(self, "fma_modules", frozenset(self.fma_modules))
-
-    def fma_enabled_in(self, module_name: str) -> bool:
-        """True when FMA contraction applies inside ``module_name``."""
-        if not self.fma:
-            return False
-        return self.fma_modules is None or module_name in self.fma_modules
 
 
 def _integer_typed(x) -> bool:

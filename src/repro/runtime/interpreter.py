@@ -71,11 +71,15 @@ from ..fortran.ast_nodes import (
 )
 from ..fortran.intrinsics import SUBROUTINE_INTRINSICS
 from ..fortran.parser import parse_source
+from ..model.builder import ModelSource, build_model_source
+from ..model.registry import iter_output_fields
 from .compiler import NodeCompiler
+from .config import FPConfig, RunConfig
 from .coverage import CoverageTrace
-from .fpu import FPU, FPConfig
+from .fpu import FPU
 from .intrinsics import INTRINSIC_FUNCTIONS
 from .prng import PRNGStreams
+from .result import RunResult
 from .values import (
     ComponentRef,
     DerivedValue,
@@ -99,6 +103,7 @@ __all__ = [
     "Interpreter",
     "StatementLimitExceeded",
     "StopModel",
+    "run_model",
 ]
 
 
@@ -1286,3 +1291,72 @@ class Interpreter:
             isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
             for v in values
         )
+
+
+def run_model(
+    config: Optional[RunConfig] = None,
+    source: Optional[ModelSource] = None,
+) -> RunResult:
+    """Build, initialise and step the model; collect outputs and coverage.
+
+    Parameters
+    ----------
+    config:
+        The :class:`RunConfig` (default: unpatched FC5 control run).
+    source:
+        An already-built :class:`~repro.model.builder.ModelSource` to reuse
+        (its cached parse is shared with the metagraph builder).  Must match
+        ``config.model``; omit it to build from the config.
+    """
+    config = config or RunConfig()
+    if source is None:
+        source = build_model_source(config.model)
+    elif source.config != config.model:
+        raise ValueError(
+            "the provided ModelSource was built from a different ModelConfig "
+            "than config.model"
+        )
+    asts = source.parse()
+
+    interp = Interpreter(
+        asts,
+        fp=config.fp,
+        seed=config.seed,
+        collect_coverage=config.collect_coverage,
+        max_statements=config.max_statements,
+    )
+    interp.call("cam_comp", "cam_init", [float(config.pertlim), int(config.seed)])
+    for _ in range(config.nsteps):
+        interp.call("cam_comp", "cam_run_step", [])
+
+    declared = [f.name for f in iter_output_fields(source.compset)]
+    missing = [name for name in declared if name not in interp.history.fields]
+    if missing:
+        raise FortranRuntimeError(
+            "run completed but declared output fields were never written: "
+            + ", ".join(missing)
+        )
+    outputs: dict[str, np.ndarray] = {}
+    first_outputs: dict[str, np.ndarray] = {}
+    for name in declared:
+        outputs[name] = np.asarray(interp.history.fields[name])
+    # fields written but not declared ride along at the end, sorted
+    for name in sorted(set(interp.history.fields) - set(declared)):
+        outputs[name] = np.asarray(interp.history.fields[name])
+    for name in outputs:
+        first_outputs[name] = np.asarray(interp.history.first[name])
+
+    coverage = interp.coverage if interp.coverage is not None else CoverageTrace()
+    from ..obs import get_metrics
+
+    metrics = get_metrics()
+    metrics.inc("interpreter.runs")
+    metrics.inc("interpreter.statements", interp.statements_executed)
+    return RunResult(
+        config=config,
+        outputs=outputs,
+        coverage=coverage,
+        statements_executed=interp.statements_executed,
+        prng_draws=interp.prng.total_draws(),
+        first_outputs=first_outputs,
+    )

@@ -68,7 +68,8 @@ from .coverage import CoverageTrace
 from .fpu import FPU
 from .interpreter import _DTYPES, Interpreter
 from .intrinsics import INTRINSIC_FUNCTIONS
-from .prng import BatchedPRNGStreams
+from .batched_prng import BatchedPRNGStreams
+from .result import RunResult
 from .values import (
     ComponentRef,
     ElementRef,
@@ -1165,7 +1166,6 @@ def run_model_batch(configs, source=None):
     """
     from ..model.builder import build_model_source
     from ..model.registry import iter_output_fields
-    from . import RunResult
 
     configs = list(configs)
     if not configs:

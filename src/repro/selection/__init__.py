@@ -26,34 +26,23 @@ small, exactly-solved combinatorial program:
 >>> result = select_culprits(ranked, communities=communities,
 ...                          spec=SelectionSpec())
 >>> result.modules  # minimum-weight cover, strongest evidence first
+
+Names are exported lazily: the knobs (:mod:`repro.selection.spec`) import
+without the evidence statistics or the solver.
 """
 
-from .evidence import (
-    EVIDENCE_METHODS,
-    EvidenceSelection,
-    select_affected_variables,
-)
-from .select import SelectionResult, SelectionSpec, select_culprits
-from .setcover import (
-    BranchAndBoundSolver,
-    InfeasibleSelectionError,
-    SelectionError,
-    SetCoverProblem,
-    SetCoverSolution,
-    greedy_cover,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BranchAndBoundSolver",
-    "EVIDENCE_METHODS",
-    "EvidenceSelection",
-    "InfeasibleSelectionError",
-    "SelectionError",
-    "SelectionResult",
-    "SelectionSpec",
-    "SetCoverProblem",
-    "SetCoverSolution",
-    "greedy_cover",
-    "select_affected_variables",
-    "select_culprits",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".evidence": ("EvidenceSelection", "select_affected_variables"),
+    ".select": ("SelectionResult", "select_culprits"),
+    ".setcover": (
+        "BranchAndBoundSolver", "InfeasibleSelectionError", "SelectionError",
+        "SetCoverProblem", "SetCoverSolution", "greedy_cover",
+    ),
+    ".spec": ("EVIDENCE_METHODS", "SelectionSpec"),
+})
+
+__all__ = sorted(_EXPORTS)

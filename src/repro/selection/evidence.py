@@ -37,14 +37,13 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .spec import EVIDENCE_METHODS
+
 __all__ = [
     "EVIDENCE_METHODS",
     "EvidenceSelection",
     "select_affected_variables",
 ]
-
-#: recognised values of ``select_affected_variables(method=...)``
-EVIDENCE_METHODS = ("mad", "lasso", "topk")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import get_metrics
 
 RUN_ARGS = [
     "--members", "6",
@@ -107,6 +108,74 @@ class TestBadNames:
         assert "warpdrive" in capsys.readouterr().err
         # nothing ran: the shared store was never populated
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnusableStore:
+    """A ``--store`` path that cannot hold a store is a usage error (exit
+    2) found before any work, not a traceback (exit 1) mid-run."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "wsubbug"], ["sweep", "wsubbug", "goffgratch"]],
+        ids=["run", "sweep"],
+    )
+    def test_file_as_store_exits_2_before_any_work(
+        self, tmp_path, capsys, command
+    ):
+        store = tmp_path / "afile"
+        store.write_text("")
+        before = get_metrics().counters()
+        code, text = invoke([*command, "--store", str(store), *RUN_ARGS])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot use store {str(store)!r}")
+        assert store.read_text() == ""
+        moved = get_metrics().counter_delta(before)
+        assert not [k for k in moved if k.startswith(("store.", "model."))]
+
+
+class TestTopRows:
+    """``tables --top`` and ``trace summarize --top`` take a row count:
+    0 means every row and a negative count is a usage error."""
+
+    def test_tables_top_zero_prints_every_row(self):
+        code, text = invoke(["tables", "--json", "--top", "0"])
+        assert code == 0
+        _, centrality = json.loads(text)
+        assert len(centrality["rows"]) == 40
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        from repro.obs import disable_tracing, enable_tracing, get_tracer
+        from repro.obs import write_trace
+
+        enable_tracing()
+        try:
+            for name in ("a", "b", "c", "d"):
+                with get_tracer().span(name):
+                    pass
+        finally:
+            spans = disable_tracing()
+        path = str(tmp_path / "t.jsonl")
+        write_trace(spans, path)
+        return path
+
+    def test_trace_summarize_top_zero_prints_every_row(self, trace):
+        code, text = invoke(["trace", "summarize", trace, "--json"])
+        assert code == 0
+        assert len(json.loads(text)) == 4
+        code, text = invoke(["trace", "summarize", trace, "--top", "0"])
+        assert code == 0
+        assert all(f"| {name} |" in text for name in "abcd")
+
+    @pytest.mark.parametrize("command", ["tables", "trace"])
+    def test_negative_top_exits_2(self, trace, capsys, command):
+        argv = ["tables"] if command == "tables" else ["trace", "summarize", trace]
+        with pytest.raises(SystemExit) as exc:
+            invoke([*argv, "--top", "-3"])
+        assert exc.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err
 
 
 def test_sweep_shares_the_store(tmp_path):

@@ -1,14 +1,29 @@
-"""ArtifactStore: payloads, atomicity conventions, counters, stage codec."""
+"""ArtifactStore: payloads, entry layout, atomicity conventions, counters,
+stage codec."""
 
 import dataclasses
+import io
+import json
+import os
 import struct
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 import pytest
 
-from repro.pipeline import ArtifactStore, StoreError, json_payload, payload_json
+import repro
+from repro.pipeline import (
+    ArtifactStore,
+    Pipeline,
+    Stage,
+    StoreError,
+    json_payload,
+    payload_json,
+)
 from repro.pipeline.store import decode_dataclass, encode_dataclass, find_nonfinite
 
 
@@ -69,7 +84,7 @@ def test_corrupt_deflate_stream_is_a_miss(tmp_path):
     store.save("k", json_payload({"x": 1}, arrays={"a": np.arange(50.0)}))
     path = tmp_path / "k.npz"
     with zipfile.ZipFile(path) as archive:
-        offset = archive.getinfo("__json__.npy").header_offset
+        offset = archive.getinfo("__json__").header_offset
     data = bytearray(path.read_bytes())
     name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)
     data[offset + 30 + name_len + extra_len] = 0xFF  # a reserved block type
@@ -138,7 +153,7 @@ class TestAtomicWrites:
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", boom)
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", boom)
         with pytest.raises(OSError, match="disk full"):
             store.save("k", json_payload({"x": 1}))
         leftovers = [p.name for p in tmp_path.iterdir()]
@@ -149,15 +164,15 @@ class TestAtomicWrites:
         self, tmp_path, monkeypatch
     ):
         store = ArtifactStore(tmp_path)
-        original = np.savez_compressed
+        original = zipfile.ZipFile.writestr
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", boom)
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", boom)
         with pytest.raises(OSError):
             store.save("k", json_payload({"x": 1}))
-        monkeypatch.setattr(np, "savez_compressed", original)
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", original)
         store.save("k", json_payload({"x": 1}))
         assert payload_json(store.load("k")) == {"x": 1}
 
@@ -184,6 +199,162 @@ def test_loaded_arrays_survive_store_deletion(tmp_path):
     loaded = store.load("k")
     (tmp_path / "k.npz").unlink()
     np.testing.assert_array_equal(loaded["a"], np.ones(4))
+
+
+#: records every unpickling of a :class:`Tripwire`
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+    return "unpickled"
+
+
+class Tripwire:
+    """An object whose unpickling is observable."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def write_zip(path, members):
+    """A deflated zip of ``{name: bytes}`` at ``path``."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def npy_bytes(array, allow_pickle=False):
+    """``array`` as the bytes of a ``.npy`` file."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+class TestEntryLayout:
+    """An entry is a deflated zip of a ``__key__`` and a ``__json__`` UTF-8
+    member plus one ``<name>.npy`` member per array."""
+
+    def test_members_are_utf8_text_and_npy_arrays(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("k", json_payload({"name": "été"}, arrays={"a": np.ones(3)}))
+        with zipfile.ZipFile(tmp_path / "k.npz") as archive:
+            infos = {i.filename: i for i in archive.infolist()}
+            assert set(infos) == {"__key__", "__json__", "a.npy"}
+            assert {i.compress_type for i in infos.values()} == {
+                zipfile.ZIP_DEFLATED
+            }
+            assert archive.read("__key__") == b"k"
+            assert json.loads(archive.read("__json__").decode()) == {
+                "name": "été"
+            }
+        loaded = store.load("k")
+        assert loaded["__json__"] == json.dumps({"name": "été"}, sort_keys=True)
+
+    def test_arrays_round_trip_exactly(self, tmp_path):
+        arrays = {
+            "f32": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "i16": np.array([3, -1, 2], dtype=np.int16),
+            "u64": np.array([2**64 - 1], dtype=np.uint64),
+            "scalar": np.array(2.5),
+            "flags": np.array([[True], [False]]),
+            "text": np.array(["a", "bcd", "été"]),
+            "empty": np.zeros((0, 4)),
+            "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        }
+        store = ArtifactStore(tmp_path)
+        store.save("k", json_payload({"x": 1}, arrays=arrays))
+        loaded = store.load("k")
+        assert set(loaded) == {"__json__", *arrays}
+        for name, array in arrays.items():
+            got = loaded[name]
+            assert (got.dtype, got.shape) == (array.dtype, array.shape), name
+            np.testing.assert_array_equal(got, array)
+
+    def test_json_only_entry_needs_no_numpy(self, tmp_path):
+        """A JSON-only entry saves and loads in a process where importing
+        numpy fails."""
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # any numpy import raises\n"
+            "from repro.pipeline.store import ArtifactStore, json_payload, "
+            "payload_json\n"
+            f"store = ArtifactStore({str(tmp_path)!r})\n"
+            "store.save('k', json_payload({'modules': ['a'], 'w': 0.5}))\n"
+            "print(payload_json(store.load('k')))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "{'modules': ['a'], 'w': 0.5}"
+
+    def test_older_layout_entry_is_one_miss_then_recomputed(self, tmp_path):
+        """An entry of the older layout (``np.savez_compressed`` with the
+        JSON and the key as string arrays) is one miss: the stage runs
+        once, rewrites its entry, and is a hit from then on."""
+        calls = []
+
+        def func(ctx):
+            calls.append(1)
+            return 7
+
+        stage = Stage(
+            name="answer",
+            func=func,
+            encode=lambda v: json_payload({"v": v}),
+            decode=lambda payload: payload_json(payload)["v"],
+        )
+        key = Pipeline([stage]).keys()["answer"]
+        stages = tmp_path / "stages"
+        stages.mkdir()
+        np.savez_compressed(
+            stages / f"{key}.npz",
+            __json__=np.array([json.dumps({"v": 7})]),
+            __key__=np.array([key]),
+        )
+        first = Pipeline([stage], store_dir=tmp_path).run()
+        record = first.record("answer")
+        assert (record.status, record.store_hits, record.store_misses) == (
+            "ran", 0, 1
+        )
+        second = Pipeline([stage], store_dir=tmp_path).run()
+        assert second.record("answer").status == "hit"
+        assert (second["answer"], len(calls)) == (7, 1)
+
+    def test_object_array_member_is_a_miss_and_never_unpickled(
+        self, tmp_path
+    ):
+        TRIPPED.clear()
+        write_zip(tmp_path / "k.npz", {
+            "__key__": b"k",
+            "__json__": b"{}",
+            "x.npy": npy_bytes(
+                np.array([Tripwire()], dtype=object), allow_pickle=True
+            ),
+        })
+        store = ArtifactStore(tmp_path)
+        assert store.load("k") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert TRIPPED == []
+
+    def test_object_array_is_never_written(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            store.save("k", {"x": np.array([{"a": 1}], dtype=object)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_member_is_a_miss(self, tmp_path):
+        write_zip(tmp_path / "k.npz", {
+            "__key__": b"k", "__json__": b"{}", "notes.txt": b"?",
+        })
+        store = ArtifactStore(tmp_path)
+        assert store.load("k") is None
+        assert store.misses == 1
 
 
 class TestEntriesCarryTheirKey:
@@ -261,14 +432,17 @@ def tree(**overrides) -> Tree:
 
 
 def round_trip(value, cls):
-    """``value`` decoded from its payload; re-encoding gives the same bytes."""
+    """``value`` decoded from its payload; re-encoding gives the same JSON
+    text and the same arrays, dtype included."""
     payload = encode_dataclass(value, cls)
     again = decode_dataclass(payload, cls)
     twice = encode_dataclass(again, cls)
     assert twice.keys() == payload.keys()
+    assert twice["__json__"] == payload["__json__"]
     for name, array in payload.items():
-        assert twice[name].dtype == array.dtype
-        np.testing.assert_array_equal(twice[name], array)
+        if name != "__json__":
+            assert twice[name].dtype == array.dtype
+            np.testing.assert_array_equal(twice[name], array)
     return again
 
 
@@ -295,7 +469,7 @@ class TestDataclassCodec:
         backward = encode_dataclass(
             tree(members=frozenset(reversed(names))), Tree
         )
-        assert forward["__json__"][0] == backward["__json__"][0]
+        assert forward["__json__"] == backward["__json__"]
         assert payload_json(forward)["members"] == sorted(names)
         again = decode_dataclass(forward, Tree)
         assert again.members == frozenset(names)

@@ -53,3 +53,31 @@ def test_graphs_package_imports():
     module = importlib.import_module("repro.graphs")
     for name in module.__all__:
         assert getattr(module, name) is not None
+
+
+#: the packages whose names resolve on first access (``repro._lazy``)
+LAZY_PACKAGES = (
+    "repro.errors",
+    "repro.runtime",
+    "repro.ensemble",
+    "repro.ect",
+    "repro.refine",
+    "repro.selection",
+    "repro.reporting",
+)
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_exports_resolve_once(package):
+    """Every exported name resolves, ``dir()`` lists it, and the resolved
+    object is cached in the package, where rebinding it is seen by every
+    later ``from package import name``; any other name is an
+    ``AttributeError``."""
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert value is not None
+        assert vars(module)[name] is value
+    with pytest.raises(AttributeError, match="no attribute"):
+        module.definitely_not_exported
