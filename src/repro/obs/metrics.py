@@ -9,6 +9,8 @@ behind a dotted namespace:
 ``ensemble.members_run``            members run per ensemble generation
 ``interpreter.runs/statements``     scalar-interpreter work
 ``vec.batches/mask_collapses``      vectorized-runtime work and divergence
+``vec.lane_regions/lane_iterations`` loop executions run as lane regions
+``vec.lane_fallbacks``              planned loops a guard ran per iteration
 ``vec.fallbacks``                   vectorized batches re-run scalar
 ``refine.iters``                    Algorithm 5.4 candidate evaluations
 ``ect.tests``                       consistency tests performed

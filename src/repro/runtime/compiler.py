@@ -423,7 +423,7 @@ class NodeCompiler:
                 return lambda f: interp._eval_apply(node, f)
             arg_name = node.args[0].name
             return lambda f: arg_name not in f.optional_missing
-        fn = self._intrinsic_table.get(lowered)
+        fn = self._intrinsic(lowered)
         if fn is not None:
             arg_fns = [self.expr(a) for a in node.args]
             if node.keywords:
@@ -445,6 +445,10 @@ class NodeCompiler:
             return lambda f: fn(*[a(f) for a in arg_fns])
         # unknown name: legacy path raises with the right message
         return lambda f: interp._eval_apply(node, f)
+
+    def _intrinsic(self, name: str) -> Optional[Callable]:
+        """The implementation a call site of intrinsic ``name`` runs."""
+        return self._intrinsic_table.get(name)
 
     def _build_find_array(self, name: str) -> Callable:
         """Compile an array name to ``find(frame) -> (scope, rname, value)``
@@ -854,6 +858,7 @@ class NodeCompiler:
         loc = node.location
 
         bound = self._control_value(node, "do-loop bounds")
+        iterate = self._build_iterations(node, body_fns)
 
         def run(frame):
             account()
@@ -868,6 +873,16 @@ class NodeCompiler:
             count = int(np.trunc((stop - start + step) / step))
             if count < 0:
                 count = 0
+            iterate(frame, scope, var_name, start, count, step)
+
+        return run
+
+    def _build_iterations(self, node: DoLoop, body_fns: list) -> Callable:
+        """``iterate(frame, scope, var_name, start, count, step)``: the
+        loop's iterations, one after another (the vectorized compiler
+        runs independent ones as one lane region instead)."""
+
+        def iterate(frame, scope, var_name, start, count, step):
             value = start
             completed = True
             store = scope.store
@@ -886,7 +901,7 @@ class NodeCompiler:
                 # Fortran leaves the control variable one step past the last
                 store(var_name, start + count * step)
 
-        return run
+        return iterate
 
     def _build_do_while(self, node: DoWhile) -> Callable:
         account = self._account_fn(node)

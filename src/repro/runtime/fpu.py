@@ -72,6 +72,22 @@ def _two_product(a, b):
     return p, e
 
 
+def _int_power(a, b):
+    """Integer ``a ** b`` over arrays: a negative exponent truncates
+    ``1 / a**-b`` toward zero, as the scalar path does (1 for ``a == 1``,
+    ``±1`` for ``a == -1``, 0 for ``|a| > 1``)."""
+    negative = np.less(b, 0)
+    if not np.any(negative):
+        return np.power(a, b)
+    if np.any(np.equal(a, 0) & negative):
+        raise FortranRuntimeError("integer division by zero")
+    whole = np.power(a, np.where(negative, 0, b))
+    odd = np.not_equal(np.remainder(b, 2), 0)
+    inverse = np.where(np.equal(a, 1) | (np.equal(a, -1) & ~odd), 1,
+                       np.where(np.equal(a, -1), -1, 0))
+    return np.where(negative, inverse, whole)
+
+
 class FPU:
     """Arithmetic kernel the interpreter routes every real operation through.
 
@@ -97,7 +113,10 @@ class FPU:
         if not self._ftz:
             return x
         if isinstance(x, np.ndarray):
-            np.copyto(x, 0.0, where=np.abs(x) < _MIN_NORMAL)
+            # an integer array (a lane region's loop variable) has nothing
+            # to flush
+            if x.dtype.kind == "f":
+                np.copyto(x, 0.0, where=np.abs(x) < _MIN_NORMAL)
             return x
         if x != 0.0 and -_MIN_NORMAL < x < _MIN_NORMAL:
             return 0.0
@@ -132,7 +151,13 @@ class FPU:
                 raise FortranRuntimeError("integer division by zero")
             q = np.abs(a) // np.abs(b)
             return np.where(np.less(a, 0) != np.less(b, 0), -q, q)
-        return self._finish(a / b)
+        try:
+            return self._finish(a / b)
+        except ZeroDivisionError:
+            # a real zero divisor gives the IEEE result (±inf or nan):
+            # Fortran does not trap
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return self._finish(float(np.float64(a) / np.float64(b)))
 
     def pow(self, a, b):
         if self._both_int(a, b):
@@ -140,6 +165,8 @@ class FPU:
                 # Fortran: integer power with negative exponent truncates.
                 return self.div(1, a ** (-b))
             return a ** b
+        if _integer_typed(a) and _integer_typed(b):
+            return _int_power(a, b)
         if isinstance(b, (int, np.integer)):
             # integer exponent on a real base is exact repeated multiplication
             return self._finish(np.power(np.float64(a) if not isinstance(a, np.ndarray) else a, int(b)))

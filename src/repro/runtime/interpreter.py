@@ -297,13 +297,17 @@ class Interpreter:
         Output arrays passed in as :class:`numpy.ndarray` are shared, so the
         caller observes ``intent(out)`` results in place.
         """
-        mrt = self.module(module_name)
-        sub = mrt.subprograms.get(sub_name)
-        if sub is None:
-            raise UndefinedNameError(
-                f"module {module_name!r} has no subprogram {sub_name!r}"
-            )
-        return self._call_with_values(mrt, sub, list(args))
+        # Fortran does not trap: a real division by zero, an overflow or an
+        # invalid operation yields its IEEE value, and a vectorized
+        # evaluation of a lane or member no branch keeps stays silent
+        with np.errstate(all="ignore"):
+            mrt = self.module(module_name)
+            sub = mrt.subprograms.get(sub_name)
+            if sub is None:
+                raise UndefinedNameError(
+                    f"module {module_name!r} has no subprogram {sub_name!r}"
+                )
+            return self._call_with_values(mrt, sub, list(args))
 
     # --------------------------------------------------------- module state
     def module(self, name: str) -> ModuleRuntime:

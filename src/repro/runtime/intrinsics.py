@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from ..fortran.intrinsics import EXPRESSION_INTRINSICS
+from .values import FortranRuntimeError
 
 __all__ = ["INTRINSIC_FUNCTIONS", "call_intrinsic"]
 
@@ -70,6 +71,17 @@ def _vectorized(scalar_fn):
 # --------------------------------------------------------------------------- #
 # individual semantics
 # --------------------------------------------------------------------------- #
+def _gamma(x: float) -> float:
+    # Fortran does not trap: a pole gives the IEEE result of tgamma (±inf
+    # at ±0, nan at a negative integer or -inf), an overflow +inf
+    try:
+        return math.gamma(x)
+    except ValueError:
+        return math.copysign(math.inf, x) if x == 0 else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def _abs(x):
     if _is_int(x):
         return abs(int(x))
@@ -87,9 +99,16 @@ def _int(x):
 
 
 def _nint(x):
+    # round half away from zero from the exact fraction x - trunc(x):
+    # adding 0.5 first would round before truncating (0.49999999999999994
+    # and 2**52 + 1 would come out one too large)
     if isinstance(x, np.ndarray):
-        return (np.trunc(x + np.copysign(0.5, x))).astype(np.int64)
-    return int(np.trunc(x + math.copysign(0.5, x)))
+        whole = np.trunc(x)
+        frac = x - whole
+        return (whole + (frac >= 0.5) - (frac <= -0.5)).astype(np.int64)
+    whole = math.trunc(x)
+    frac = x - whole
+    return whole + (frac >= 0.5) - (frac <= -0.5)
 
 
 def _floor(x):
@@ -104,21 +123,42 @@ def _real(x):
     return float(x)
 
 
+def _int_typed(*args) -> bool:
+    """Every argument an integer scalar or an integer-typed array."""
+    return all(
+        x.dtype.kind in "iu" if isinstance(x, np.ndarray) else _is_int(x)
+        for x in args
+    )
+
+
 def _dim(a, b):
     if _is_int(a) and _is_int(b):
         return max(int(a) - int(b), 0)
+    if _int_typed(a, b):
+        return np.maximum(np.subtract(a, b), 0)
     return _scalarize(np.maximum(np.subtract(a, b), 0.0), a, b)
 
 
 def _mod(a, p):
+    # integer mod is exact integer arithmetic with the sign of a, and a
+    # zero divisor is an error, as for integer division
     if _is_int(a) and _is_int(p):
-        return int(math.fmod(int(a), int(p)))
+        if p == 0:
+            raise FortranRuntimeError("integer mod by zero")
+        r = abs(int(a)) % abs(int(p))
+        return -r if a < 0 else r
+    if _int_typed(a, p):
+        if np.any(np.equal(p, 0)):
+            raise FortranRuntimeError("integer mod by zero")
+        return np.fmod(a, p)
     return _scalarize(np.fmod(a, p), a, p)
 
 
 def _sign(a, b):
     if _is_int(a) and _is_int(b):
         return abs(int(a)) if b >= 0 else -abs(int(a))
+    if _int_typed(a, b):
+        return np.where(np.less(b, 0), -np.abs(a), np.abs(a))
     return _scalarize(np.copysign(np.abs(a), b), a, b)
 
 
@@ -230,7 +270,7 @@ INTRINSIC_FUNCTIONS: dict[str, object] = {
     "tan": _real_unary(np.tan),
     "tanh": _real_unary(np.tanh),
     "tiny": lambda x: float(_F64.tiny),
-    "gamma": _vectorized(math.gamma),
+    "gamma": _vectorized(_gamma),
     "erf": _vectorized(math.erf),
     "erfc": _vectorized(math.erfc),
     "spread": _spread,

@@ -57,26 +57,29 @@ import numpy as np
 
 from ..fortran.ast_nodes import (
     Assignment,
+    DoLoop,
     IfBlock,
-    NumberLit,
     SectionRange,
     Stmt,
     WhereBlock,
 )
 from .compiler import NodeCompiler, _MISSING
 from .coverage import CoverageTrace
-from .fpu import FPU
-from .interpreter import _DTYPES, Interpreter
+from .fpu import FPU, _integer_typed
+from .interpreter import _DTYPES, Frame, Interpreter
 from .intrinsics import INTRINSIC_FUNCTIONS
 from .batched_prng import BatchedPRNGStreams
+from .lanes import plan_region
 from .result import RunResult
 from .values import (
     ComponentRef,
+    DerivedValue,
     ElementRef,
     FortranRuntimeError,
     IntentViolationError,
     MemberBatch,
     Ref,
+    Scope,
     ScopeRef,
     StatementLimitExceeded,
     VectorizationError,
@@ -322,6 +325,115 @@ _INLINE_BINOPS = {
 
 
 # --------------------------------------------------------------------------- #
+# Lane regions: values and masks
+# --------------------------------------------------------------------------- #
+# Inside a lane region (see repro.runtime.lanes) the loop's iterations are a
+# rank-1 model axis of length L: a lane value is a plain ``(L,)`` array when
+# every member agrees and an ``(n, L)`` batch otherwise, while lane-invariant
+# values keep their usual form.  The region's mask is None, ``(L,)`` (lanes
+# only) or ``(n, L)``.
+
+#: the assigned-mark of a private every lane of every member wrote
+_EVERY_LANE = object()
+
+_SLOT_DTYPES = {"b": np.bool_, "i": np.int64, "f": np.float64}
+
+
+def _lane_operand(value):
+    """A region value as a plain operand broadcasting over ``(n, L)``: a
+    batch scalar gains a lane axis."""
+    if type(value) is MemberBatch:
+        plain = value.view(_ND)
+        return plain[:, None] if plain.ndim == 1 else plain
+    return value
+
+
+def _slot_kind(current) -> Optional[str]:
+    """The dtype kind of a scalar slot holding ``current``."""
+    if isinstance(current, _ND):
+        return current.dtype.kind
+    if isinstance(current, (bool, np.bool_)):
+        return "b"
+    if isinstance(current, (int, np.integer)):
+        return "i"
+    if isinstance(current, (float, np.floating)):
+        return "f"
+    return None
+
+
+def _coerce_like(value, current):
+    """``value`` in the type of the scalar slot holding ``current``: the
+    scalar runtime's store coercion, elementwise (an unsafe float-to-int
+    cast truncates toward zero, as ``int(np.trunc(x))`` does)."""
+    kind = _slot_kind(current)
+    if kind not in _SLOT_DTYPES:
+        return value
+    if isinstance(value, _ND):
+        if value.dtype.kind == kind:
+            return value
+        return value.astype(_SLOT_DTYPES[kind])
+    if kind == "i":
+        if isinstance(value, (float, np.floating)):
+            return int(np.trunc(value))
+        return int(value)
+    return float(value) if kind == "f" else bool(value)
+
+
+def _lane_value(value, lane: int):
+    """Lane ``lane`` of a region value, as an independent value."""
+    if type(value) is MemberBatch:
+        plain = value.view(_ND)
+        return (plain if plain.ndim == 1 else plain[:, lane]).copy().view(
+            MemberBatch
+        )
+    if isinstance(value, _ND):
+        return value[lane].item()
+    return value
+
+
+def _last_assigned(value, mark):
+    """A private's value after its region: per member, the value of the
+    last lane that assigned it.  A region starts each private from its
+    old value and masked stores blend against it, so a member no lane
+    assigned reads its old value in every lane."""
+    if mark is _EVERY_LANE:
+        return _lane_value(value, -1)
+    if mark.ndim == 1:
+        return _lane_value(value, int(np.flatnonzero(mark)[-1]))
+    n, lanes = mark.shape
+    last = lanes - 1 - np.argmax(mark[:, ::-1], axis=1)
+    plain = np.broadcast_to(_lane_operand(value), mark.shape)
+    return plain[np.arange(n), last].view(MemberBatch)
+
+
+class _FrameNames:
+    """What a lane plan asks of the runtime (:class:`repro.runtime.lanes.
+    Names`), answered from one frame."""
+
+    __slots__ = ("interp", "frame")
+
+    def __init__(self, interp, frame):
+        self.interp = interp
+        self.frame = frame
+
+    def kind(self, key):
+        value = self.interp._lane_lookup(self.frame, key)
+        if value is _MISSING:
+            return None
+        if isinstance(value, _ND):
+            return "array"
+        return "derived" if isinstance(value, DerivedValue) else "scalar"
+
+    def procedure(self, name):
+        resolved = self.interp._lookup_proc(self.frame.module, name, frozenset())
+        if resolved is None:
+            return None
+        mrt, sub = resolved
+        callee = Frame(mrt, sub, Scope(f"{mrt.node.name}:{sub.name}"))
+        return sub, _FrameNames(self.interp, callee)
+
+
+# --------------------------------------------------------------------------- #
 # Compiler: masked control flow and member-aware stores
 # --------------------------------------------------------------------------- #
 class VecNodeCompiler(NodeCompiler):
@@ -349,7 +461,7 @@ class VecNodeCompiler(NodeCompiler):
     def _build_binop(self, node):
         fpu = self.interp.fpu
         op = node.op
-        if op in ("/", "**") and not fpu._ftz:
+        if op in ("/", "**"):
             return self._build_divide_or_power(node)
         pair = _INLINE_BINOPS.get(op)
         if pair is None or (
@@ -359,89 +471,50 @@ class VecNodeCompiler(NodeCompiler):
             # FPU-routed (FTZ, FMA): VecFPU strips and lifts
             return NodeCompiler._build_binop(self, node)
         scalar_op, ufunc = pair
-        if type(node.right) is NumberLit or type(node.left) is NumberLit:
-            return self._build_literal_binop(node, scalar_op, ufunc)
         left = self.expr(node.left)
         right = self.expr(node.right)
 
         def run(frame):
             l = left(frame)
             r = right(frame)
-            # _plain_pair inline: a batch against a scalar or a lower-rank
-            # plain array, or two batches of one rank, have nothing to lift
-            if type(l) is MemberBatch:
-                if type(r) is MemberBatch:
-                    if l.ndim == r.ndim:
-                        return ufunc(l.view(_ND), r.view(_ND)).view(MemberBatch)
-                elif not isinstance(r, _ND) or r.ndim < l.ndim:
-                    return ufunc(l.view(_ND), r).view(MemberBatch)
-            elif type(r) is MemberBatch:
-                if not isinstance(l, _ND) or l.ndim < r.ndim:
-                    return ufunc(l, r.view(_ND)).view(MemberBatch)
-            else:
-                return scalar_op(l, r)
-            return ufunc(*lift_batches((l, r))).view(MemberBatch)
+            if type(l) is MemberBatch or type(r) is MemberBatch:
+                return ufunc(*_plain_pair(l, r)).view(MemberBatch)
+            return scalar_op(l, r)
 
         return run
 
-    def _build_literal_binop(self, node, scalar_op, ufunc):
-        """A binary operator with a literal operand: nothing to check or
-        lift, and batches meet the literal as a 0-d array, which numpy
-        takes without a Python-scalar conversion per call (and which
-        promotes exactly like the literal)."""
-        if type(node.right) is NumberLit:
-            operand = self.expr(node.left)
-            r = self.expr(node.right)(None)
-            r0 = np.array(r)
-
-            def run_right(frame):
-                l = operand(frame)
-                if type(l) is MemberBatch:
-                    return ufunc(l.view(_ND), r0).view(MemberBatch)
-                return scalar_op(l, r)
-
-            return run_right
-        operand = self.expr(node.right)
-        l = self.expr(node.left)(None)
-        l0 = np.array(l)
-
-        def run_left(frame):
-            r = operand(frame)
-            if type(r) is MemberBatch:
-                return ufunc(l0, r.view(_ND)).view(MemberBatch)
-            return scalar_op(l, r)
-
-        return run_left
-
     def _build_divide_or_power(self, node):
-        """``/`` and ``**`` without flush-to-zero: on batches, one ufunc
-        call on plain operands — a float division is ``np.true_divide``
-        and a power ``np.power``, with an integer exponent as a Python int
-        as the FPU passes it; integer division keeps the FPU's
-        truncation."""
-        fpu = self.interp.fpu
+        """``/`` and ``**``: on batches, one call on plain operands — a
+        float division is ``np.true_divide`` and a power ``np.power``, with
+        an integer exponent as a Python int as the FPU passes it, while
+        integer operations and flush-to-zero keep the FPU's arithmetic.
+        Under a mask, the integer faults of masked-out lanes and members
+        are spared first (:meth:`VecInterpreter._spare_faults`)."""
+        interp = self.interp
+        fpu = interp.fpu
         power = node.op == "**"
         scalar = (FPU.pow if power else FPU.div).__get__(fpu)
+        ftz = fpu._ftz
         left = self.expr(node.left)
         right = self.expr(node.right)
 
         def run(frame):
             l = left(frame)
             r = right(frame)
-            if type(l) is MemberBatch:
-                batch = l
-            elif type(r) is MemberBatch:
-                batch = r
-            else:
+            batch = type(l) is MemberBatch or type(r) is MemberBatch
+            if batch:
+                l, r = _plain_pair(l, r)
+            if interp._mask is not None:
+                l, r = interp._spare_faults(l, r, node.op, batch)
+            if not batch:
                 return scalar(l, r)
-            a, b = _plain_pair(l, r)
+            if ftz or (_integer_typed(l) and _integer_typed(r)):
+                return scalar(l, r).view(MemberBatch)
             if power:
-                if isinstance(b, (int, np.integer)):
-                    b = int(b)
-                return np.power(a, b).view(MemberBatch)
-            if batch.dtype.kind != "f":
-                return scalar(a, b).view(MemberBatch)
-            return np.true_divide(a, b).view(MemberBatch)
+                if isinstance(r, (int, np.integer)):
+                    r = int(r)
+                return np.power(l, r).view(MemberBatch)
+            return np.true_divide(l, r).view(MemberBatch)
 
         return run
 
@@ -464,10 +537,14 @@ class VecNodeCompiler(NodeCompiler):
         return run
 
     def _build_element_load(self, args):
+        interp = self.interp
         plain_load = NodeCompiler._build_element_load(self, args)
         index_fn = self._build_index(args, member_axis=True)
+        lane_index = self._build_lane_index(args)
 
         def load(container, frame):
+            if interp._lanes is not None:
+                return interp._lane_load(container, lane_index(frame))
             if type(container) is not MemberBatch:
                 return plain_load(container, frame)
             # a view: every store copies it, and an if-condition copies
@@ -476,10 +553,37 @@ class VecNodeCompiler(NodeCompiler):
 
         return load
 
+    def _build_lane_index(self, args) -> Callable:
+        """A subscript list inside a lane region: 0-based ints, and index
+        arrays for lane-valued subscripts (without the member axis)."""
+        if any(isinstance(a, SectionRange) for a in args):
+            return self._build_index(args)
+        fns = [self.expr(a) for a in args]
+        subscript = self.interp._lane_subscript
+        return lambda frame: tuple([subscript(fn(frame)) for fn in fns])
+
+    def _intrinsic(self, name: str) -> Optional[Callable]:
+        if name != "mod":
+            return self._intrinsic_table.get(name)
+        interp = self.interp
+        base = INTRINSIC_FUNCTIONS["mod"]
+
+        def mod(a, p):
+            batch = type(a) is MemberBatch or type(p) is MemberBatch
+            if batch:
+                a, p = _plain_pair(a, p)
+            if interp._mask is not None:
+                a, p = interp._spare_faults(a, p, "mod", batch)
+            out = base(a, p)
+            return out.view(MemberBatch) if batch else out
+
+        return mod
+
     # ------------------------------------------------------- accounting
     def _account_fn(self, node: Stmt) -> Callable[[], None]:
         """One statement execution: budget check, then the member-masked
-        statement and coverage counts."""
+        statement and coverage counts (inside a lane region, once per
+        active lane)."""
         interp = self.interp
         loc = node.location
         key = (loc.filename, loc.line) if loc.line > 0 else None
@@ -487,48 +591,34 @@ class VecNodeCompiler(NodeCompiler):
         limit = interp.max_statements
 
         def account():
-            n = interp.statements_executed + 1
+            lanes = interp._lanes
+            mask = interp._mask
+            if lanes is None:
+                counts = step = 1
+                if mask is not None:
+                    counts = mask.astype(np.int64)
+            elif mask is None:
+                counts = step = lanes
+            elif mask.ndim == 1:
+                counts = step = int(np.count_nonzero(mask))
+            else:
+                # the shared budget charges a lane some member runs, as the
+                # per-iteration loop does; each member its own lanes
+                counts = np.count_nonzero(mask, axis=1)
+                step = int(np.count_nonzero(mask.any(axis=0)))
+            n = interp.statements_executed + step
             interp.statements_executed = n
             if n > limit:
                 raise StatementLimitExceeded(
                     f"statement budget of {limit} exhausted "
                     f"(possible runaway loop at {loc})"
                 )
-            mask = interp._mask
-            if mask is None:
-                if cov is not None:
-                    cov[key] = cov.get(key, 0) + 1
-                return
-            mi = mask.astype(np.int64)
-            interp._extra_statements += mi - 1
+            if counts is not step:
+                interp._extra_statements += counts - step
             if cov is not None:
-                cov[key] = cov.get(key, 0) + mi
+                cov[key] = cov.get(key, 0) + counts
 
         return account
-
-    def _build_assignment(self, node) -> Callable:
-        """An assignment is one closure: an unmasked execution under budget
-        counts itself inline, anything else through its account
-        closure."""
-        interp = self.interp
-        account = self._account_fn(node)
-        value_fn = self.expr(node.value)
-        store_fn = self._build_store(node.target)
-        loc = node.location
-        key = (loc.filename, loc.line) if loc.line > 0 else None
-        cov = interp._cov_counts if key is not None else None
-        limit = interp.max_statements
-
-        def run(frame):
-            if interp._mask is None and interp.statements_executed < limit:
-                interp.statements_executed += 1
-                if cov is not None:
-                    cov[key] = cov.get(key, 0) + 1
-            else:
-                account()
-            store_fn(frame, value_fn(frame))
-
-        return run
 
     # ----------------------------------------------------- control flow
     def _build_if(self, node: IfBlock) -> Callable:
@@ -548,18 +638,23 @@ class VecNodeCompiler(NodeCompiler):
                 for cond_fn, body_fns in branches:
                     cond = True if cond_fn is None else cond_fn(frame)
                     if isinstance(cond, np.ndarray):
-                        # member-divergent condition: the batch collapses to
-                        # masked execution here; counted for `vec.mask_collapses`
+                        # member- or lane-divergent condition: the batch
+                        # collapses to masked execution here; counted for
+                        # `vec.mask_collapses`
                         interp.mask_divergences += 1
-                        cond = np.array(cond, dtype=bool)
-                        if (
-                            cond.ndim != 1
-                            or cond.shape[0] != interp.n_members
-                        ):
-                            raise VectorizationError(
-                                f"if-condition at {loc} is a model array; "
-                                "only member-batched scalars may diverge"
-                            )
+                        if interp._lanes is not None:
+                            cond = interp._lane_condition(cond, loc)
+                        else:
+                            cond = np.array(cond, dtype=bool)
+                            if (
+                                cond.ndim != 1
+                                or cond.shape[0] != interp.n_members
+                            ):
+                                raise VectorizationError(
+                                    f"if-condition at {loc} is a model "
+                                    "array; only member-batched scalars "
+                                    "may diverge"
+                                )
                         eligible = remaining if remaining is not None else base
                         if eligible is None:
                             branch = cond
@@ -628,6 +723,24 @@ class VecNodeCompiler(NodeCompiler):
             raise VectorizationError(f"member-varying {what} at {loc}")
 
         return check
+
+    def _build_iterations(self, node: DoLoop, body_fns: list) -> Callable:
+        """A loop whose iterations are independent (its lane plan, see
+        :mod:`repro.runtime.lanes`) runs its body once over all of them;
+        any other loop, and every loop inside a region, iterates."""
+        interp = self.interp
+        iterate = NodeCompiler._build_iterations(self, node, body_fns)
+
+        def run(frame, scope, var_name, start, count, step):
+            if interp._lanes is None:
+                plan = interp._lane_plan(node, frame)
+                if plan is not None and interp._run_lanes(
+                    plan, body_fns, frame, scope, var_name, start, count, step
+                ):
+                    return
+            iterate(frame, scope, var_name, start, count, step)
+
+        return run
 
     def _build_where(self, node: WhereBlock) -> Callable:
         interp = self.interp
@@ -728,6 +841,12 @@ class VecNodeCompiler(NodeCompiler):
                         scope, rname = found
                         cell.append(found)
                 current = scope.values.get(rname, _MISSING)
+            if interp._lanes is not None:
+                if current is _MISSING:
+                    scope.define(name, 0)
+                    current = 0
+                interp._lane_store(scope, rname, current, value)
+                return
             mask = interp._mask
             if type(current) is MemberBatch:
                 if rname in scope.readonly:
@@ -735,13 +854,6 @@ class VecNodeCompiler(NodeCompiler):
                         f"cannot assign to read-only name {rname!r} in scope "
                         f"{scope.name!r}"
                     )
-                if mask is None and (
-                    value.ndim == current.ndim
-                    if type(value) is MemberBatch
-                    else not isinstance(value, _ND)
-                ):
-                    current.view(_ND)[...] = value
-                    return
                 interp._store_into_array(current, None, value, mask, rname)
                 return
             if mask is None and type(value) is not MemberBatch:
@@ -759,28 +871,21 @@ class VecNodeCompiler(NodeCompiler):
     def _build_store_into(self, args, what: Optional[str] = None) -> Callable:
         interp = self.interp
         index_fn = self._build_index(args)
-        batch_index = self._build_index(args, member_axis=True)
-        element = not any(isinstance(a, SectionRange) for a in args)
+        lane_index = self._build_lane_index(args)
 
         def store(array, frame, value, guard, name):
-            batch = type(array) is MemberBatch
-            index = batch_index(frame) if batch else index_fn(frame)
+            lanes = interp._lanes is not None
+            index = lane_index(frame) if lanes else index_fn(frame)
             if guard is not None and name in guard:
                 raise IntentViolationError(
                     f"cannot assign through read-only name {name!r}"
                 )
-            if batch and element and interp._mask is None and (
-                value.ndim == 1
-                if type(value) is MemberBatch
-                else not isinstance(value, _ND)
-            ):
-                # an unmasked batch scalar or scalar into one element
-                array.view(_ND)[index] = value
-                return
-            interp._store_into_array(
-                array, index[1:] if batch else index, value, interp._mask,
-                what or name,
-            )
+            if lanes:
+                interp._lane_store_into(array, index, value, what or name)
+            else:
+                interp._store_into_array(
+                    array, index, value, interp._mask, what or name
+                )
 
         return store
 
@@ -837,6 +942,20 @@ class VecInterpreter(Interpreter):
         self._extra_statements = np.zeros(self.n_members, dtype=np.int64)
         #: member-divergent `if` conditions seen (batch collapsed to a mask)
         self.mask_divergences = 0
+        #: lane count of the running lane region (None outside regions)
+        self._lanes: Optional[int] = None
+        #: the running region's frame scope, and the lanes that assigned
+        #: each of its privates (a mask, or _EVERY_LANE)
+        self._lane_scope: Optional[Scope] = None
+        self._lane_assigned: Optional[dict] = None
+        #: id(loop) -> (loop, LanePlan or None); id(sub) -> elemental verdict
+        self._lane_plans: dict[int, tuple] = {}
+        self._lane_verdicts: dict[int, tuple] = {}
+        #: loop executions run as lane regions, their lanes, and executions
+        #: of planned loops a runtime guard sent down the per-iteration path
+        self.lane_regions = 0
+        self.lane_iterations = 0
+        self.lane_fallbacks = 0
         super().__init__(
             asts,
             fp=fp,
@@ -882,14 +1001,7 @@ class VecInterpreter(Interpreter):
             scope.store(rname, value)
             return
         # scalar slot
-        if isinstance(current, (bool, np.bool_)):
-            dtype = np.bool_
-        elif isinstance(current, (int, np.integer)):
-            dtype = np.int64
-        elif isinstance(current, (float, np.floating)):
-            dtype = np.float64
-        else:
-            dtype = None
+        dtype = _SLOT_DTYPES.get(_slot_kind(current))
         if isinstance(value, MemberBatch) or mask is not None:
             if dtype is None:
                 raise VectorizationError(
@@ -997,11 +1109,255 @@ class VecInterpreter(Interpreter):
             return
         ref.store(value)
 
+    # -------------------------------------------------------- lane regions
+    def _lane_plan(self, loop: DoLoop, frame):
+        """The loop's :class:`~repro.runtime.lanes.LanePlan` (None: it runs
+        per iteration), decided once per loop."""
+        cached = self._lane_plans.get(id(loop))
+        if cached is None:
+            plan = plan_region(
+                loop, frame.sub, _FrameNames(self, frame), self._lane_verdicts
+            )
+            cached = self._lane_plans[id(loop)] = (loop, plan)
+        return cached[1]
+
+    def _lane_lookup(self, frame, key):
+        """The value a variable name or component path refers to from
+        ``frame`` (``_MISSING`` if none)."""
+        value = frame.scope.values.get(key[0], _MISSING)
+        if value is _MISSING:
+            found = self._lookup_nonlocal(frame, key[0])
+            if found is None:
+                return _MISSING
+            value = found[0].values[found[1]]
+        for component in key[1:]:
+            if not isinstance(value, DerivedValue):
+                return _MISSING
+            value = value.components.get(component, _MISSING)
+        return value
+
+    def _lanes_alias(self, plan, frame) -> bool:
+        """Whether an array the region writes may share memory with another
+        array it references (a Fortran aliasing violation the
+        per-iteration order would resolve one way)."""
+        if not plan.guarded_written:
+            return False
+        arrays = {}
+        for key in plan.guarded:
+            value = self._lane_lookup(frame, key)
+            if isinstance(value, _ND):
+                arrays[key] = value
+        for key in plan.guarded_written:
+            mine = arrays.get(key)
+            if mine is not None and any(
+                other != key and np.may_share_memory(mine, array)
+                for other, array in arrays.items()
+            ):
+                return True
+        return False
+
+    def _run_lanes(self, plan, body_fns, frame, scope, var_name, start, count,
+                   step) -> bool:
+        """Run the loop body once over all ``count`` iterations; False (and
+        nothing done) when a guard sends this execution per iteration."""
+        if count < 2 or self._lanes_alias(plan, frame):
+            self.lane_fallbacks += 1
+            return False
+        values = scope.values
+        saved = {name: values.get(name) for name in plan.privates}
+        base = self._mask
+        self._lanes = count
+        if base is not None:
+            self._mask = np.repeat(base[:, None], count, axis=1)
+        self._lane_scope = scope
+        self._lane_assigned = assigned = {}
+        values[var_name] = np.arange(count, dtype=np.int64) * step + start
+        try:
+            for fn in body_fns:
+                fn(frame)
+        finally:
+            self._lanes = self._lane_scope = self._lane_assigned = None
+            self._mask = base
+        for name in plan.privates:
+            if name in plan.nested_vars:
+                continue  # a nested loop's exit value is the same in every lane
+            mark = assigned.get(name)
+            values[name] = (
+                saved[name] if mark is None
+                else _last_assigned(values[name], mark)
+            )
+        values[var_name] = start + count * step
+        self.lane_regions += 1
+        self.lane_iterations += count
+        return True
+
+    def _lane_condition(self, cond, loc):
+        """An ``if`` condition inside a lane region as a mask: ``(L,)`` when
+        it varies by lane only, ``(n, L)`` when it varies by member."""
+        lanes = self._lanes
+        mask = np.array(cond, dtype=bool)
+        if type(cond) is MemberBatch and mask.ndim == 1:
+            mask = np.repeat(mask[:, None], lanes, axis=1)
+        if mask.shape not in ((lanes,), (self.n_members, lanes)):
+            raise VectorizationError(
+                f"if-condition at {loc} is a model array inside a lane region"
+            )
+        return mask
+
+    def _lane_subscript(self, value):
+        """A subscript value inside a lane region, 0-based: an int, or an
+        index array for a lane-valued subscript."""
+        if type(value) is MemberBatch and value.shape[0] == 1:
+            value = value.view(_ND)[0]  # one member: its own subscript
+        if type(value) is _ND and value.ndim == 1:
+            if value.dtype.kind != "i":
+                value = value.astype(np.int64)
+            return value - 1
+        return int(value) - 1
+
+    def _lane_load(self, container, index):
+        """An element load inside a lane region: lane-valued subscripts
+        gather one element per lane."""
+        batch = type(container) is MemberBatch
+        try:
+            value = _getitem(container, (_ALL, *index)) if batch else container[index]
+        except IndexError:
+            index = self._clamp_masked_lanes(container, index, batch)
+            value = _getitem(container, (_ALL, *index)) if batch else container[index]
+        if isinstance(value, _ND):
+            return value
+        return value.item() if hasattr(value, "item") else value
+
+    def _clamp_masked_lanes(self, container, index, batch) -> tuple:
+        """``index`` with the out-of-bounds subscripts of masked-out lanes
+        (which the per-iteration loop never evaluates) replaced by the
+        first element; an active lane out of bounds raises IndexError."""
+        mask = self._mask
+        active = None if mask is None else (mask if mask.ndim == 1 else mask.any(axis=0))
+        shape = container.shape[1:] if batch else container.shape
+        fixed = []
+        for extent, part in zip(shape, index):
+            if isinstance(part, _ND):
+                bad = (part < -extent) | (part >= extent)
+                if active is None or (bad & active).any():
+                    raise IndexError(
+                        f"subscript out of bounds for an axis of extent {extent}"
+                    )
+                part = np.where(bad, 0, part)
+            fixed.append(part)
+        return tuple(fixed)
+
+    def _spare_faults(self, a, b, op: str, batch: bool):
+        """The plain operands of an integer ``a / b``, ``a ** b`` or
+        ``mod(a, b)`` with the faults (a zero divisor; a zero base under a
+        negative exponent) that only masked-out lanes or members hold
+        replaced by 1: the per-iteration loop never evaluates them.  A
+        fault an active lane or member holds stays, and the arithmetic
+        raises ``FortranRuntimeError`` as the scalar runtime does."""
+        if not (isinstance(a, _ND) or isinstance(b, _ND)) or not (
+            _integer_typed(a) and _integer_typed(b)
+        ):
+            return a, b
+        fault = (
+            np.equal(a, 0) & np.less(b, 0) if op == "**" else np.equal(b, 0)
+        )
+        if not fault.any():
+            return a, b
+        fault = np.broadcast_to(fault, np.broadcast(a, b).shape)
+        active = self._active(fault.ndim, batch)
+        if active is None:
+            return a, b
+        spared = fault & ~active
+        if op == "**":
+            return np.where(spared, 1, a), b
+        return a, np.where(spared, 1, b)
+
+    def _active(self, ndim: int, batch: bool) -> Optional[np.ndarray]:
+        """The running mask broadcasting over a value of ``ndim`` axes (the
+        member axis first if ``batch``); None when the mask keeps every
+        element of such a value."""
+        mask = self._mask
+        if self._lanes is None:
+            # a member mask: each member a value holds is its own element,
+            # and every member the mask keeps evaluates a uniform value
+            return mask.reshape(mask.shape + (1,) * (ndim - 1)) if batch else None
+        if not batch:  # a lane value (L,)
+            return mask if mask.ndim == 1 else mask.any(axis=0)
+        if ndim == 1:  # a member value (n,) no lane varies
+            return None if mask.ndim == 1 else mask.any(axis=1)
+        return mask  # (n, L)
+
+    def _lane_store(self, scope, rname, current, value) -> None:
+        """Store into a scalar slot inside a lane region: coerced to the
+        slot's type and blended under the region's mask; the lanes that
+        assigned each of the region's privates are recorded."""
+        if rname in scope.readonly:
+            raise IntentViolationError(
+                f"cannot assign to read-only name {rname!r} in scope "
+                f"{scope.name!r}"
+            )
+        value = _coerce_like(value, current)
+        mask = self._mask
+        if mask is not None:
+            member = (
+                mask.ndim == 2
+                or type(value) is MemberBatch
+                or type(current) is MemberBatch
+            )
+            value = np.where(mask, _lane_operand(value), _lane_operand(current))
+            if member:
+                value = value.view(MemberBatch)
+        scope.values[rname] = value
+        if scope is self._lane_scope:
+            assigned = self._lane_assigned
+            prior = assigned.get(rname)
+            if mask is None or prior is _EVERY_LANE:
+                assigned[rname] = _EVERY_LANE
+            else:
+                assigned[rname] = mask if prior is None else prior | mask
+
+    def _lane_store_into(self, array, index, value, name: str) -> None:
+        """An element store inside a lane region (the bare loop variable
+        subscripts one axis), blended under the region's mask."""
+        mask = self._mask
+        if type(array) is MemberBatch:
+            dest = array.view(_ND)
+            index = (_ALL, *index)
+            value = _lane_operand(value)
+        else:
+            if type(value) is MemberBatch:
+                raise VectorizationError(
+                    f"member-varying store into member-uniform array {name!r}"
+                )
+            dest = array
+            if mask is not None and mask.ndim == 2:
+                if not (mask == mask[:1]).all():
+                    raise VectorizationError(
+                        "member-varying store into member-uniform array "
+                        f"{name!r}"
+                    )
+                mask = mask[0]
+        if mask is not None:
+            value = np.where(mask, value, dest[index])
+        dest[index] = value
+
+    def _all_int(self, *values) -> bool:
+        """Inside a lane region an integer lane value is an integer array."""
+        if self._lanes is None:
+            return Interpreter._all_int(*values)
+        return all(
+            v.dtype.kind == "i" if isinstance(v, _ND) else Interpreter._all_int(v)
+            for v in values
+        )
+
     # ----------------------------------------------------------- elemental
     def _dispatch_elemental(self, mrt, sub, values, caller_frame):
-        if any(isinstance(v, MemberBatch) for v in values):
+        if self._lanes is not None or any(
+            isinstance(v, MemberBatch) for v in values
+        ):
             # elemental bodies are scalar arithmetic: ufunc broadcasting
-            # over the member axis evaluates all members in one pass
+            # over the member (and lane) axes evaluates every member (and
+            # iteration) in one pass
             return self._call_with_values(mrt, sub, values, caller_frame)
         return super()._dispatch_elemental(mrt, sub, values, caller_frame)
 
@@ -1242,6 +1598,9 @@ def run_model_batch(configs, source=None):
     metrics.inc("vec.batches")
     metrics.inc("vec.members", len(configs))
     metrics.inc("vec.mask_collapses", interp.mask_divergences)
+    metrics.inc("vec.lane_regions", interp.lane_regions)
+    metrics.inc("vec.lane_iterations", interp.lane_iterations)
+    metrics.inc("vec.lane_fallbacks", interp.lane_fallbacks)
     metrics.inc(
         "interpreter.statements", sum(r.statements_executed for r in results)
     )

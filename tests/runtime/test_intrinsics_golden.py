@@ -15,6 +15,7 @@ import pytest
 from repro.fortran.intrinsics import EXPRESSION_INTRINSICS
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.intrinsics import INTRINSIC_FUNCTIONS, call_intrinsic
+from repro.runtime.values import FortranRuntimeError
 
 #: (intrinsic, args, kwargs, expected).  Exact comparison for ints, bools,
 #: strings and exactly-representable floats; approx for transcendentals.
@@ -226,3 +227,92 @@ def test_local_array_shadows_intrinsic():
     interp = Interpreter.from_source(INTRINSIC_IN_EXPR_SRC)
     # `sum` is a local array here, not the reduction intrinsic
     assert interp.call("m", "shadowed", [3]) == 4.0
+
+
+EDGES_SRC = """
+module edges
+  implicit none
+contains
+  function rounded(x) result(r)
+    real, intent(in) :: x
+    integer :: r
+    r = nint(x)
+  end function rounded
+
+  function remainder(a, p) result(r)
+    integer, intent(in) :: a, p
+    integer :: r
+    r = mod(a, p)
+  end function remainder
+end module edges
+"""
+
+#: nint rounds the exact value half away from zero; adding 0.5 first
+#: rounds too early at both ends of the binary64 range
+NINT_EDGES = [(0.49999999999999994, 0), (4503599627370497.0, 4503599627370497),
+              (-2.5, -3)]
+
+
+@pytest.mark.parametrize("x,want", NINT_EDGES)
+def test_nint_rounds_the_exact_value(x, want):
+    assert call_intrinsic("nint", [x]) == want
+    got = call_intrinsic("nint", [np.array([x])])
+    assert got.dtype == np.int64 and got[0] == want
+
+
+def test_integer_mod_is_exact_and_traps_a_zero_divisor():
+    assert call_intrinsic("mod", [2**60 + 1, 2]) == 1
+    got = call_intrinsic("mod", [np.array([2**60 + 1, -7]), 2])
+    assert got.dtype == np.int64 and got.tolist() == [1, -1]
+    for args in ([5, 0], [np.array([5, 6]), np.array([1, 0])]):
+        with pytest.raises(FortranRuntimeError, match="mod by zero"):
+            call_intrinsic("mod", args)
+
+
+def test_integer_sign_and_dim_stay_integer_on_arrays():
+    got = call_intrinsic("sign", [np.array([3, -4]), np.array([-1, 2])])
+    assert got.dtype.kind == "i" and got.tolist() == [-3, 4]
+    got = call_intrinsic("dim", [np.array([5, 1]), 3])
+    assert got.dtype.kind == "i" and got.tolist() == [2, 0]
+
+
+def test_nint_and_mod_edges_on_both_runtimes():
+    from repro.runtime import MemberBatch
+    from repro.runtime.vec import VecInterpreter
+
+    xs = [x for x, _ in NINT_EDGES]
+    batch = VecInterpreter.from_source(EDGES_SRC, seeds=[1, 2, 3])
+    got = batch.call("edges", "rounded", [np.array(xs).view(MemberBatch)])
+    assert np.asarray(got).tolist() == [want for _, want in NINT_EDGES]
+    ints = np.array([2**60 + 1, 7, -7]).view(MemberBatch)
+    assert np.asarray(batch.call("edges", "remainder", [ints, 2])).tolist() == [1, 1, -1]
+    for interp in (Interpreter.from_source(EDGES_SRC), batch):
+        assert interp.call("edges", "rounded", [xs[0]]) == 0
+        assert interp.call("edges", "remainder", [2**60 + 1, 2]) == 1
+        with pytest.raises(FortranRuntimeError, match="mod by zero"):
+            interp.call("edges", "remainder", [5, 0])
+
+
+def test_gamma_gives_ieee_values_at_poles_and_overflow():
+    """Fortran does not trap: a pole or an overflow yields tgamma's IEEE
+    result on scalars and arrays alike (under the ``np.errstate`` every
+    model run holds)."""
+    with np.errstate(all="ignore"):
+        got = call_intrinsic("gamma", [np.array([0.0, -0.0, -1.0, 200.0, 3.0])])
+    assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
+    assert got[3] == np.inf and got[4] == 2.0
+    assert call_intrinsic("gamma", [0.0]) == math.inf
+    assert math.isnan(call_intrinsic("gamma", [-2.0]))
+
+
+def test_integer_power_with_a_negative_exponent_truncates_on_arrays():
+    from repro.runtime.fpu import FPU
+
+    fpu = FPU()
+    bases = np.array([2, -2, 1, -1, -1, 3])
+    exps = np.array([-1, -3, -4, -3, -2, 2])
+    got = fpu.pow(bases, exps)
+    want = [fpu.pow(int(b), int(e)) for b, e in zip(bases, exps)]
+    assert got.dtype.kind == "i" and got.tolist() == want == [0, 0, 1, -1, 1, 9]
+    with pytest.raises(FortranRuntimeError, match="division by zero"):
+        fpu.pow(np.array([0, 2]), -1)
