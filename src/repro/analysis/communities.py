@@ -11,15 +11,24 @@ the convention Girvan-Newman itself uses), ties in the edge-removal choice
 break lexicographically, and modularity is evaluated with the *original*
 symmetrized edge weights, so heavier couplings pull modules into the same
 community even though path counting ignores them.
+
+The sweep keeps each edge's betweenness across removals.  An edge's score
+sums the dependencies of the sources in its own connected component only,
+so removing ``(u, v)`` changes the scores of the component(s) now holding
+``u`` and ``v`` and of no other: those are re-run from scratch, from their
+sources in sorted order, which is the order a full recomputation adds them
+in, so every score is bit-identical to one.  The component count can only
+grow when ``v`` is no longer reachable from ``u``, so only then are the
+components and the modularity of a new level computed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from ..graphs.metagraph import MetaGraph
+from ..obs import get_metrics, get_tracer
 from .quotient import QuotientGraph, quotient_graph
 
 __all__ = [
@@ -57,23 +66,51 @@ def brandes_sssp(
     in :mod:`repro.analysis.centrality` accumulate dependencies over this
     common traversal.
     """
-    stack: list[str] = []
     preds: dict[str, list[str]] = {v: [] for v in adj}
-    sigma: dict[str, float] = {v: 0.0 for v in adj}
+    sigma: dict[str, float] = dict.fromkeys(adj, 0.0)
     dist: dict[str, int] = {source: 0}
     sigma[source] = 1.0
-    queue: deque[str] = deque([source])
-    while queue:
-        v = queue.popleft()
-        stack.append(v)
+    # the BFS queue, never popped: the nodes in the order they are reached
+    stack: list[str] = [source]
+    for v in stack:
+        # v's predecessors were all visited before it: sigma[v] is final
+        below, paths = dist[v] + 1, sigma[v]
         for w in adj[v]:
             if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
+                dist[w] = below
+                stack.append(w)
+            elif dist[w] != below:
+                continue
+            sigma[w] += paths
+            preds[w].append(v)
     return stack, preds, sigma
+
+
+def _accumulate_edges(
+    adj: Mapping[str, list[str]],
+    sources: Iterable[str],
+    scores: dict[tuple[str, str], float],
+) -> None:
+    """Add each source's Brandes dependencies, in order, onto the edges.
+
+    ``scores`` maps every ``(u, v)`` pair (``u < v``) the sources reach to
+    its running sum; per source an edge gains at most one share, so the
+    sum is the sources' shares added in ``sources`` order.
+    """
+    for source in sources:
+        stack, preds, sigma = brandes_sssp(adj, source)
+        delta = dict.fromkeys(stack, 0.0)
+        for w in reversed(stack):
+            paths, carried = sigma[w], 1.0 + delta[w]
+            for v in preds[w]:
+                share = (sigma[v] / paths) * carried
+                scores[(v, w) if v < w else (w, v)] += share
+                delta[v] += share
+
+
+def _zero_scores(adj: Mapping[str, list[str]]) -> dict[tuple[str, str], float]:
+    """``{(u, v): 0.0}`` for every undirected edge of ``adj`` (``u < v``)."""
+    return {(u, v) if u < v else (v, u): 0.0 for u in adj for v in adj[u]}
 
 
 def edge_betweenness(
@@ -83,49 +120,35 @@ def edge_betweenness(
     """Brandes edge betweenness over unweighted undirected shortest paths.
 
     Returns ``{(u, v): score}`` with ``u < v``.  ``adjacency`` overrides the
-    graph's own neighbour lists (the Girvan-Newman loop passes its
-    progressively thinned adjacency).
+    graph's own neighbour lists.
     """
     q = as_quotient(graph)
     adj = dict(adjacency) if adjacency is not None else _undirected_adjacency(q)
-    betweenness: dict[tuple[str, str], float] = {}
-    for node in adj:
-        for other in adj[node]:
-            pair = (node, other) if node < other else (other, node)
-            betweenness.setdefault(pair, 0.0)
-
-    for source in sorted(adj):
-        stack, preds, sigma = brandes_sssp(adj, source)
-        # dependency accumulation, credited to edges
-        delta: dict[str, float] = {v: 0.0 for v in adj}
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                share = (sigma[v] / sigma[w]) * (1.0 + delta[w])
-                pair = (v, w) if v < w else (w, v)
-                betweenness[pair] += share
-                delta[v] += share
+    scores = _zero_scores(adj)
+    _accumulate_edges(adj, sorted(adj), scores)
     # each undirected path counted from both endpoints
-    return {pair: score / 2.0 for pair, score in betweenness.items()}
+    return {pair: score / 2.0 for pair, score in scores.items()}
+
+
+def _component(adj: Mapping[str, list[str]], start: str) -> frozenset[str]:
+    """The nodes reachable from ``start``."""
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 def _components(adj: Mapping[str, list[str]]) -> list[frozenset[str]]:
     seen: set[str] = set()
     out: list[frozenset[str]] = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+        if start not in seen:
+            out.append(_component(adj, start))
+            seen |= out[-1]
     return out
 
 
@@ -139,7 +162,17 @@ def modularity(
     and ``w_deg(c)`` the symmetrized degree weight of its members.
     """
     q = as_quotient(graph)
-    total = q.total_undirected_weight()
+    return _modularity(q.nodes, list(q.undirected_edges()), communities)
+
+
+def _modularity(
+    nodes: list[str],
+    edges: list[tuple[str, str, float]],
+    communities: Iterable[Iterable[str]],
+) -> float:
+    """:func:`modularity` given the graph's ``nodes`` and its
+    ``undirected_edges()``, which Girvan-Newman lists once for all levels."""
+    total = sum(weight for _, _, weight in edges)
     if total <= 0.0:
         return 0.0
     member_of: dict[str, int] = {}
@@ -148,7 +181,7 @@ def modularity(
             if name in member_of:
                 raise ValueError(f"module {name!r} appears in two communities")
             member_of[name] = index
-    missing = set(q.nodes) - set(member_of)
+    missing = set(nodes) - set(member_of)
     if missing:
         raise ValueError(
             f"partition does not cover modules: {sorted(missing)[:5]}"
@@ -156,7 +189,7 @@ def modularity(
     n_comms = max(member_of.values(), default=-1) + 1
     w_in = [0.0] * n_comms
     w_deg = [0.0] * n_comms
-    for u, v, weight in q.undirected_edges():
+    for u, v, weight in edges:
         cu, cv = member_of[u], member_of[v]
         w_deg[cu] += weight
         w_deg[cv] += weight
@@ -242,39 +275,57 @@ def girvan_newman_communities(
     level every time the component count grows, until every edge is gone or
     ``max_communities`` components exist.  The returned
     :class:`CommunityResult` exposes every level and the modularity-optimal
-    partition.
+    partition.  Runs under an ``analysis.communities`` span and counts its
+    Brandes single-source runs in ``analysis.brandes_sources``.
     """
     q = as_quotient(graph)
     if q.node_count == 0:
         raise ValueError("cannot detect communities of an empty graph")
-    adj = {node: list(neigh) for node, neigh in _undirected_adjacency(q).items()}
+    with get_tracer().span("analysis.communities") as span:
+        adj = {node: list(neigh) for node, neigh in _undirected_adjacency(q).items()}
+        # raw sums: halving is exact, so it keeps the order and the ties
+        scores = _zero_scores(adj)
+        _accumulate_edges(adj, adj, scores)  # the nodes come sorted
+        sources = len(adj)
+        nodes, edges = q.nodes, list(q.undirected_edges())
 
-    def record(removed: int) -> CommunityLevel:
-        comms = _components(adj)
-        comms.sort(key=lambda c: (-len(c), sorted(c)[0]))
-        return CommunityLevel(
-            communities=tuple(comms),
-            modularity=modularity(q, comms),
-            removed_edges=removed,
-        )
+        def record(comms: list[frozenset[str]], removed: int) -> CommunityLevel:
+            comms.sort(key=lambda c: (-len(c), min(c)))
+            return CommunityLevel(
+                communities=tuple(comms),
+                modularity=_modularity(nodes, edges, comms),
+                removed_edges=removed,
+            )
 
-    levels = [record(0)]
-    removed = 0
-    while any(adj[v] for v in adj):
-        if (
-            max_communities is not None
-            and levels[-1].n_communities >= max_communities
-        ):
-            break
-        scores = edge_betweenness(q, adj)
-        # max betweenness, ties to the lexicographically smallest pair
-        u, v = min(scores, key=lambda pair: (-scores[pair], pair))
-        adj[u].remove(v)
-        adj[v].remove(u)
-        removed += 1
-        level = record(removed)
-        if level.n_communities > levels[-1].n_communities:
-            levels.append(level)
+        levels = [record(_components(adj), 0)]
+        removed = 0
+        while scores:
+            if (
+                max_communities is not None
+                and levels[-1].n_communities >= max_communities
+            ):
+                break
+            # max betweenness, ties to the lexicographically smallest pair
+            u, v = min(scores, key=lambda pair: (-scores[pair], pair))
+            adj[u].remove(v)
+            adj[v].remove(u)
+            del scores[(u, v)]
+            removed += 1
+            held = [_component(adj, u)]
+            if v not in held[0]:
+                held.append(_component(adj, v))
+            for comp in held:
+                if len(comp) == 1:
+                    continue  # an isolated node has no edge to score
+                sub = {node: adj[node] for node in sorted(comp)}
+                scores.update(_zero_scores(sub))
+                _accumulate_edges(sub, sub, scores)
+                sources += len(sub)
+            if len(held) == 2:  # v split off: one more community
+                comms = [c for c in levels[-1].communities if u not in c]
+                levels.append(record(comms + held, removed))
+        span.annotate(removals=removed, levels=len(levels), brandes_sources=sources)
+    get_metrics().inc("analysis.brandes_sources", sources)
 
     best = max(
         levels, key=lambda lv: (lv.modularity, -lv.removed_edges)

@@ -4,9 +4,17 @@ The lexer operates on a single *logical* line (continuations already merged
 by the preprocessor) and produces a flat list of :class:`~repro.fortran.tokens.Token`
 objects.  Fortran is case-insensitive, so identifiers are lower-cased on the
 way in; string literal contents are preserved verbatim.
+
+One compiled pattern matches every token in turn.  Its alternatives are
+tried in order, so a ``.`` followed by a digit starts a number before it
+can start a dot word.  Source outside string literals and comments is
+ASCII: any other character, the KELVIN SIGN (which ``str.lower`` maps to
+``k``) included, is an unexpected character.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexError, SourceLocation
 from .tokens import (
@@ -18,13 +26,44 @@ from .tokens import (
     TokenType,
 )
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | set("0123456789")
-_DIGITS = set("0123456789")
 
-#: Every dot-delimited word the lexer must not mistake for a decimal point:
-#: logical constants plus the operators (``1.eq.2`` is INTEGER DOTOP INTEGER).
-_DOT_WORDS: tuple[str, ...] = (".true.", ".false.", *DOT_OPERATORS)
+def _alternation(words) -> str:
+    """The regex alternation of ``words``, in the given order."""
+    return "|".join(re.escape(word) for word in words)
+
+
+#: The dot-delimited words, without their dots: logical constants and
+#: operators (``1.eq.2`` is INTEGER OPERATOR INTEGER)
+_DOT_WORDS = ("true", "false", *sorted(w[1:-1] for w in DOT_OPERATORS))
+
+#: One alternative per token kind; the ``space`` and ``comment`` groups
+#: emit nothing and ``unterminated`` / ``unexpected`` raise.
+_TOKEN = re.compile(
+    rf"""
+    (?P<space>[ \t]+)
+  | (?P<name>[a-z_][a-z0-9_]*)
+  | (?P<number>
+        (?=\.?[0-9])[0-9]*
+        # a dot is a decimal point unless a name letter other than the
+        # exponent's e/d follows it, or it starts a dot word
+        (?P<fraction>\.(?![abcf-z_]|(?:{_alternation(
+            w for w in _DOT_WORDS if w[0] in "ed")})\.)[0-9]*)?
+        (?P<exponent>[ed][+-]?[0-9]+)?
+        (?:_[a-z0-9_]+)?           # kind suffix, e.g. _r8
+    )
+  | (?P<dot>\.(?:{_alternation(_DOT_WORDS)})\.)
+  # a doubled quote is an escaped quote: the literal ends at the first
+  # quote that no second quote follows
+  | (?P<string>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))
+  | (?P<unterminated>['"])
+  | (?P<eol>;)
+  | (?P<operator>{_alternation(MULTI_CHAR_OPERATORS)}
+        |[{re.escape("".join(SINGLE_CHAR_OPERATORS))}])
+  | (?P<comment>!)
+  | (?P<unexpected>.)
+    """,
+    re.ASCII | re.IGNORECASE | re.VERBOSE | re.DOTALL,
+)
 
 
 class Lexer:
@@ -42,168 +81,58 @@ class Lexer:
         self.text = text
         self.filename = filename
         self.line = line
-        self.pos = 0
-        self.tokens: list[Token] = []
 
-    # ------------------------------------------------------------------ utils
-    def _loc(self, column: int | None = None) -> SourceLocation:
-        col = (self.pos + 1) if column is None else column
-        return SourceLocation(self.filename, self.line, col)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.text[idx] if idx < len(self.text) else ""
-
-    def _emit(self, type_: TokenType, value: str, column: int) -> None:
-        self.tokens.append(Token(type_, value, self._loc(column)))
-
-    # ------------------------------------------------------------------ rules
-    def _lex_name(self) -> None:
-        start = self.pos
-        while self._peek() and self._peek().lower() in _NAME_CHARS:
-            self.pos += 1
-        value = self.text[start : self.pos].lower()
-        self._emit(TokenType.NAME, value, start + 1)
-
-    def _lex_number(self) -> None:
-        """Lex integer and real literals.
-
-        Handles Fortran forms: ``42``, ``3.14``, ``1.e-3``, ``1.0d0``,
-        ``8.1328e-3_r8``, ``0.20_r8``, ``.5`` (leading dot followed by digit).
-        """
-        start = self.pos
-        is_real = False
-        # integral part
-        while self._peek() in _DIGITS:
-            self.pos += 1
-        # fractional part: a dot is part of the number unless it starts a
-        # dot-operator such as ".and." or ".eq." — an exponent marker alone
-        # is not enough (``1.eq.2`` must not lex as ``1.`` ``eq`` ``.2``).
-        if self._peek() == ".":
-            nxt = self._peek(1).lower()
-            if (nxt not in _NAME_START or nxt in {"e", "d"}) and not self._at_dot_word():
-                is_real = True
-                self.pos += 1
-                while self._peek() in _DIGITS:
-                    self.pos += 1
-        # exponent
-        if self._peek().lower() in {"e", "d"}:
-            look = 1
-            if self._peek(look) in {"+", "-"}:
-                look += 1
-            if self._peek(look) in _DIGITS:
-                is_real = True
-                self.pos += 1  # e/d
-                if self._peek() in {"+", "-"}:
-                    self.pos += 1
-                while self._peek() in _DIGITS:
-                    self.pos += 1
-        # kind suffix, e.g. _r8
-        if self._peek() == "_" and self._peek(1).lower() in _NAME_START | _DIGITS:
-            self.pos += 1
-            while self._peek().lower() in _NAME_CHARS:
-                self.pos += 1
-            # a kind suffix implies a typed literal; reals keep is_real as set,
-            # integers with kind (e.g. 1_i8) remain integers.
-        value = self.text[start : self.pos].lower()
-        type_ = TokenType.REAL if (is_real or "." in value.split("_")[0]) else TokenType.INTEGER
-        self._emit(type_, value, start + 1)
-
-    def _at_dot_word(self) -> bool:
-        """True when the current ``.`` begins a dot-operator or logical literal."""
-        rest = self.text[self.pos :].lower()
-        return rest.startswith(_DOT_WORDS)
-
-    def _lex_string(self) -> None:
-        quote = self._peek()
-        start = self.pos
-        self.pos += 1
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise LexError("unterminated string literal", self._loc(start + 1))
-            if ch == quote:
-                # doubled quote is an escaped quote
-                if self._peek(1) == quote:
-                    chars.append(quote)
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                break
-            chars.append(ch)
-            self.pos += 1
-        self._emit(TokenType.STRING, "".join(chars), start + 1)
-
-    def _lex_dot(self) -> bool:
-        """Try to lex a dot-delimited operator or logical constant.
-
-        Returns True when a token was produced.
-        """
-        rest = self.text[self.pos :].lower()
-        for word in (".true.", ".false."):
-            if rest.startswith(word):
-                self._emit(TokenType.LOGICAL, word, self.pos + 1)
-                self.pos += len(word)
-                return True
-        for op in sorted(DOT_OPERATORS, key=len, reverse=True):
-            if rest.startswith(op):
-                value = DOT_RELATIONAL_EQUIVALENTS.get(op)
-                if value is not None:
-                    self._emit(TokenType.OPERATOR, value, self.pos + 1)
-                else:
-                    self._emit(TokenType.DOTOP, op, self.pos + 1)
-                self.pos += len(op)
-                return True
-        return False
-
-    # ------------------------------------------------------------------ main
     def tokenize(self) -> list[Token]:
         """Return the token list for the line, terminated by an EOL token."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t":
-                self.pos += 1
+        filename, line = self.filename, self.line
+        tokens: list[Token] = []
+        append = tokens.append
+        end = len(self.text)
+        for match in _TOKEN.finditer(self.text):
+            kind = match.lastgroup
+            if kind == "space":
                 continue
-            if ch == "!":
-                break  # comment until end of line
-            lower = ch.lower()
-            if lower in _NAME_START:
-                self._lex_name()
-                continue
-            if ch in _DIGITS:
-                self._lex_number()
-                continue
-            if ch == "." and self._peek(1) in _DIGITS:
-                self._lex_number()
-                continue
-            if ch == ".":
-                if self._lex_dot():
-                    continue
-                raise LexError(f"unexpected character {ch!r}", self._loc())
-            if ch in {"'", '"'}:
-                self._lex_string()
-                continue
-            if ch == ";":
-                self._emit(TokenType.EOL, ";", self.pos + 1)
-                self.pos += 1
-                continue
-            matched = False
-            for op in MULTI_CHAR_OPERATORS:
-                if self.text.startswith(op, self.pos):
-                    self._emit(TokenType.OPERATOR, op, self.pos + 1)
-                    self.pos += len(op)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in SINGLE_CHAR_OPERATORS:
-                self._emit(TokenType.OPERATOR, ch, self.pos + 1)
-                self.pos += 1
-                continue
-            raise LexError(f"unexpected character {ch!r}", self._loc())
-        self.tokens.append(Token(TokenType.EOL, "", self._loc()))
-        return self.tokens
+            column = match.start() + 1
+            value = match.group()
+            if kind == "name":
+                token = Token(TokenType.NAME, value.lower(),
+                              SourceLocation(filename, line, column))
+            elif kind == "operator":
+                token = Token(TokenType.OPERATOR, value,
+                              SourceLocation(filename, line, column))
+            elif kind == "number":
+                real = match.group("fraction") or match.group("exponent")
+                token = Token(TokenType.REAL if real else TokenType.INTEGER,
+                              value.lower(), SourceLocation(filename, line, column))
+            elif kind == "dot":
+                word = value.lower()
+                if word in (".true.", ".false."):
+                    type_ = TokenType.LOGICAL
+                elif word in DOT_RELATIONAL_EQUIVALENTS:
+                    type_, word = TokenType.OPERATOR, DOT_RELATIONAL_EQUIVALENTS[word]
+                else:
+                    type_ = TokenType.DOTOP
+                token = Token(type_, word, SourceLocation(filename, line, column))
+            elif kind == "string":
+                quote = value[0]
+                token = Token(TokenType.STRING,
+                              value[1:-1].replace(quote + quote, quote),
+                              SourceLocation(filename, line, column))
+            elif kind == "eol":
+                token = Token(TokenType.EOL, ";",
+                              SourceLocation(filename, line, column))
+            elif kind == "comment":
+                end = match.start()
+                break
+            elif kind == "unterminated":
+                raise LexError("unterminated string literal",
+                               SourceLocation(filename, line, column))
+            else:
+                raise LexError(f"unexpected character {value!r}",
+                               SourceLocation(filename, line, column))
+            append(token)
+        append(Token(TokenType.EOL, "", SourceLocation(filename, line, end + 1)))
+        return tokens
 
 
 def tokenize_line(text: str, filename: str = "<string>", line: int = 0) -> list[Token]:

@@ -301,6 +301,9 @@ class Parser:
         self.fallback_statements: list[SourceLocation] = []
         #: statements no parser could handle
         self.unparsed: list[UnparsedStmt] = []
+        #: the last line lexed and its tokens: a block's opening line is
+        #: lexed to dispatch on and read again by the block's parser
+        self._lexed: tuple[Optional[LogicalLine], list[Token]] = (None, [])
 
     # ----------------------------------------------------------------- lines
     def _current(self) -> Optional[LogicalLine]:
@@ -314,7 +317,12 @@ class Parser:
         return line
 
     def _tokens(self, line: LogicalLine) -> list[Token]:
-        return tokenize_line(line.text, filename=self.filename, line=line.line)
+        """The tokens of ``line``, lexed once however often it is read."""
+        lexed, tokens = self._lexed
+        if line is not lexed:
+            tokens = tokenize_line(line.text, filename=self.filename, line=line.line)
+            self._lexed = (line, tokens)
+        return tokens
 
     @staticmethod
     def _loc(line: LogicalLine) -> SourceLocation:

@@ -12,6 +12,7 @@ behind a dotted namespace:
 ``vec.lane_regions/lane_iterations`` loop executions run as lane regions
 ``vec.lane_fallbacks``              planned loops a guard ran per iteration
 ``vec.fallbacks``                   vectorized batches re-run scalar
+``analysis.brandes_sources``        Girvan-Newman Brandes single-source runs
 ``refine.iters``                    Algorithm 5.4 candidate evaluations
 ``ect.tests``                       consistency tests performed
 =========================  ==================================================

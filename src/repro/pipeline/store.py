@@ -157,12 +157,18 @@ _NUMPY_SCALARS = {bool: ("bool_",), int: ("integer",), str: (),
                   float: ("integer", "floating")}
 
 
-def _accepted(tp: type) -> tuple[type, ...]:
-    """The value types a field declared ``tp`` accepts."""
-    np = _numpy()
-    if np is None:
-        return _SCALARS[tp]
-    return _SCALARS[tp] + tuple(getattr(np, n) for n in _NUMPY_SCALARS[tp])
+@functools.lru_cache(maxsize=None)
+def _accepted(tp: type, np: Any) -> tuple[tuple[type, ...], tuple[type, ...]]:
+    """``(bool types, tp's types)``: the value types that count as a bool
+    and those a field declared ``tp`` accepts, while numpy is ``np``
+    (None: not imported yet, so no numpy scalar exists)."""
+
+    def types(t: type) -> tuple[type, ...]:
+        if np is None:
+            return _SCALARS[t]
+        return _SCALARS[t] + tuple(getattr(np, n) for n in _NUMPY_SCALARS[t])
+
+    return types(bool), types(tp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,8 +193,9 @@ def _expect(x: Any, kind: "type | tuple[type, ...]", path: str) -> Any:
 
 def _scalar(x: Any, tp: type, path: str) -> Any:
     """``x`` coerced to the scalar type ``tp`` (numpy scalars too)."""
-    is_bool = isinstance(x, _accepted(bool))  # a bool is no number here
-    if is_bool != (tp is bool) or not isinstance(x, _accepted(tp)):
+    bools, accepted = _accepted(tp, _numpy())
+    is_bool = isinstance(x, bools)  # a bool is no number here
+    if is_bool != (tp is bool) or not isinstance(x, accepted):
         raise StoreError(
             f"field {path!r}: expected {tp.__name__}, got {type(x).__name__}"
         )

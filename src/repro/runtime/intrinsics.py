@@ -92,7 +92,19 @@ def _aint(x):
     return _scalarize(np.trunc(x).astype(np.float64) if isinstance(x, np.ndarray) else float(np.trunc(x)), x)
 
 
+def _check_integral(name: str, x) -> None:
+    """No integer holds a nan or an infinity: ``int``, ``nint`` and
+    ``floor`` of one raise, on a scalar and on any element of an array."""
+    if isinstance(x, np.ndarray):
+        bad = x.dtype.kind == "f" and not np.isfinite(x).all()
+    else:
+        bad = isinstance(x, float) and not math.isfinite(x)
+    if bad:
+        raise FortranRuntimeError(f"{name} of a nan or an infinity")
+
+
 def _int(x):
+    _check_integral("int", x)
     if isinstance(x, np.ndarray):
         return np.trunc(x).astype(np.int64)
     return int(np.trunc(x))
@@ -102,6 +114,7 @@ def _nint(x):
     # round half away from zero from the exact fraction x - trunc(x):
     # adding 0.5 first would round before truncating (0.49999999999999994
     # and 2**52 + 1 would come out one too large)
+    _check_integral("nint", x)
     if isinstance(x, np.ndarray):
         whole = np.trunc(x)
         frac = x - whole
@@ -112,6 +125,7 @@ def _nint(x):
 
 
 def _floor(x):
+    _check_integral("floor", x)
     if isinstance(x, np.ndarray):
         return np.floor(x).astype(np.int64)
     return int(np.floor(x))

@@ -215,6 +215,9 @@ _ELEMENTWISE = (
     "sqrt", "tan", "tanh",
 )
 
+#: intrinsics with an integer result, which no nan or infinity has
+_ROUNDING = ("floor", "int", "nint")
+
 #: INTRINSIC_FUNCTIONS with member-batch-aware replacements: elementwise
 #: ones strip and lift batches, and every implementation that reduces,
 #: reshapes, or otherwise collapses the array it is given (and so would
@@ -563,9 +566,25 @@ class VecNodeCompiler(NodeCompiler):
         return lambda frame: tuple([subscript(fn(frame)) for fn in fns])
 
     def _intrinsic(self, name: str) -> Optional[Callable]:
+        """``mod``, ``int``, ``nint`` and ``floor`` spare the faults of
+        masked-out lanes and members first (a zero divisor; a nan or an
+        infinity), as ``/`` does."""
+        interp = self.interp
+        if name in _ROUNDING:
+            base = INTRINSIC_FUNCTIONS[name]
+
+            def rounding(x):
+                batch = type(x) is MemberBatch
+                if batch:
+                    x = x.view(_ND)
+                if interp._mask is not None:
+                    x = interp._spare_nonfinite(x, batch)
+                out = base(x)
+                return out.view(MemberBatch) if batch else out
+
+            return rounding
         if name != "mod":
             return self._intrinsic_table.get(name)
-        interp = self.interp
         base = INTRINSIC_FUNCTIONS["mod"]
 
         def mod(a, p):
@@ -732,13 +751,17 @@ class VecNodeCompiler(NodeCompiler):
         iterate = NodeCompiler._build_iterations(self, node, body_fns)
 
         def run(frame, scope, var_name, start, count, step):
-            if interp._lanes is None:
-                plan = interp._lane_plan(node, frame)
-                if plan is not None and interp._run_lanes(
-                    plan, body_fns, frame, scope, var_name, start, count, step
-                ):
-                    return
-            iterate(frame, scope, var_name, start, count, step)
+            if interp._lanes is not None:
+                iterate(frame, scope, var_name, start, count, step)
+                return
+            held = interp._hold_loop_var(scope, var_name)
+            plan = interp._lane_plan(node, frame)
+            if plan is None or not interp._run_lanes(
+                plan, body_fns, frame, scope, var_name, start, count, step
+            ):
+                iterate(frame, scope, var_name, start, count, step)
+            if held is not None:
+                interp._release_loop_var(scope, var_name, held)
 
         return run
 
@@ -1166,6 +1189,7 @@ class VecInterpreter(Interpreter):
         values = scope.values
         saved = {name: values.get(name) for name in plan.privates}
         base = self._mask
+        held = {name: self._hold_loop_var(scope, name) for name in plan.nested_vars}
         self._lanes = count
         if base is not None:
             self._mask = np.repeat(base[:, None], count, axis=1)
@@ -1186,10 +1210,36 @@ class VecInterpreter(Interpreter):
                 saved[name] if mark is None
                 else _last_assigned(values[name], mark)
             )
+        for name, slot in held.items():
+            if slot is not None:
+                self._release_loop_var(scope, name, slot)
         values[var_name] = start + count * step
         self.lane_regions += 1
         self.lane_iterations += count
         return True
+
+    def _hold_loop_var(self, scope, name):
+        """The slot of a loop variable ahead of its loop when the loop needs
+        :meth:`_release_loop_var` after it (None: it does not): under a
+        member mask, or when the slot is a batch, which the loop leaves
+        aside (its per-iteration stores would write into it for every
+        member) while it stores plain values."""
+        slot = scope.values.get(name, _MISSING)
+        if type(slot) is MemberBatch:
+            scope.values[name] = 0
+            return slot
+        if self._mask is None or slot is _MISSING:
+            return None
+        return slot
+
+    def _release_loop_var(self, scope, name, slot) -> None:
+        """After the loop: its variable is ``slot`` again and holds the exit
+        value in the members the member mask keeps, while the others, which
+        never ran the loop, keep their value from before it.  A batch slot
+        keeps its identity (a dummy argument shares it with the caller)."""
+        value = scope.values[name]
+        scope.values[name] = slot
+        self._store_slot(scope, name, slot, value, self._mask)
 
     def _lane_condition(self, cond, loc):
         """An ``if`` condition inside a lane region as a mask: ``(L,)`` when
@@ -1271,6 +1321,21 @@ class VecInterpreter(Interpreter):
         if op == "**":
             return np.where(spared, 1, a), b
         return a, np.where(spared, 1, b)
+
+    def _spare_nonfinite(self, x, batch: bool):
+        """The plain operand of ``int``, ``nint`` or ``floor`` with the nan
+        and infinities only masked-out lanes or members hold replaced by 0;
+        one an active lane or member holds stays, and the intrinsic raises
+        ``FortranRuntimeError`` as on the scalar runtime."""
+        if not isinstance(x, _ND) or x.dtype.kind != "f":
+            return x
+        fault = ~np.isfinite(x)
+        if not fault.any():
+            return x
+        active = self._active(fault.ndim, batch)
+        if active is None:
+            return x
+        return np.where(fault & ~active, 0.0, x)
 
     def _active(self, ndim: int, batch: bool) -> Optional[np.ndarray]:
         """The running mask broadcasting over a value of ``ndim`` axes (the

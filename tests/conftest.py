@@ -1,6 +1,7 @@
 """Shared expensive fixtures for the integration suites."""
 
 import sys
+import warnings
 
 import pytest
 
@@ -54,3 +55,27 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Let hypothesis print a failing test's falsifying example under
+    ``-W error``.
+
+    hypothesis's own report hook (which this one wraps) imports
+    ``hypothesis.extra._patching`` for a test that failed with a
+    falsifying example; that module imports libcst, whose import emits a
+    ``DeprecationWarning``, and under ``-W error`` the session ends in
+    INTERNALERROR without the example.  Importing it here first, with
+    the warnings of that one import silenced, hands the hook a module
+    already loaded.  It is not imported up front: that costs about a
+    second per session.
+    """
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass  # no libcst: hypothesis skips the patch too
+    return (yield)

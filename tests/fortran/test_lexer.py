@@ -1,12 +1,16 @@
 """Unit tests for the Fortran-subset lexer."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fortran.errors import LexError
 from repro.fortran.lexer import tokenize_line
+from repro.fortran.preprocessor import preprocess
 from repro.fortran.tokens import TokenType
+from repro.model import ModelConfig, build_model_source, list_patches
 
 
 def types_and_values(text):
@@ -211,3 +215,76 @@ class TestLexerProperties:
         text = " ".join(words)
         out = types_and_values(text)
         assert len(out) == len(words)
+
+
+def located(text):
+    """``(type name, value, column)`` of every token, EOL included."""
+    return [(t.type.name, t.value, t.location.column) for t in tokenize_line(text)]
+
+
+class TestEdgeCases:
+    """Where a per-character lexer and a pattern could part ways."""
+
+    @pytest.mark.parametrize("text,tokens", [
+        # a dot before e/d is a decimal point even with no exponent digit
+        ("1.e", [("REAL", "1.", 1), ("NAME", "e", 3), ("EOL", "", 4)]),
+        ("1.e5_r8", [("REAL", "1.e5_r8", 1), ("EOL", "", 8)]),
+        ("1.eq.2", [("INTEGER", "1", 1), ("OPERATOR", "==", 2),
+                    ("INTEGER", "2", 6), ("EOL", "", 7)]),
+        ("1.eqv.2", [("INTEGER", "1", 1), ("DOTOP", ".eqv.", 2),
+                     ("INTEGER", "2", 7), ("EOL", "", 8)]),
+        (".5", [("REAL", ".5", 1), ("EOL", "", 3)]),
+        # a kind suffix needs a name character after the underscore
+        ("1_+", [("INTEGER", "1", 1), ("NAME", "_", 2),
+                 ("OPERATOR", "+", 3), ("EOL", "", 4)]),
+        (".EQ.", [("OPERATOR", "==", 1), ("EOL", "", 5)]),
+        ("a;b", [("NAME", "a", 1), ("EOL", ";", 2), ("NAME", "b", 3),
+                 ("EOL", "", 4)]),
+        ("a\tb", [("NAME", "a", 1), ("NAME", "b", 3), ("EOL", "", 4)]),
+        ("'don''t'", [("STRING", "don't", 1), ("EOL", "", 9)]),
+        # the line's EOL sits where the comment starts
+        ("x ! c", [("NAME", "x", 1), ("EOL", "", 3)]),
+    ])
+    def test_tokens_and_columns(self, text, tokens):
+        assert located(text) == tokens
+
+    def test_unterminated_string_names_its_column(self):
+        with pytest.raises(LexError, match=r":3: unterminated string literal"):
+            tokenize_line("a 'oops")
+        with pytest.raises(LexError, match="unterminated string literal"):
+            tokenize_line("'a" + "''")  # a doubled quote closes nothing
+
+    def test_a_dot_before_a_name_is_no_number(self):
+        with pytest.raises(LexError, match=r":2: unexpected character '\.'"):
+            tokenize_line("1.x")
+
+    def test_kelvin_sign_is_an_unexpected_character(self):
+        """Source outside strings and comments is ASCII: U+212A KELVIN SIGN
+        (which ``str.lower`` maps to ``k``) is no name character."""
+        for text in ("\u212a", "a\u212a", "1_\u212a"):
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize_line(text)
+        assert located("'\u212a' ! \u212a") == [
+            ("STRING", "\u212a", 1), ("EOL", "", 5)]
+
+
+#: sha256 of every token of every logical line of every file (compiled or
+#: not) of the control build and of each registered patch's build, taken
+#: with the per-character lexer the pattern replaced
+MODEL_TOKENS_SHA256 = "ae03d0cba2043bf3813e32f938319799a40fb95ca43fbc364c1755d43b4f7133"
+
+
+def test_every_model_line_lexes_as_pinned():
+    digest = hashlib.sha256()
+    lines = 0
+    for patches in [()] + [(name,) for name in list_patches()]:
+        src = build_model_source(ModelConfig(patches=patches))
+        for name, text in src.files.items():
+            digest.update(repr((patches, name)).encode() + b"\n")
+            for line in preprocess(text, filename=name, macros=src.macros).lines:
+                lines += 1
+                for t in tokenize_line(line.text, filename=name, line=line.line):
+                    digest.update(repr((t.type.name, t.value, t.location.line,
+                                        t.location.column)).encode() + b"\n")
+    assert lines == 10986
+    assert digest.hexdigest() == MODEL_TOKENS_SHA256

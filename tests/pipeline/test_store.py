@@ -509,6 +509,37 @@ class TestDataclassCodec:
         assert type(leaf.name) is str and type(leaf.weight) is float
         assert leaf == Leaf("a", 0.5)
 
+    def test_numpy_scalars_encode_after_a_decode_without_numpy(self):
+        """The scalar types a field accepts are worked out once per type and
+        numpy state: a decode before numpy is imported must not keep numpy's
+        scalar types out of a later encode (a sweep decodes hits before
+        its first miss imports numpy)."""
+        code = (
+            "import dataclasses, sys\n"
+            "from repro.pipeline.store import decode_dataclass, "
+            "encode_dataclass\n"
+            "@dataclasses.dataclass\n"
+            "class Point:\n"
+            "    n: int\n"
+            "    flag: bool\n"
+            "    x: float\n"
+            "payload = encode_dataclass(Point(1, True, 0.5), Point)\n"
+            "assert decode_dataclass(payload, Point) == Point(1, True, 0.5)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy as np\n"
+            "value = Point(np.int64(2), np.bool_(False), np.int64(3))\n"
+            "print(decode_dataclass(encode_dataclass(value, Point), Point))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "Point(n=2, flag=False, x=3.0)"
+
 
 class TestDataclassCodecRejects:
     """Every payload not shaped like the declared type is a StoreError."""

@@ -244,6 +244,41 @@ contains
     integer :: r
     r = mod(a, p)
   end function remainder
+
+  function truncated(x) result(r)
+    real, intent(in) :: x
+    integer :: r
+    r = int(x) + floor(x)
+  end function truncated
+
+  function guarded_rounding(x) result(r)
+    real, intent(in) :: x
+    integer :: r
+    r = -1
+    ! a nan only a member the condition masks out holds
+    if (x == x) then
+      r = nint(x) + int(x) + floor(x)
+    end if
+  end function guarded_rounding
+
+  function lane_rounding(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: a(4), b(4)
+    integer :: i
+    do i = 1, 4
+      ! x / 0 in lane 2, which the condition below masks out
+      a(i) = x / (i - 2)
+    end do
+    do i = 1, 4
+      if (i /= 2) then
+        b(i) = nint(a(i)) + int(a(i)) + floor(a(i))
+      else
+        b(i) = -1
+      end if
+    end do
+    r = sum(b)
+  end function lane_rounding
 end module edges
 """
 
@@ -291,6 +326,44 @@ def test_nint_and_mod_edges_on_both_runtimes():
         assert interp.call("edges", "remainder", [2**60 + 1, 2]) == 1
         with pytest.raises(FortranRuntimeError, match="mod by zero"):
             interp.call("edges", "remainder", [5, 0])
+
+
+@pytest.mark.parametrize("name", ["int", "nint", "floor"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_no_integer_holds_a_nan_or_an_infinity(name, x):
+    """``int``, ``nint`` and ``floor`` of a nan or an infinity raise a
+    ``FortranRuntimeError`` naming the intrinsic, on a scalar (not Python's
+    ``ValueError``/``OverflowError``) and on an array (not -2**63)."""
+    with pytest.raises(FortranRuntimeError, match=f"^{name} of a nan"):
+        call_intrinsic(name, [x])
+    with np.errstate(all="ignore"), pytest.raises(
+        FortranRuntimeError, match=f"^{name} of a nan"
+    ):
+        call_intrinsic(name, [np.array([1.5, x])])
+
+
+def test_rounding_a_nan_raises_on_both_runtimes_unless_masked_out():
+    from repro.runtime import MemberBatch
+    from repro.runtime.vec import VecInterpreter
+
+    def batch():
+        return VecInterpreter.from_source(EDGES_SRC, seeds=[1, 2, 3])
+
+    xs = [0.5, math.nan, -2.5]
+    for function in ("rounded", "truncated"):
+        with pytest.raises(FortranRuntimeError, match="of a nan"):
+            Interpreter.from_source(EDGES_SRC).call("edges", function, [math.inf])
+        with pytest.raises(FortranRuntimeError, match="of a nan"):
+            batch().call("edges", function, [np.array(xs).view(MemberBatch)])
+    # a nan, or an infinity in a lane, that the mask leaves out is silent
+    for function, values in (("guarded_rounding", xs),
+                             ("lane_rounding", [0.5, 1.0, -2.5])):
+        interp = batch()
+        got = interp.call("edges", function, [np.array(values).view(MemberBatch)])
+        want = [Interpreter.from_source(EDGES_SRC).call("edges", function, [x])
+                for x in values]
+        assert np.asarray(got).tolist() == want
+    assert interp.lane_regions == 2
 
 
 def test_gamma_gives_ieee_values_at_poles_and_overflow():

@@ -553,6 +553,90 @@ contains
     end do
     r = a(1)
   end function runaway
+
+  function masked_loop_var(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: a(3)
+    integer :: k
+    k = -7
+    a = 0.0
+    if (x > 1.0) then
+      do k = 1, 3
+        a(k) = x * k
+      end do
+    end if
+    r = k + sum(a)
+  end function masked_loop_var
+
+  function masked_loop_var_carried(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: s
+    integer :: k
+    ! member-varying: the per-iteration loop writes this batch in place
+    k = nint(-10.0 * x)
+    s = 0.0
+    if (x > 1.0) then
+      do k = 1, 3
+        s = s + x * k
+      end do
+    end if
+    r = k + s
+  end function masked_loop_var_carried
+
+  function masked_loop_after_exit(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: a(3)
+    integer :: k
+    a = 0.0
+    do k = 1, 5
+      if (k > 2) exit
+    end do
+    if (x > 1.0) then
+      do k = 1, 3
+        a(k) = x * k
+      end do
+    end if
+    r = k + sum(a)
+  end function masked_loop_after_exit
+
+  function masked_zero_trip(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: a(3)
+    integer :: k
+    k = -7
+    a = 0.0
+    if (x > 1.0) then
+      do k = 5, 1
+        a(k) = x
+      end do
+    end if
+    r = k + sum(a)
+  end function masked_zero_trip
+
+  function masked_nest_var(x) result(r)
+    real, intent(in) :: x
+    real :: r
+    real :: q(4, 3)
+    real :: flux
+    integer :: i, k
+    i = -5
+    k = nint(-10.0 * x)
+    q = 0.0
+    if (x > 1.0) then
+      do i = 1, 4
+        flux = 0.0
+        do k = 1, 3
+          flux = flux + x * i * k
+          q(i, k) = flux
+        end do
+      end do
+    end if
+    r = sum(q) + 10.0 * i + k
+  end function masked_nest_var
 end module lanecases
 """
 
@@ -668,6 +752,23 @@ def test_member_divergent_region_keeps_inactive_members():
     interp = _compare(CASES_SRC, "lanecases", "under_member_mask")
     # the initializing loop, and the guarded loop for the members taking it
     assert interp.lane_regions == 2
+
+
+#: a loop under a member-divergent ``if`` -> lane regions its function
+#: runs: the members that skip the branch keep the loop variable's value
+#: from before the loop, whether the loop is a region, iterates, iterates
+#: zero times, or nests in a region
+MASKED_LOOPS = {
+    "masked_loop_var": 1, "masked_loop_var_carried": 0,
+    "masked_loop_after_exit": 1, "masked_zero_trip": 0, "masked_nest_var": 1,
+}
+
+
+@pytest.mark.parametrize("function", sorted(MASKED_LOOPS))
+def test_members_outside_a_branch_keep_its_loop_variable(function):
+    interp = _compare(CASES_SRC, "lanecases", function, xs=[0.5, 1.5, 2.5])
+    assert interp.mask_divergences > 0
+    assert interp.lane_regions == MASKED_LOOPS[function]
 
 
 def test_aliased_dummies_take_the_per_iteration_path():
