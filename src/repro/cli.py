@@ -269,9 +269,10 @@ EX_USAGE = 2
 
 def _validate(args, names: Sequence[str]) -> Optional[str]:
     """Resolve every experiment, compile its pipeline and then open the
-    store up front; the error message (naming every known candidate) on a
-    bad name, size or run count, or on a store path that cannot hold a
-    store, else None."""
+    store and the trace file up front; the error message (naming every
+    known candidate) on a bad name, size or run count, on a store path
+    that cannot hold a store or on a trace path that cannot be appended
+    to, else None."""
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
@@ -293,6 +294,11 @@ def _validate(args, names: Sequence[str]) -> Optional[str]:
         pipelines[0].open_store()  # the experiments share one store
     except OSError as exc:
         return f"cannot use store {args.store!r}: {exc}"
+    if args.trace:
+        try:
+            open(args.trace, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return f"cannot write trace {args.trace!r}: {exc}"
     return None
 
 

@@ -140,6 +140,10 @@ def _run_batch(
         except VectorizationError as exc:
             get_metrics().inc("vec.fallbacks")
             batch_span.annotate(fallback=str(exc))
+            results = None
+        if results is None:
+            # outside the handler, whose traceback still reaches the
+            # refused pass: that pass is freed before the members re-run
             return [_serial_run(source, config) for config in configs]
     if tracer.enabled:
         # one interpreter pass advanced the whole batch, so true

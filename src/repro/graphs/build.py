@@ -49,6 +49,7 @@ from ..fortran.ast_nodes import (
     VarRef,
 )
 from ..fortran.intrinsics import is_intrinsic
+from ..obs import get_tracer
 from .metagraph import MetaGraph, NodeKey
 
 
@@ -446,7 +447,8 @@ def build_metagraph(source) -> MetaGraph:
     ``source`` may be a :class:`repro.model.builder.ModelSource` (its
     compiled files are parsed with the compset macros), a mapping of
     ``{filename: source text}``, or a mapping of ``{filename:
-    SourceFileAST}``.
+    SourceFileAST}``.  The build itself, apart from any parse, runs under
+    a ``graphs.build`` span with the graph's ``nodes`` and ``edges``.
     """
     from ..fortran import parse_source  # local import: keep module light
 
@@ -464,7 +466,10 @@ def build_metagraph(source) -> MetaGraph:
             "build_metagraph expects a ModelSource or a mapping of filenames "
             f"to source text / SourceFileAST, got {type(source).__name__}"
         )
-    return MetaGraphBuilder(asts).build()
+    with get_tracer().span("graphs.build") as span:
+        graph = MetaGraphBuilder(asts).build()
+        span.annotate(nodes=graph.node_count, edges=graph.edge_count)
+    return graph
 
 
 __all__ = ["MetaGraphBuilder", "build_metagraph"]

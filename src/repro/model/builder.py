@@ -127,12 +127,12 @@ class ModelSource:
     def _parse(
         self, files: dict[str, str], cache: dict | None
     ) -> dict[str, SourceFileAST]:
-        from ..fortran import parse_source  # loaded by the first parse
-
         macros = tuple(sorted(self.macros.items()))
         asts: dict[str, SourceFileAST] = {}
         reused = 0
         with get_tracer().span("model.parse") as span:
+            from ..fortran import parse_source  # loaded by the first parse
+
             for name, text in files.items():
                 key = (name, macros, text)
                 ast = None if cache is None else cache.get(key)

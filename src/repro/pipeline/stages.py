@@ -126,9 +126,13 @@ def make_metagraph_stage(source_input: str = "control_source") -> Stage:
     """Build the variable-dependency metagraph of the control tree."""
 
     def func(ctx: StageContext, **inputs):
+        source = inputs[source_input]
+        # parse first, so the front end loads under `model.parse` and the
+        # stage's time falls in its two spans, the parse and `graphs.build`
+        source.parse()
         from ..graphs import build_metagraph
 
-        return build_metagraph(inputs[source_input])
+        return build_metagraph(source)
 
     return Stage(
         name="metagraph",

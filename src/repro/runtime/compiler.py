@@ -16,11 +16,21 @@ small closure specialised on
   every access, so dynamic shadowing keeps its interpreted semantics).
 
 Caches are keyed by ``id(node)`` and pin the node object, so entries stay
-valid for the lifetime of the interpreter.  Compilation is *behavioural*
-memoization only — evaluation order, coercions, error types and messages,
-statement accounting and coverage counts are identical to the dispatch
-interpreter (``Interpreter(..., compile=False)``), which the conformance
-suite checks bit-for-bit and the ensemble benchmark uses as its baseline.
+valid while the run lasts, and they live for one run:
+``Interpreter.close()`` drops them when the run ends, which cuts the
+cycles between the closures and the interpreter they capture, so
+reference counting frees a finished run.  They are not shared across
+runs because a closure belongs to one program and one run: a call site
+holds the callee and the module state it resolved in that run (a patched
+tree's callees differ) and a variable access holds the non-local scope it
+found in that run's module storage.  Rebuilding them costs a 30-member
+model pass about 0.015 s while the cycle collector stays out of it.
+
+Compilation is *behavioural* memoization only — evaluation order,
+coercions, error types and messages, statement accounting and coverage
+counts are identical to the dispatch interpreter
+(``Interpreter(..., compile=False)``), which the conformance suite checks
+bit-for-bit and the ensemble benchmark uses as its baseline.
 """
 
 from __future__ import annotations

@@ -309,6 +309,20 @@ class Interpreter:
                 )
             return self._call_with_values(mrt, sub, list(args))
 
+    def close(self) -> None:
+        """End the run: drop the compiled closures and the bound-method
+        tables, the only references a run's objects hold back to this
+        interpreter, so reference counting frees the run at once instead
+        of leaving it to the cycle collector.  ``history``, ``coverage``
+        and ``prng`` stay readable; the interpreter cannot run again."""
+        compiler = self._compiler
+        if compiler is not None:
+            compiler.expr_cache.clear()
+            compiler.stmt_cache.clear()
+            compiler.body_cache.clear()
+            self._compiler = None
+        self._eval_dispatch = self._exec_dispatch = self._intercepts = None
+
     # --------------------------------------------------------- module state
     def module(self, name: str) -> ModuleRuntime:
         """The runtime state of module ``name``, initialising it on demand."""
@@ -1329,9 +1343,14 @@ def run_model(
         collect_coverage=config.collect_coverage,
         max_statements=config.max_statements,
     )
-    interp.call("cam_comp", "cam_init", [float(config.pertlim), int(config.seed)])
-    for _ in range(config.nsteps):
-        interp.call("cam_comp", "cam_run_step", [])
+    try:
+        interp.call(
+            "cam_comp", "cam_init", [float(config.pertlim), int(config.seed)]
+        )
+        for _ in range(config.nsteps):
+            interp.call("cam_comp", "cam_run_step", [])
+    finally:
+        interp.close()
 
     declared = [f.name for f in iter_output_fields(source.compset)]
     missing = [name for name in declared if name not in interp.history.fields]

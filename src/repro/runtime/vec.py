@@ -1621,9 +1621,12 @@ def run_model_batch(configs, source=None):
     seed = np.array([int(c.seed) for c in configs], dtype=np.int64).view(
         MemberBatch
     )
-    interp.call("cam_comp", "cam_init", [pert, seed])
-    for _ in range(head.nsteps):
-        interp.call("cam_comp", "cam_run_step", [])
+    try:
+        interp.call("cam_comp", "cam_init", [pert, seed])
+        for _ in range(head.nsteps):
+            interp.call("cam_comp", "cam_run_step", [])
+    finally:
+        interp.close()
 
     declared = [f.name for f in iter_output_fields(source.compset)]
     missing = [name for name in declared if name not in interp.history.fields]

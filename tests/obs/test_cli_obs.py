@@ -6,6 +6,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.graphs import build_metagraph
+from repro.model import ModelConfig, build_model_source
 
 RUN_ARGS = [
     "--members", "6",
@@ -108,6 +110,24 @@ class TestTracedRun:
         assert [s.name for s in roots] == ["pipeline.run"]
         assert roots[0].attrs["experiment"] == "wsubbug"
         assert "python" in roots[0].attrs
+
+    def test_metagraph_stage_is_its_parse_and_its_build(
+        self, traced_run, trace_path
+    ):
+        from repro.obs import read_trace
+
+        spans = read_trace(trace_path)
+        (stage,) = [s for s in spans if s.name == "stage:metagraph"]
+        children = [s for s in spans if s.parent_id == stage.span_id]
+        assert sorted(s.name for s in children) == ["graphs.build", "model.parse"]
+        (build,) = [s for s in children if s.name == "graphs.build"]
+        graph = build_metagraph(build_model_source(ModelConfig()))
+        assert build.attrs == {
+            "nodes": graph.node_count, "edges": graph.edge_count
+        }
+        # the graph modules load with this test module; in a fresh process
+        # their first import is the rest of the stage (docs/observability.md)
+        assert sum(s.wall_s for s in children) >= 0.95 * stage.wall_s
 
     def test_traced_warm_run_loads_one_entry(
         self, traced_run, store, tmp_path

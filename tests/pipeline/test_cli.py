@@ -135,6 +135,35 @@ class TestUnusableStore:
         assert not [k for k in moved if k.startswith(("store.", "model."))]
 
 
+class TestUnwritableTrace:
+    """A ``--trace`` path that cannot be appended to is a usage error
+    (exit 2) found before any stage runs, not a traceback (exit 1) after
+    the run has filled the store."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "wsubbug"], ["sweep", "wsubbug", "goffgratch"]],
+        ids=["run", "sweep"],
+    )
+    def test_trace_into_a_missing_directory_exits_2_before_any_stage(
+        self, tmp_path, capsys, command
+    ):
+        store = tmp_path / "store"
+        trace = tmp_path / "missing" / "t.jsonl"
+        before = get_metrics().counters()
+        code, text = invoke(
+            [*command, "--store", str(store), "--trace", str(trace),
+             *RUN_ARGS]
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write trace {str(trace)!r}")
+        assert list(store.glob("stages/*")) == []
+        moved = get_metrics().counter_delta(before)
+        assert not [k for k in moved if k.startswith(("store.", "model."))]
+
+
 class TestTopRows:
     """``tables --top`` and ``trace summarize --top`` take a row count:
     0 means every row and a negative count is a usage error."""
