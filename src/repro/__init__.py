@@ -7,7 +7,6 @@ climate model:
 * :mod:`repro.fortran` — Fortran-subset front end (preprocessor, lexer, parser).
 * :mod:`repro.model` — the synthetic CAM-like model source and bug patches.
 * :mod:`repro.runtime` — numerical interpreter, FPU/FMA model, PRNGs, coverage.
-* :mod:`repro.kgen` — kernel extraction and normalized-RMS comparison.
 * :mod:`repro.ensemble` — accepted-ensemble and experimental-run generation.
 * :mod:`repro.ect` — UF-CAM-ECT style PCA consistency testing.
 * :mod:`repro.selection` — optimization-based culprit selection: robust
@@ -43,11 +42,6 @@ _LAZY_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_model", "run_model_batch", "RunConfig", "RunResult", "FPConfig",
         "CoverageTrace", "Interpreter", "MemberBatch", "VecInterpreter",
         "VectorizationError",
-    ),
-    # kernel extraction
-    "repro.kgen": (
-        "Kernel", "KernelError", "KernelReport", "extract_default_kernels",
-        "extract_kernel", "verify_kernel",
     ),
     "repro.graphs": ("MetaGraph", "build_metagraph"),
     "repro.ensemble": ("Ensemble", "EnsembleSpec", "generate_ensemble"),

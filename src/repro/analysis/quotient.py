@@ -133,11 +133,6 @@ class QuotientGraph:
                 seen.add(pair)
                 yield pair[0], pair[1], self.undirected_weight(*pair)
 
-    def total_undirected_weight(self) -> float:
-        """Sum of symmetrized weights over undirected edges (the ``m`` of
-        weighted modularity)."""
-        return sum(w for _, _, w in self.undirected_edges())
-
     def subgraph(self, keep: Iterable[str]) -> "QuotientGraph":
         """The induced subgraph on ``keep`` (unknown names ignored)."""
         wanted = {name for name in keep if name in self._nodes}

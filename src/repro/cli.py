@@ -267,12 +267,12 @@ def _print_stage_table(result, out) -> None:
 EX_USAGE = 2
 
 
-def _validate(args, names: Sequence[str]) -> Optional[str]:
+def _compile(args, names: Sequence[str]) -> tuple[list, Optional[str]]:
     """Resolve every experiment, compile its pipeline and then open the
-    store and the trace file up front; the error message (naming every
-    known candidate) on a bad name, size or run count, on a store path
-    that cannot hold a store or on a trace path that cannot be appended
-    to, else None."""
+    store and the trace file up front: ``(pipelines, None)``, or no
+    pipeline and the error message (naming every known candidate) on a
+    bad name, size or run count, on a store path that cannot hold a store
+    or on a trace path that cannot be appended to."""
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
@@ -289,24 +289,23 @@ def _validate(args, names: Sequence[str]) -> Optional[str]:
         ]
     # unknown backends and bad sizes raise ValueError subclasses
     except (UnknownExperimentError, ValueError) as exc:
-        return str(exc)
+        return [], str(exc)
     try:
         pipelines[0].open_store()  # the experiments share one store
     except OSError as exc:
-        return f"cannot use store {args.store!r}: {exc}"
+        return [], f"cannot use store {args.store!r}: {exc}"
     if args.trace:
         try:
             open(args.trace, "a", encoding="utf-8").close()
         except OSError as exc:
-            return f"cannot write trace {args.trace!r}: {exc}"
-    return None
+            return [], f"cannot write trace {args.trace!r}: {exc}"
+    return pipelines, None
 
 
 def _cmd_run(args, out) -> int:
     from .obs import disable_tracing, enable_tracing, get_metrics, write_trace
-    from .pipeline import RootCauseAnalysis
 
-    error = _validate(args, [args.experiment])
+    pipelines, error = _compile(args, [args.experiment])
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EX_USAGE
@@ -316,11 +315,7 @@ def _cmd_run(args, out) -> int:
     if tracing:
         enable_tracing(experiment=args.experiment)
     try:
-        result = RootCauseAnalysis(
-            _resolve_experiment(args, args.experiment),
-            store_dir=args.store,
-            backend=args.backend,
-        ).run()
+        result = pipelines[0].run()
     finally:
         if tracing:
             spans = disable_tracing()
@@ -347,10 +342,9 @@ def _cmd_run(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     from .experiments import list_experiments
     from .obs import disable_tracing, enable_tracing, get_metrics, write_trace
-    from .pipeline import RootCauseAnalysis
 
     names = args.experiments or list_experiments()
-    error = _validate(args, names)
+    pipelines, error = _compile(args, names)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EX_USAGE
@@ -362,11 +356,9 @@ def _cmd_sweep(args, out) -> int:
             if tracing:  # one trace buffer per experiment, appended to one file
                 enable_tracing(experiment=name)
             try:
-                result = RootCauseAnalysis(
-                    _resolve_experiment(args, name),
-                    store_dir=args.store,
-                    backend=args.backend,
-                ).run()
+                # let go of each pipeline once it has run: its parse cache
+                # holds the syntax trees of the experiment's model build
+                result = pipelines.pop(0).run()
             finally:
                 if tracing:
                     spans = disable_tracing()
@@ -402,12 +394,19 @@ def _cmd_trace(args, out) -> int:
 
     try:
         spans = read_trace(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.path!r}: {exc}", file=sys.stderr)
         return EX_USAGE
     if args.action == "chrome":
         out_path = args.out or f"{args.path}.chrome.json"
-        write_chrome_trace(spans, out_path)
+        try:
+            write_chrome_trace(spans, out_path)
+        except OSError as exc:
+            print(
+                f"error: cannot write chrome trace {out_path!r}: {exc}",
+                file=sys.stderr,
+            )
+            return EX_USAGE
         print(f"wrote {len(spans)} events -> {out_path}", file=out)
         return 0
     if args.json:

@@ -168,10 +168,6 @@ class UltraFastECT:
         """Names of bit-exact ensemble invariants this run breaks."""
         return self._broken_invariants(self._vector(run))
 
-    def variable_z(self, run: Union[RunResult, np.ndarray]) -> np.ndarray:
-        """Standardized per-variable deviations over the varying columns."""
-        return self._standardize(self._vector(run))
-
     # ------------------------------------------------------------- testing
     def test(
         self, runs: Sequence[Union[RunResult, np.ndarray]]

@@ -36,7 +36,6 @@ __all__ = [
     "FortranFrontEndError",
     "FortranRuntimeError",
     "InfeasibleSelectionError",
-    "KernelError",
     "PatchError",
     "PipelineError",
     "ReproError",
@@ -71,7 +70,6 @@ _ERROR_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.ensemble.backends": ("UnknownBackendError",),
     "repro.pipeline.store": ("StoreError",),
     "repro.pipeline.core": ("PipelineError", "StageError"),
-    "repro.kgen.extract": ("KernelError",),
     "repro.selection.setcover": (
         "SelectionError", "InfeasibleSelectionError",
     ),

@@ -273,11 +273,6 @@ class CaseItem:
     upper: Optional[Expr] = None
     is_range: bool = False
 
-    def exprs(self) -> Iterator[Expr]:
-        for part in (self.value, self.lower, self.upper):
-            if part is not None:
-                yield part
-
 
 @dataclass
 class SelectCase(Stmt):

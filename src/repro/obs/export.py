@@ -48,7 +48,8 @@ def _write_lines(spans: Iterable[Span], fh: IO[str]) -> int:
 
 
 def read_trace(path_or_file: Union[str, IO[str]]) -> list[Span]:
-    """Parse a JSONL trace back into :class:`Span` objects."""
+    """Parse a JSONL trace back into :class:`Span` objects; a line that is
+    not a span object raises ``ValueError`` naming its line number."""
     if hasattr(path_or_file, "read"):
         return _read_lines(path_or_file)  # type: ignore[arg-type]
     with open(path_or_file, "r", encoding="utf-8") as fh:
@@ -57,10 +58,19 @@ def read_trace(path_or_file: Union[str, IO[str]]) -> list[Span]:
 
 def _read_lines(fh: IO[str]) -> list[Span]:
     spans = []
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
-        if line:
-            spans.append(Span.from_dict(json.loads(line)))
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise TypeError("not a JSON object")
+            spans.append(Span.from_dict(doc))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"line {lineno} is not a span: {type(exc).__name__}: {exc}"
+            ) from exc
     return spans
 
 

@@ -263,21 +263,6 @@ class Tracer:
             merged.update(extra)
         return _SpanHandle(self, name, parent_id, merged)
 
-    def traced(self, name: str, **attrs: Any):
-        """Decorator: run the wrapped function under a span."""
-
-        def wrap(fn):
-            import functools
-
-            @functools.wraps(fn)
-            def inner(*args, **kwargs):
-                with self.span(name, dict(attrs)):
-                    return fn(*args, **kwargs)
-
-            return inner
-
-        return wrap
-
     def current_id(self) -> Optional[str]:
         """Id of the innermost open span on this thread, or None."""
         stack = self._stack()

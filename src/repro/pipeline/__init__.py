@@ -20,7 +20,7 @@ Layers:
   :func:`repro.ensemble.generate_ensemble`, :class:`repro.ect.UltraFastECT`,
   :func:`repro.slicing.slice_failing_runs` and
   :func:`repro.refine.refine_slice` into DAG nodes, plus the
-  :class:`RootCauseAnalysis` facade the CLI drives.
+  :class:`RootCauseAnalysis` facade.
 
 Quickstart — localize the ``wsubbug`` patch, resumably:
 

@@ -252,9 +252,6 @@ class PipelineResult:
         """``{stage: wall seconds}`` in execution order."""
         return {rec.name: round_wall(rec.wall_s) for rec in self.records}
 
-    #: alias: "where did the seconds go, per stage"
-    wall_by_stage = timings
-
     def counters(self) -> dict[str, int]:
         """Store traffic and model runs summed over every stage."""
         names = ("store_hits", "store_misses", "member_misses")

@@ -554,11 +554,12 @@ def accepted_ensemble(
 class RootCauseAnalysis:
     """End-to-end root cause analysis of one experiment, resumably.
 
-    The facade the CLI (``python -m repro run <experiment>``) and the
-    bench drive: resolve the experiment (by name through
+    The facade :func:`repro.experiments.run_experiment` and ``run_sweep``
+    drive: resolve the experiment (by name through
     :func:`repro.experiments.get_experiment`, or an
     :class:`~repro.experiments.ExperimentSpec` directly), compile it to
-    the stage DAG, and run it against one store.
+    the stage DAG with :func:`root_cause_pipeline`, and run it against
+    one store.
 
     >>> from repro.pipeline import RootCauseAnalysis
     >>> result = RootCauseAnalysis("wsubbug", store_dir="store").run()

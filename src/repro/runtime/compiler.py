@@ -136,12 +136,6 @@ class NodeCompiler:
         self.body_cache[id(body)] = (body, fns)
         return fns
 
-    def cached_body(self, body: list[Stmt]) -> list[Callable]:
-        cached = self.body_cache.get(id(body))
-        if cached is not None:
-            return cached[1]
-        return self.body(body)
-
     # ------------------------------------------------------ expressions
     def _build_expr(self, node: Expr) -> Callable:
         t = type(node)

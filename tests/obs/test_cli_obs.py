@@ -190,9 +190,44 @@ class TestTracedRun:
         assert len(get_tracer()) == 0
 
 
-def test_trace_summarize_missing_file_is_usage_error(tmp_path, capsys):
-    code = main(
-        ["trace", "summarize", str(tmp_path / "nope.jsonl")],
-        out=io.StringIO(),
-    )
-    assert code == 2
+SPAN_LINE = json.dumps({"span_id": "s", "name": "ok"})
+
+
+@pytest.mark.parametrize(
+    "line, out",
+    [
+        pytest.param(None, None, id="missing-file"),
+        pytest.param("1", None, id="int"),
+        pytest.param("[1, 2]", None, id="list"),
+        pytest.param("null", None, id="null"),
+        pytest.param(
+            '{"span_id": "a", "name": "x", "attrs": 5}', None, id="attrs-int"
+        ),
+        pytest.param(
+            '{"span_id": "a", "name": "x", "wall_s": null}', None,
+            id="wall-null",
+        ),
+        pytest.param(SPAN_LINE, "missing/x.json", id="chrome-out-missing-dir"),
+    ],
+)
+def test_trace_summarize_missing_file_is_usage_error(
+    tmp_path, capsys, line, out
+):
+    """A trace, and where ``trace chrome`` writes, come from outside the
+    program: a missing trace, a second line that is valid JSON but not a
+    span, or an output that cannot be written is a usage error naming the
+    path, not a traceback."""
+    path = tmp_path / "t.jsonl"
+    trace = str(path)
+    if line is not None:
+        path.write_text(f"{SPAN_LINE}\n{line}\n")
+    if out is None:
+        argv = ["trace", "summarize", trace]
+        bad_line = "" if line is None else "line 2 is not a span: "
+        expected = f"error: cannot read trace {trace!r}: {bad_line}"
+    else:
+        out = str(tmp_path / out)
+        argv = ["trace", "chrome", trace, "--out", out]
+        expected = f"error: cannot write chrome trace {out!r}: "
+    assert main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith(expected)

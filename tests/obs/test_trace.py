@@ -170,20 +170,6 @@ def test_span_roundtrips_through_dict():
     assert clone.pid == span.pid
 
 
-def test_traced_decorator():
-    tracer = Tracer()
-    tracer.enable()
-
-    @tracer.traced("fn", kind="demo")
-    def fn(x):
-        return x + 1
-
-    assert fn(1) == 2
-    (span,) = tracer.finished()
-    assert span.name == "fn"
-    assert span.attrs["kind"] == "demo"
-
-
 def test_module_level_enable_disable_cycle():
     tracer = enable_tracing(run="t")
     assert tracer is get_tracer()

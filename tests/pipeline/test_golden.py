@@ -3,7 +3,10 @@
 The six experiments run at small scale against one shared store; each
 report's ``to_json()`` must equal its file under ``golden/``.  The files
 pin the analysis tail (communities, selection, refinement, report): a
-change there that moves any report shows up here.  ``golden/keys.json``
+change there that moves any report shows up here.  ``golden/full/`` pins
+the same six reports at the default configuration (30 members,
+``nsteps=2``), the one the CLI runs; a file there is a change detector,
+not an endorsement of the verdict it records.  ``golden/keys.json``
 pins every experiment's ``{stage: key}``: a change that re-keys a stage
 leaves every store filled before it cold, so it must be deliberate.
 Every stage value the stage codec stores must come back whole, and a
@@ -48,10 +51,22 @@ def sweep(tmp_path_factory):
     return run_sweep(specs, store_dir=store, backend="vectorized")
 
 
+@pytest.fixture(scope="module")
+def full_sweep(tmp_path_factory):
+    store = tmp_path_factory.mktemp("golden-full-store")
+    return run_sweep(store_dir=store)
+
+
 @pytest.mark.parametrize("name", list_experiments())
 def test_report_matches_golden(sweep, name):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert sweep[name]["report"].to_json() + "\n" == expected
+
+
+@pytest.mark.parametrize("name", list_experiments())
+def test_full_scale_report_matches_golden(full_sweep, name):
+    expected = (GOLDEN / "full" / f"{name}.json").read_text()
+    assert full_sweep[name]["report"].to_json() + "\n" == expected
 
 
 def test_stage_keys_match_golden(sweep):

@@ -16,14 +16,10 @@ Three layers of conformance:
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import repro
 from repro.model import ModelConfig, build_model_source, list_patches
 from repro.runtime import (
     FPConfig,
@@ -407,32 +403,6 @@ class TestSafetyRails:
     def test_requires_at_least_one_seed(self):
         with pytest.raises(ValueError, match="seed"):
             VecInterpreter.from_source(DIVERGE_SRC, seeds=[])
-
-
-def test_runtime_does_not_import_kgen():
-    """Kernel extraction is an offline tool: a member-batched run must not
-    pull :mod:`repro.kgen` into the process."""
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from repro.runtime import MemberBatch\n"
-        "from repro.runtime.vec import VecInterpreter\n"
-        f"interp = VecInterpreter.from_source({DIVERGE_SRC!r}, "
-        "seeds=[1, 2, 3])\n"
-        "x = np.asarray([0.5, 1.5, 2.5]).view(MemberBatch)\n"
-        "interp.call('m', 'classify', [x])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.kgen')))\n"
-    )
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    env = {**os.environ, "PYTHONPATH": src_dir}
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------- #

@@ -120,15 +120,8 @@ class TestCliExitCodes:
                 assert name == "report"
                 return report
 
-        class FakeAnalysis:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def run(self):
-                return FakeResult()
-
         monkeypatch.setattr(
-            "repro.pipeline.RootCauseAnalysis", FakeAnalysis
+            "repro.pipeline.Pipeline.run", lambda self: FakeResult()
         )
         code, text = self.invoke(
             ["run", "wsubbug", "--store", str(tmp_path)]
