@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             default="vectorized",
-            help="where the accepted ensemble runs: vectorized (one "
-            "member-batched pass) or serial (the scalar reference); "
-            "bit-identical either way (default: %(default)s)",
+            help="where the model passes (the accepted ensemble and the "
+            "experimental runs) execute: vectorized (one member-batched "
+            "pass each) or serial (the scalar reference); bit-identical "
+            "either way (default: %(default)s)",
         )
         p.add_argument(
             "--members", type=int, default=None, help="override ensemble size"
@@ -271,11 +272,14 @@ def _compile(args, names: Sequence[str]) -> tuple[list, Optional[str]]:
     """Resolve every experiment, compile its pipeline and then open the
     store and the trace file up front: ``(pipelines, None)``, or no
     pipeline and the error message (naming every known candidate) on a
-    bad name, size or run count, on a store path that cannot hold a store
-    or on a trace path that cannot be appended to."""
+    bad or repeated name, size or run count, on a store path that cannot
+    hold a store or on a trace path that cannot be appended to."""
     from .experiments import UnknownExperimentError
     from .pipeline import root_cause_pipeline
 
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            return [], f"experiment {name!r} named more than once"
     try:
         # compiling checks the backend name and the sizes, e.g. a
         # refinement ensemble larger than the accepted one

@@ -6,7 +6,7 @@ Three pieces, threaded through every layer of the stack:
   context-manager/decorator API on a process-global :class:`Tracer`
   (thread-local stacks, span-id-deduplicated adoption, zero overhead
   while disabled).
-* :mod:`repro.obs.metrics` — always-on counters/gauges/histograms in a
+* :mod:`repro.obs.metrics` — always-on counters in a
   :class:`MetricsRegistry` unifying the store / ensemble /
   interpreter / refinement telemetry under one dotted namespace.
 * :mod:`repro.obs.export` — JSONL traces, a Chrome ``trace_event``
@@ -25,7 +25,7 @@ from .export import (
     write_chrome_trace,
     write_trace,
 )
-from .metrics import DEFAULT_BUCKETS, MetricsRegistry, get_metrics
+from .metrics import MetricsRegistry, get_metrics
 from .trace import (
     NULL_SPAN,
     WALL_DECIMALS,
@@ -40,7 +40,6 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",

@@ -30,7 +30,7 @@ Compilation is *behavioural* memoization only — evaluation order,
 coercions, error types and messages, statement accounting and coverage
 counts are identical to the dispatch interpreter
 (``Interpreter(..., compile=False)``), which the conformance suite checks
-bit-for-bit and the ensemble benchmark uses as its baseline.
+bit-for-bit and CI's speed floor times the compiled path against.
 """
 
 from __future__ import annotations

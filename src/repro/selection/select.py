@@ -193,7 +193,6 @@ def select_culprits(
         )
     metrics.inc("selection.solves")
     metrics.inc("selection.nodes_explored", solution.nodes_explored)
-    metrics.observe("selection.warm_start_gap", solution.warm_start_gap)
 
     modules = sorted(
         solution.modules, key=lambda m: (-scores.get(m, 0.0), m)

@@ -20,8 +20,9 @@ class SelectionSpec:
     """Knobs of optimization-based culprit selection.
 
     Defaults are tuned so all five registered patches localize to at most
-    eight modules containing the injected culprit (held by the strict
-    bench gate); ``ExperimentSpec.selection = None`` means these defaults.
+    eight modules containing the injected culprit (held by the full-scale
+    localization test in ``tests/pipeline/test_golden.py``);
+    ``ExperimentSpec.selection = None`` means these defaults.
     """
 
     #: evidence method: "mad" (robust, default), "lasso", or "topk"

@@ -1,8 +1,8 @@
-"""MetricsRegistry: counters, gauges, histograms, snapshot/delta."""
+"""MetricsRegistry: counters and their deltas."""
 
 import threading
 
-from repro.obs import DEFAULT_BUCKETS, MetricsRegistry, get_metrics
+from repro.obs import MetricsRegistry, get_metrics
 
 
 def test_counters_accumulate():
@@ -13,38 +13,13 @@ def test_counters_accumulate():
     assert m.counters() == {"a": 3, "b": 0.5}
 
 
-def test_gauges_overwrite():
-    m = MetricsRegistry()
-    m.gauge("g", 1.0)
-    m.gauge("g", 7.0)
-    assert m.snapshot()["gauges"] == {"g": 7.0}
-
-
-def test_histogram_buckets_and_summary():
-    m = MetricsRegistry()
-    for v in (0.0005, 0.002, 0.002, 5.0, 100.0):
-        m.observe("h", v)
-    h = m.snapshot()["histograms"]["h"]
-    assert h["buckets"] == list(DEFAULT_BUCKETS)
-    assert h["count"] == 5
-    assert h["sum"] == 0.0005 + 0.002 + 0.002 + 5.0 + 100.0
-    assert h["counts"][0] == 1  # <= 0.001
-    assert h["counts"][1] == 2  # <= 0.003
-    assert h["counts"][-1] == 1  # overflow bucket
-    assert sum(h["counts"]) == 5
-
-
 def test_counter_delta_reports_only_movement():
     m = MetricsRegistry()
     m.inc("a", 5)
-    before = m.snapshot()
+    before = m.counters()
     m.inc("a", 2)
     m.inc("b")
     assert m.counter_delta(before) == {"a": 2, "b": 1}
-    # a flat counters() mapping works as the baseline too
-    flat = m.counters()
-    m.inc("a")
-    assert m.counter_delta(flat) == {"a": 1}
 
 
 def test_counter_delta_without_baseline_is_everything_nonzero():
@@ -58,21 +33,8 @@ def test_counter_delta_without_baseline_is_everything_nonzero():
 def test_reset_clears_everything():
     m = MetricsRegistry()
     m.inc("a")
-    m.gauge("g", 1)
-    m.observe("h", 1.0)
     m.reset()
-    snap = m.snapshot()
-    assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_snapshot_is_json_safe():
-    import json
-
-    m = MetricsRegistry()
-    m.inc("a")
-    m.gauge("g", 2.5)
-    m.observe("h", 0.01)
-    json.dumps(m.snapshot())  # must not raise
+    assert m.counters() == {}
 
 
 def test_concurrent_increments_do_not_lose_counts():

@@ -109,6 +109,18 @@ class TestBadNames:
         # nothing ran: the shared store was never populated
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_rejects_a_name_given_twice(self, tmp_path, capsys):
+        code, text = invoke(
+            ["sweep", "wsubbug", "wsubbug", "--store", str(tmp_path),
+             "--json", *RUN_ARGS]
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "error: experiment 'wsubbug' named more than once\n"
+        # no stage ran: the store holds no entry
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUnusableStore:
     """A ``--store`` path that cannot hold a store is a usage error (exit

@@ -6,7 +6,12 @@ pin the analysis tail (communities, selection, refinement, report): a
 change there that moves any report shows up here.  ``golden/full/`` pins
 the same six reports at the default configuration (30 members,
 ``nsteps=2``), the one the CLI runs; a file there is a change detector,
-not an endorsement of the verdict it records.  ``golden/keys.json``
+not an endorsement of the verdict it records.  The same full-scale
+reports must hold the localization floor: every bug patch localized with
+its culprit contained, in no more refined modules or refinement
+iterations than before set-cover selection existed (``PR6_BASELINES``).
+They are checked as computed, so re-pinning ``golden/full`` cannot
+quietly lower the floor.  ``golden/keys.json``
 pins every experiment's ``{stage: key}``: a change that re-keys a stage
 leaves every store filled before it cold, so it must be deliberate.
 Every stage value the stage codec stores must come back whole, and a
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import get_experiment, list_experiments, run_sweep
+from repro.model import list_patches
 from repro.pipeline import (
     ArtifactStore,
     RootCauseAnalysis,
@@ -32,6 +38,18 @@ from repro.pipeline import (
 from repro.refine import RefinementConfig
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: per-patch localization baselines from before set-cover selection,
+#: (refined modules, refinement iterations): selection must do no worse
+PR6_BASELINES = {
+    "cldfrc-premib": (8, 5),
+    "goffgratch": (9, 6),
+    "mg-autoconv": (8, 6),
+    "rand-mt": (8, 6),
+    "wsubbug": (10, 4),
+}
+#: the selection acceptance bar: every patch down to at most 8 modules
+SELECTION_MODULE_CAP = 8
 
 #: the stages whose value the one dataclass codec stores
 CODEC_STAGES = ("control_ensemble", "experimental_runs", "ect", "ranked_slice",
@@ -67,6 +85,17 @@ def test_report_matches_golden(sweep, name):
 def test_full_scale_report_matches_golden(full_sweep, name):
     expected = (GOLDEN / "full" / f"{name}.json").read_text()
     assert full_sweep[name]["report"].to_json() + "\n" == expected
+
+
+@pytest.mark.parametrize("patch", sorted(list_patches()))
+def test_full_scale_reports_hold_the_localization_floor(full_sweep, patch):
+    report = full_sweep[patch]["report"]
+    target = report.target_modules
+    base_modules, base_iters = PR6_BASELINES.get(patch, (target, target))
+    refined = len(report.refined_modules)
+    assert report.localized and report.contained, report.to_dict()
+    assert refined <= min(SELECTION_MODULE_CAP, base_modules), refined
+    assert report.refine_iterations <= base_iters, report.refine_iterations
 
 
 def test_stage_keys_match_golden(sweep):

@@ -24,7 +24,12 @@ from repro.pipeline import (
     json_payload,
     payload_json,
 )
-from repro.pipeline.store import decode_dataclass, encode_dataclass, find_nonfinite
+from repro.pipeline.store import (
+    TMP_PREFIX,
+    decode_dataclass,
+    encode_dataclass,
+    find_nonfinite,
+)
 
 
 def test_round_trip_json_and_arrays(tmp_path):
@@ -181,6 +186,49 @@ class TestAtomicWrites:
         with pytest.raises(StoreError):
             store.save("k", json_payload({"v": float("nan")}))
         assert list(tmp_path.iterdir()) == []
+
+    def test_two_cli_processes_share_one_fresh_store(self, tmp_path):
+        """Two ``python -m repro run`` processes started together on one
+        fresh store may both compute and save every stage: each entry is
+        replaced whole, so both exit 0 with the golden report and the
+        store ends with its 8 entries, none torn and no temp file."""
+        store = tmp_path / "store"
+        argv = [sys.executable, "-m", "repro", "run", "wsubbug",
+                "--members", "6", "--nsteps", "1", "--refine-members", "4",
+                "--store", str(store), "--json"]
+        src = str(Path(repro.__file__).parents[1])
+        procs = [
+            subprocess.Popen(
+                argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            for _ in range(2)
+        ]
+        try:
+            outputs = [proc.communicate(timeout=300) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        for proc, (_, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+        reports = [
+            json.dumps(json.loads(out)["report"], indent=2, sort_keys=True)
+            for out, _ in outputs
+        ]
+        golden = Path(__file__).parent / "golden" / "wsubbug.json"
+        assert reports[0] == reports[1]
+        assert reports[0] + "\n" == golden.read_text()
+        files = [p for p in store.rglob("*") if p.is_file()]
+        assert not [p for p in files if p.name.startswith(TMP_PREFIX)]
+        keys = [p.stem for p in files if p.suffix == ".npz"]
+        assert len(keys) == 8
+        entries = ArtifactStore(store / "stages")
+        assert all(entries.load(key) is not None for key in keys)
 
 
 def test_reserved_array_name_rejected():

@@ -3,7 +3,7 @@
 ``Interpreter(compile=True)`` (the default everywhere) is pure behavioural
 memoization: outputs, first-write snapshots, coverage counts and statement
 accounting must be exactly those of ``Interpreter(compile=False)`` — the
-PR 2 reference semantics the benchmark uses as its baseline.
+reference semantics CI's speed floor times the compiled path against.
 """
 
 import numpy as np
