@@ -16,7 +16,7 @@ or assembled directly (``add_edge``) for synthetic community tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..graphs.metagraph import MetaGraph
 
@@ -143,10 +143,6 @@ class QuotientGraph:
             if src in wanted and dst in wanted:
                 sub.add_edge(src, dst, weight)
         return sub
-
-    def adjacency(self) -> Mapping[str, Mapping[str, float]]:
-        """Read-only view of the directed adjacency (for reports/tests)."""
-        return {src: dict(dsts) for src, dsts in self._out.items()}
 
 
 def quotient_graph(graph: MetaGraph) -> QuotientGraph:

@@ -1,9 +1,10 @@
 """Numerical runtime for the synthetic model: interpret, perturb, instrument.
 
 This package executes the model the rest of the pipeline analyses statically:
-an AST-walking interpreter (:mod:`repro.runtime.interpreter`) runs over the
-*same* cached ASTs that :meth:`repro.model.builder.ModelSource.parse` shares
-with the metagraph builder, so numbers and digraph always describe one build.
+an interpreter (:mod:`repro.runtime.interpreter`) that compiles each AST node
+to a closure (:mod:`repro.runtime.compiler`) runs over the *same* cached
+ASTs that :meth:`repro.model.builder.ModelSource.parse` shares with the
+metagraph builder, so numbers and digraph always describe one build.
 The stable entry point is :func:`run_model`; downstream modules
 (``repro.ensemble``, ``repro.ect``, ``repro.slicing``)
 consume only :class:`RunResult` and never touch evaluator internals.

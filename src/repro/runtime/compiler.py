@@ -1,11 +1,10 @@
-"""Per-AST-node closure compilation for the numerical interpreter.
+"""Per-AST-node closure compilation: how the numerical interpreter runs.
 
-The AST-walking evaluator in :mod:`repro.runtime.interpreter` pays a type
-dispatch, an operator-string compare and a full scope-chain walk for *every*
-node visit; one model step visits ~355k expression nodes, so the dispatch
-overhead dominates the run time.  :class:`NodeCompiler` removes it by
-memoizing a compiled closure per AST node: the first visit of a node builds a
-small closure specialised on
+Walking the AST would pay a type dispatch, an operator-string compare and a
+full scope-chain walk for *every* node visit, and one model step visits
+~355k expression nodes.  :class:`NodeCompiler` is how
+:mod:`repro.runtime.interpreter` executes instead: the first visit of a node
+builds a small closure, memoized per node, specialised on
 
 * the node type and operator (no dispatch or string compares afterwards),
 * the floating-point configuration (plain ``+``/``-``/``*`` when neither
@@ -26,11 +25,13 @@ tree's callees differ) and a variable access holds the non-local scope it
 found in that run's module storage.  Rebuilding them costs a 30-member
 model pass about 0.015 s while the cycle collector stays out of it.
 
-Compilation is *behavioural* memoization only — evaluation order,
-coercions, error types and messages, statement accounting and coverage
-counts are identical to the dispatch interpreter
-(``Interpreter(..., compile=False)``), which the conformance suite checks
-bit-for-bit and CI's speed floor times the compiled path against.
+An unknown name, a subroutine used as a function, an unparsed statement or
+a malformed ``present()`` compiles: it raises from its closure when it
+runs, after the statement has been accounted.  The closures are
+the serial reference: ``tests/runtime/test_compiler_conformance.py`` pins
+digests of their runs (outputs, first-write snapshots, statement counts,
+PRNG draws and coverage counts) for the control build, every patch, FMA and
+FTZ, and the vectorized runtime is checked bit-for-bit against them.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from ..fortran.ast_nodes import (
     StopStmt,
     StringLit,
     UnaryOp,
+    UnparsedStmt,
     VarRef,
     WhereBlock,
 )
@@ -158,16 +160,12 @@ class NodeCompiler:
             return self._build_derivedref(node)
         if t is UnaryOp:
             return self._build_unary(node)
-        # anything else keeps the dispatch interpreter's behaviour exactly
-        handler = self.interp._eval_dispatch.get(t)
-        if handler is None:
-            name = t.__name__
+        name = t.__name__
 
-            def fail(frame):
-                raise FortranRuntimeError(f"cannot evaluate expression {name}")
+        def fail(frame):
+            raise FortranRuntimeError(f"cannot evaluate expression {name}")
 
-            return fail
-        return lambda frame: handler(node, frame)
+        return fail
 
     def _build_varref(self, node: VarRef) -> Callable:
         interp = self.interp
@@ -279,7 +277,7 @@ class NodeCompiler:
 
     def _build_addsub(self, node: BinOp) -> Callable:
         """``+``/``-`` with the FMA-contraction pattern resolved at compile
-        time; evaluation order matches the dispatch interpreter exactly."""
+        time; operands evaluate left to right whether or not a site fuses."""
         interp = self.interp
         fpu = interp.fpu
         fp = interp.fp
@@ -414,17 +412,20 @@ class NodeCompiler:
         resolved = interp._lookup_proc(frame.module, name, frozenset())
         if resolved is not None:
             target_mrt, sub = resolved
-            if sub.is_function:
-                args = node.args
-                keywords = node.keywords
-                call = interp._call_subprogram
-                return lambda f: call(target_mrt, sub, args, keywords, f, True)
-            # subroutine referenced as a function: legacy error path
-            return lambda f: interp._eval_apply(node, f)
+            if not sub.is_function:
+                raise FortranRuntimeError(
+                    f"subroutine {sub.name!r} referenced as a function"
+                )
+            args = node.args
+            keywords = node.keywords
+            call = interp._call_subprogram
+            return lambda f: call(target_mrt, sub, args, keywords, f, True)
         lowered = name.lower()
         if lowered == "present":
             if len(node.args) != 1 or not isinstance(node.args[0], VarRef):
-                return lambda f: interp._eval_apply(node, f)
+                raise FortranRuntimeError(
+                    "present() takes exactly one dummy-argument name"
+                )
             arg_name = node.args[0].name
             return lambda f: arg_name not in f.optional_missing
         fn = self._intrinsic(lowered)
@@ -447,8 +448,10 @@ class NodeCompiler:
                 a0, a1 = arg_fns
                 return lambda f: fn(a0(f), a1(f))
             return lambda f: fn(*[a(f) for a in arg_fns])
-        # unknown name: legacy path raises with the right message
-        return lambda f: interp._eval_apply(node, f)
+        raise UndefinedNameError(
+            f"unknown function or array {name!r} in module "
+            f"{frame.module.node.name!r}"
+        )
 
     def _intrinsic(self, name: str) -> Optional[Callable]:
         """The implementation a call site of intrinsic ``name`` runs."""
@@ -496,16 +499,19 @@ class NodeCompiler:
         return load
 
     def _build_array_index(self, node: Apply) -> Callable:
-        interp = self.interp
         find = self._build_find_array(node.name)
         load = self._build_element_load(node.args)
 
         def run(frame):
             found = find(frame)
-            # a vanished binding (e.g. an absent optional) or a non-array
-            # takes the legacy path
-            if found is None or not isinstance(found[2], np.ndarray):
-                return interp._eval_apply(node, frame)
+            if found is None:
+                # the name is no longer a variable in this frame: resolve
+                # it afresh, as a procedure, an intrinsic or an error
+                return self._specialize_apply(node, frame)(frame)
+            if not isinstance(found[2], np.ndarray):
+                raise FortranRuntimeError(
+                    f"{node.name!r} is not an array or function"
+                )
             return load(found[2], frame)
 
         return run
@@ -584,25 +590,19 @@ class NodeCompiler:
             return self._build_flow_stmt(node, account)
         if t is ContinueStmt:
             return lambda frame: account()
-        # anything else keeps the dispatch interpreter's behaviour exactly
-        handler = self.interp._exec_dispatch.get(t)
-        if handler is None:
-            name = t.__name__
-            loc = node.location
+        if t is UnparsedStmt:
+            message = (
+                f"cannot execute unparsed statement at {node.location}: "
+                f"{node.text!r}"
+            )
+        else:
+            message = f"cannot execute statement {t.__name__} at {node.location}"
 
-            def fail(frame):
-                account()
-                raise FortranRuntimeError(
-                    f"cannot execute statement {name} at {loc}"
-                )
-
-            return fail
-
-        def run(frame):
+        def fail(frame):
             account()
-            handler(node, frame)
+            raise FortranRuntimeError(message)
 
-        return run
+        return fail
 
     def _build_flow_stmt(self, node: Stmt, account: Callable) -> Callable:
         """``return`` / ``exit`` / ``cycle`` / ``stop`` (overridable: the
@@ -648,8 +648,8 @@ class NodeCompiler:
 
     def _build_store(self, target: Expr) -> Callable:
         """Compile an assignment target to a ``store(frame, value)`` closure
-        with the dispatch interpreter's resolution, guard and coercion
-        semantics."""
+        with the resolution of :meth:`Interpreter._resolve_target` and the
+        guard and coercion of :meth:`Interpreter._coerce_store`."""
         t = type(target)
         if t is VarRef:
             return self._build_store_var(target.name)
@@ -824,8 +824,10 @@ class NodeCompiler:
             keywords = node.keywords
             intrinsic = interp._call_intrinsic_subroutine
             return lambda f: intrinsic(lowered, args, keywords, f)
-        # unknown subroutine: legacy path raises with the right message
-        return lambda f: interp._exec_call(node, f)
+        raise UndefinedNameError(
+            f"call to unknown subroutine {node.name!r} from module "
+            f"{frame.module.node.name!r}"
+        )
 
     # ----------------------------------------------------- control flow
     def _build_if(self, node: IfBlock) -> Callable:

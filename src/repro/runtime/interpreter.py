@@ -1,9 +1,12 @@
-"""AST-walking numerical interpreter for the Fortran-subset model.
+"""Numerical interpreter for the Fortran-subset model.
 
 This is the runtime half of the paper's pipeline: it executes the *same*
 cached ASTs that :meth:`repro.model.builder.ModelSource.parse` hands to the
 metagraph builder, so the digraph and the numbers always describe the same
-build.  The interpreter provides
+build.  Every statement and expression runs as a closure that
+:class:`~repro.runtime.compiler.NodeCompiler` builds on the node's first
+visit; this module holds the state and the helpers those closures share.
+The interpreter provides
 
 * module storage with use-association (including renames) and lazily
   initialised module variables/parameters;
@@ -37,39 +40,19 @@ import numpy as np
 
 from ..fortran.ast_nodes import (
     Apply,
-    Assignment,
-    BinOp,
-    CallStmt,
-    ContinueStmt,
-    CycleStmt,
     Declaration,
     DerivedRef,
-    DoLoop,
-    DoWhile,
     EntityDecl,
-    ExitStmt,
     Expr,
-    IfBlock,
-    LogicalLit,
     ModuleNode,
-    NumberLit,
-    PointerAssignment,
-    ReturnStmt,
     SectionRange,
-    SelectCase,
     SourceFileAST,
     Stmt,
-    StopStmt,
-    StringLit,
     Subprogram,
     TypeDef,
-    UnaryOp,
-    UnparsedStmt,
     UseStmt,
     VarRef,
-    WhereBlock,
 )
-from ..fortran.intrinsics import SUBROUTINE_INTRINSICS
 from ..fortran.parser import parse_source
 from ..model.builder import ModelSource, build_model_source
 from ..model.registry import iter_output_fields
@@ -77,7 +60,6 @@ from .compiler import NodeCompiler
 from .config import FPConfig, RunConfig
 from .coverage import CoverageTrace
 from .fpu import FPU
-from .intrinsics import INTRINSIC_FUNCTIONS
 from .prng import PRNGStreams
 from .result import RunResult
 from .values import (
@@ -92,8 +74,6 @@ from .values import (
     StatementLimitExceeded,
     StopModel,
     UndefinedNameError,
-    _Cycle,
-    _Exit,
     _Return,
     fortran_slices,
 )
@@ -178,9 +158,6 @@ class History:
         self.fields[name] = value
         self.ncalls[name] = self.ncalls.get(name, 0) + 1
 
-    def names(self) -> list[str]:
-        return sorted(self.fields)
-
 
 _DTYPES = {
     "real": np.float64,
@@ -206,7 +183,6 @@ class Interpreter:
         seed: int = 12345,
         collect_coverage: bool = True,
         max_statements: int = 50_000_000,
-        compile: bool = True,
     ):
         self.fpu = self._fpu_factory(fp)
         self.fp = self.fpu.config
@@ -237,41 +213,12 @@ class Interpreter:
             ("shr_random_mod", "shr_random_setseed"): self._intercept_setseed,
         }
 
-        self._eval_dispatch = {
-            NumberLit: self._eval_number,
-            StringLit: lambda e, f: e.value,
-            LogicalLit: lambda e, f: e.value,
-            VarRef: self._eval_varref,
-            Apply: self._eval_apply,
-            DerivedRef: self._eval_derivedref,
-            UnaryOp: self._eval_unary,
-            BinOp: self._eval_binop,
-        }
-        self._exec_dispatch = {
-            Assignment: self._exec_assignment,
-            PointerAssignment: self._exec_assignment,
-            CallStmt: self._exec_call,
-            IfBlock: self._exec_if,
-            DoLoop: self._exec_do,
-            DoWhile: self._exec_do_while,
-            SelectCase: self._exec_select,
-            WhereBlock: self._exec_where,
-            ReturnStmt: self._exec_return,
-            ExitStmt: self._exec_exit,
-            CycleStmt: self._exec_cycle,
-            StopStmt: self._exec_stop,
-            ContinueStmt: self._exec_continue,
-            UnparsedStmt: self._exec_unparsed,
-        }
+        #: builds and memoizes the closure each AST node runs as (None
+        #: once the run is closed)
+        self._compiler: Optional[NodeCompiler] = self._compiler_factory(self)
 
-        #: per-AST-node memoized evaluators (None => pure dispatch walking,
-        #: the reference semantics the compiled path must match bit-for-bit)
-        self._compiler: Optional[NodeCompiler] = (
-            self._compiler_factory(self) if compile else None
-        )
-
-    #: the closure compiler this interpreter builds when ``compile=True``;
-    #: subclasses (the vectorized runtime) swap in their own
+    #: the closure compiler this interpreter builds; subclasses (the
+    #: vectorized runtime) swap in their own
     _compiler_factory = NodeCompiler
     #: the FPU class every operation routes through (the vectorized
     #: runtime's lifts member batches)
@@ -310,8 +257,8 @@ class Interpreter:
             return self._call_with_values(mrt, sub, list(args))
 
     def close(self) -> None:
-        """End the run: drop the compiled closures and the bound-method
-        tables, the only references a run's objects hold back to this
+        """End the run: drop the compiled closures and the intercept
+        table, the only references a run's objects hold back to this
         interpreter, so reference counting frees the run at once instead
         of leaving it to the cycle collector.  ``history``, ``coverage``
         and ``prng`` stay readable; the interpreter cannot run again."""
@@ -321,7 +268,7 @@ class Interpreter:
             compiler.stmt_cache.clear()
             compiler.body_cache.clear()
             self._compiler = None
-        self._eval_dispatch = self._exec_dispatch = self._intercepts = None
+        self._intercepts = None
 
     # --------------------------------------------------------- module state
     def module(self, name: str) -> ModuleRuntime:
@@ -378,16 +325,20 @@ class Interpreter:
         scope = frame.scope
         if name in scope:
             return scope, name
-        mrt = frame.module
-        if scope is not mrt.scope and name in mrt.scope:
-            return mrt.scope, name
-        return self._resolve_use_var(mrt, name, frozenset())
+        return self._lookup_nonlocal(frame, name)
 
     def _lookup_nonlocal(
         self, frame: Frame, name: str
     ) -> Optional[tuple[Scope, str]]:
         """:meth:`_lookup_var` minus the frame-local check (the compiled
-        closures test frame locals inline before falling back here)."""
+        closures test frame locals inline before falling back here).  An
+        absent optional dummy is not declared in its frame, and must not
+        resolve to a module variable of the same name."""
+        if name in frame.optional_missing:
+            raise FortranRuntimeError(
+                f"absent optional argument {name!r} referenced in "
+                f"{frame.scope.name!r}"
+            )
         mrt = frame.module
         if frame.scope is not mrt.scope and name in mrt.scope:
             return mrt.scope, name
@@ -456,8 +407,9 @@ class Interpreter:
 
     # ----------------------------------------------------------- declaring
     def _declare(self, frame: Frame, decl: Declaration) -> None:
+        absent = frame.optional_missing
         for entity in decl.entities:
-            if entity.name in frame.scope:
+            if entity.name in frame.scope or entity.name in absent:
                 continue  # dummies are bound before locals are declared
             value = self._create_value(frame, decl, entity)
             frame.scope.define(entity.name, value, readonly=decl.is_parameter)
@@ -614,9 +566,12 @@ class Interpreter:
 
         frame = Frame(mrt, sub, Scope(f"{mrt.node.name}:{sub.name}"), caller_frame)
         writebacks: list[tuple[Ref, str]] = []
+        absent = caller_frame.optional_missing
         for dummy in sub.args:
             d = info.get(dummy)
             actual = pairs.get(dummy)
+            if absent and isinstance(actual, VarRef) and actual.name in absent:
+                actual = None  # an absent optional passed on stays absent
             if actual is None:
                 if d is not None and d.optional:
                     frame.optional_missing.add(dummy)
@@ -853,49 +808,10 @@ class Interpreter:
     # ----------------------------------------------------------- execution
     def exec_body(self, body: list[Stmt], frame: Frame) -> None:
         compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.body_cache.get(id(body))
-            fns = cached[1] if cached is not None else compiler.body(body)
-            for fn in fns:
-                fn(frame)
-            return
-        for stmt in body:
-            self.exec_stmt(stmt, frame)
-
-    def _account(self, stmt: Stmt) -> None:
-        """Charge one statement execution: budget check + coverage count."""
-        self.statements_executed += 1
-        if self.statements_executed > self.max_statements:
-            raise StatementLimitExceeded(
-                f"statement budget of {self.max_statements} exhausted "
-                f"(possible runaway loop at {stmt.location})"
-            )
-        if self._cov_counts is not None:
-            loc = stmt.location
-            if loc.line > 0:
-                key = (loc.filename, loc.line)
-                self._cov_counts[key] = self._cov_counts.get(key, 0) + 1
-
-    def exec_stmt(self, stmt: Stmt, frame: Frame) -> None:
-        compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.stmt_cache.get(id(stmt))
-            fn = cached[1] if cached is not None else compiler.stmt(stmt)
+        cached = compiler.body_cache.get(id(body))
+        fns = cached[1] if cached is not None else compiler.body(body)
+        for fn in fns:
             fn(frame)
-            return
-        self._account(stmt)
-        handler = self._exec_dispatch.get(type(stmt))
-        if handler is None:
-            raise FortranRuntimeError(
-                f"cannot execute statement {type(stmt).__name__} at "
-                f"{stmt.location}"
-            )
-        handler(stmt, frame)
-
-    def _exec_assignment(self, stmt, frame: Frame) -> None:
-        value = self.eval(stmt.value, frame)
-        ref = self._resolve_target(stmt.target, frame)
-        self._coerce_store(ref, value)
 
     def _coerce_store(self, ref: Ref, value) -> None:
         """Store through a ref, truncating reals assigned to integer slots."""
@@ -915,153 +831,6 @@ class Interpreter:
             elif isinstance(current, (bool, np.bool_)):
                 value = bool(value)
         ref.store(value)
-
-    def _exec_call(self, stmt: CallStmt, frame: Frame) -> None:
-        resolved = self._lookup_proc(frame.module, stmt.name, frozenset())
-        if resolved is not None:
-            target_mrt, sub = resolved
-            intercept = self._intercepts.get((target_mrt.node.name, sub.name))
-            if intercept is not None:
-                intercept(frame, stmt.args, stmt.keywords, target_mrt, sub)
-                return
-            self._call_subprogram(
-                target_mrt, sub, stmt.args, stmt.keywords, frame, False
-            )
-            return
-        if stmt.name.lower() in SUBROUTINE_INTRINSICS:
-            self._call_intrinsic_subroutine(
-                stmt.name.lower(), stmt.args, stmt.keywords, frame
-            )
-            return
-        raise UndefinedNameError(
-            f"call to unknown subroutine {stmt.name!r} from module "
-            f"{frame.module.node.name!r}"
-        )
-
-    def _exec_if(self, stmt: IfBlock, frame: Frame) -> None:
-        for cond, body in stmt.branches:
-            if cond is None or self._truthy(self.eval(cond, frame)):
-                self.exec_body(body, frame)
-                return
-
-    def _exec_do(self, stmt: DoLoop, frame: Frame) -> None:
-        start = self.eval(stmt.start, frame)
-        stop = self.eval(stmt.stop, frame)
-        step = self.eval(stmt.step, frame) if stmt.step is not None else 1
-        if step == 0:
-            raise FortranRuntimeError(f"zero do-loop step at {stmt.location}")
-        found = self._lookup_var(frame, stmt.var)
-        scope = found[0] if found is not None else frame.scope
-        var_name = found[1] if found is not None else stmt.var
-        count = int(np.trunc((stop - start + step) / step))
-        if count < 0:
-            count = 0
-        var = start
-        completed = True
-        for _ in range(count):
-            scope.store(var_name, var)
-            try:
-                self.exec_body(stmt.body, frame)
-            except _Cycle:
-                pass
-            except _Exit:
-                completed = False
-                break
-            var = var + step
-        if completed:
-            # Fortran leaves the control variable one step past the last
-            scope.store(var_name, start + count * step)
-
-    def _exec_do_while(self, stmt: DoWhile, frame: Frame) -> None:
-        while self._truthy(self.eval(stmt.condition, frame)):
-            try:
-                self.exec_body(stmt.body, frame)
-            except _Cycle:
-                continue
-            except _Exit:
-                break
-            self._account(stmt)  # charge each condition re-evaluation
-
-    def _exec_select(self, stmt: SelectCase, frame: Frame) -> None:
-        selector = self.eval(stmt.selector, frame)
-        default_body = None
-        for items, body in stmt.cases:
-            if items is None:
-                default_body = body
-                continue
-            for item in items:
-                if self._case_matches(selector, item, frame):
-                    self.exec_body(body, frame)
-                    return
-        if default_body is not None:
-            self.exec_body(default_body, frame)
-
-    def _case_matches(self, selector, item, frame: Frame) -> bool:
-        if not item.is_range:
-            return bool(selector == self.eval(item.value, frame))
-        if item.lower is not None:
-            if selector < self.eval(item.lower, frame):
-                return False
-        if item.upper is not None:
-            if selector > self.eval(item.upper, frame):
-                return False
-        return True
-
-    def _exec_where(self, stmt: WhereBlock, frame: Frame) -> None:
-        mask = np.asarray(self.eval(stmt.mask, frame), dtype=bool)
-        self._exec_masked(stmt.body, mask, frame)
-        if stmt.else_body:
-            self._exec_masked(stmt.else_body, ~mask, frame)
-
-    def _exec_masked(self, body: list[Stmt], mask: np.ndarray, frame: Frame) -> None:
-        for stmt in body:
-            if not isinstance(stmt, Assignment):
-                raise FortranRuntimeError(
-                    "only assignments are supported inside where blocks "
-                    f"(at {stmt.location})"
-                )
-            self._account(stmt)
-            value = self.eval(stmt.value, frame)
-            ref = self._resolve_target(stmt.target, frame)
-            target = ref.load()
-            if not isinstance(target, np.ndarray):
-                raise FortranRuntimeError(
-                    f"where-assignment target is not an array at {stmt.location}"
-                )
-            if self._ref_readonly(ref):
-                raise IntentViolationError(
-                    f"cannot assign through read-only target at {stmt.location}"
-                )
-            np.copyto(target, value, where=mask, casting="unsafe")
-
-    def _exec_return(self, stmt, frame) -> None:
-        raise _Return()
-
-    def _exec_exit(self, stmt, frame) -> None:
-        raise _Exit()
-
-    def _exec_cycle(self, stmt, frame) -> None:
-        raise _Cycle()
-
-    def _exec_stop(self, stmt: StopStmt, frame) -> None:
-        raise StopModel(stmt.message)
-
-    def _exec_continue(self, stmt, frame) -> None:
-        return None
-
-    def _exec_unparsed(self, stmt: UnparsedStmt, frame) -> None:
-        raise FortranRuntimeError(
-            f"cannot execute unparsed statement at {stmt.location}: "
-            f"{stmt.text!r}"
-        )
-
-    @staticmethod
-    def _truthy(value) -> bool:
-        if isinstance(value, np.ndarray):
-            raise FortranRuntimeError(
-                "scalar logical required (array condition in if/do while)"
-            )
-        return bool(value)
 
     # ----------------------------------------------------- target resolution
     def _resolve_target(self, expr: Expr, frame: Frame) -> Ref:
@@ -1123,29 +892,9 @@ class Interpreter:
     # ----------------------------------------------------------- evaluation
     def eval(self, expr: Expr, frame: Frame):
         compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.expr_cache.get(id(expr))
-            fn = cached[1] if cached is not None else compiler.expr(expr)
-            return fn(frame)
-        handler = self._eval_dispatch.get(type(expr))
-        if handler is None:
-            raise FortranRuntimeError(
-                f"cannot evaluate expression {type(expr).__name__}"
-            )
-        return handler(expr, frame)
-
-    @staticmethod
-    def _eval_number(expr: NumberLit, frame: Frame):
-        return int(expr.value) if expr.is_integer else float(expr.value)
-
-    def _eval_varref(self, expr: VarRef, frame: Frame):
-        found = self._lookup_var(frame, expr.name)
-        if found is None:
-            raise UndefinedNameError(
-                f"undefined name {expr.name!r} in {frame.scope.name!r} "
-                f"(module {frame.module.node.name!r})"
-            )
-        return found[0].get(found[1])
+        cached = compiler.expr_cache.get(id(expr))
+        fn = cached[1] if cached is not None else compiler.expr(expr)
+        return fn(frame)
 
     def _eval_subscripts(self, args: list[Expr], frame: Frame) -> list:
         parts: list = []
@@ -1158,150 +907,6 @@ class Interpreter:
             else:
                 parts.append(int(self.eval(arg, frame)))
         return parts
-
-    def _eval_apply(self, expr: Apply, frame: Frame):
-        found = self._lookup_var(frame, expr.name)
-        if found is not None:
-            container = found[0].get(found[1])
-            if isinstance(container, np.ndarray):
-                index = fortran_slices(self._eval_subscripts(expr.args, frame))
-                value = container[index]
-                if isinstance(value, np.ndarray):
-                    return value
-                return value.item() if hasattr(value, "item") else value
-            raise FortranRuntimeError(
-                f"{expr.name!r} is not an array or function"
-            )
-        resolved = self._lookup_proc(frame.module, expr.name, frozenset())
-        if resolved is not None:
-            target_mrt, sub = resolved
-            if not sub.is_function:
-                raise FortranRuntimeError(
-                    f"subroutine {sub.name!r} referenced as a function"
-                )
-            return self._call_subprogram(
-                target_mrt, sub, expr.args, expr.keywords, frame, True
-            )
-        lowered = expr.name.lower()
-        if lowered == "present":
-            if len(expr.args) != 1 or not isinstance(expr.args[0], VarRef):
-                raise FortranRuntimeError(
-                    "present() takes exactly one dummy-argument name"
-                )
-            return expr.args[0].name not in frame.optional_missing
-        fn = INTRINSIC_FUNCTIONS.get(lowered)
-        if fn is not None:
-            args = [self.eval(a, frame) for a in expr.args]
-            keywords = {
-                k: self.eval(v, frame) for k, v in expr.keywords.items()
-            }
-            return fn(*args, **keywords)
-        raise UndefinedNameError(
-            f"unknown function or array {expr.name!r} in module "
-            f"{frame.module.node.name!r}"
-        )
-
-    def _eval_derivedref(self, expr: DerivedRef, frame: Frame):
-        base = self.eval(expr.base, frame)
-        if not isinstance(base, DerivedValue):
-            raise FortranRuntimeError(
-                f"component reference {expr.component!r} into non-derived value"
-            )
-        value = base.get(expr.component)
-        if expr.args:
-            index = fortran_slices(self._eval_subscripts(expr.args, frame))
-            value = value[index]
-            if not isinstance(value, np.ndarray):
-                return value.item() if hasattr(value, "item") else value
-        return value
-
-    def _eval_unary(self, expr: UnaryOp, frame: Frame):
-        value = self.eval(expr.operand, frame)
-        if expr.op == "-":
-            return -value
-        if expr.op == ".not.":
-            if isinstance(value, np.ndarray):
-                return np.logical_not(value)
-            return not value
-        raise FortranRuntimeError(f"unsupported unary operator {expr.op!r}")
-
-    def _eval_binop(self, expr: BinOp, frame: Frame):
-        op = expr.op
-        if op in ("+", "-"):
-            fused = self._try_fma(expr, frame)
-            if fused is not None:
-                return fused[0]
-            left = self.eval(expr.left, frame)
-            right = self.eval(expr.right, frame)
-            return self.fpu.add(left, right) if op == "+" else self.fpu.sub(left, right)
-        left = self.eval(expr.left, frame)
-        if op == ".and.":
-            right = self.eval(expr.right, frame)
-            if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-                return np.logical_and(left, right)
-            return bool(left) and bool(right)
-        if op == ".or.":
-            right = self.eval(expr.right, frame)
-            if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-                return np.logical_or(left, right)
-            return bool(left) or bool(right)
-        right = self.eval(expr.right, frame)
-        if op == "*":
-            return self.fpu.mul(left, right)
-        if op == "/":
-            return self.fpu.div(left, right)
-        if op == "**":
-            return self.fpu.pow(left, right)
-        if op == "==":
-            return left == right
-        if op == "/=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "//":
-            return str(left) + str(right)
-        raise FortranRuntimeError(f"unsupported binary operator {op!r}")
-
-    def _try_fma(self, expr: BinOp, frame: Frame):
-        """Contract ``a*b ± c`` / ``c ± a*b`` when FMA is on for this module.
-
-        Returns a 1-tuple with the fused result, or ``None`` when the
-        pattern does not apply (then the caller evaluates unfused).
-        """
-        if not self.fp.fma or not self.fp.fma_enabled_in(frame.module.node.name):
-            return None
-        op = expr.op
-        left_mul = isinstance(expr.left, BinOp) and expr.left.op == "*"
-        right_mul = isinstance(expr.right, BinOp) and expr.right.op == "*"
-        if left_mul:
-            a = self.eval(expr.left.left, frame)
-            b = self.eval(expr.left.right, frame)
-            c = self.eval(expr.right, frame)
-            if self._all_int(a, b, c):
-                product = self.fpu.mul(a, b)
-                return (self.fpu.add(product, c) if op == "+"
-                        else self.fpu.sub(product, c),)
-            return (self.fpu.fma(a, b, c if op == "+" else -c),)
-        if right_mul:
-            # left-to-right operand evaluation, as in the unfused path, so
-            # FMA mode changes only the rounding, never side-effect order
-            c = self.eval(expr.left, frame)
-            a = self.eval(expr.right.left, frame)
-            b = self.eval(expr.right.right, frame)
-            if self._all_int(a, b, c):
-                product = self.fpu.mul(a, b)
-                return (self.fpu.add(c, product) if op == "+"
-                        else self.fpu.sub(c, product),)
-            if op == "+":
-                return (self.fpu.fma(a, b, c),)
-            return (self.fpu.fma(-a, b, c),)  # c - a*b
-        return None
 
     @staticmethod
     def _all_int(*values) -> bool:

@@ -348,10 +348,6 @@ class MemberBatch(np.ndarray):
     def n_members(self) -> int:
         return self.shape[0]
 
-    @property
-    def model_ndim(self) -> int:
-        return self.ndim - 1
-
     def member(self, m: int) -> np.ndarray:
         """Member ``m``'s model-space value (a plain-ndarray view)."""
         return np.asarray(self)[m]

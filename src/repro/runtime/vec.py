@@ -948,13 +948,7 @@ class VecInterpreter(Interpreter):
         fp=None,
         collect_coverage: bool = True,
         max_statements: int = 50_000_000,
-        compile: bool = True,
     ):
-        if not compile:
-            raise ValueError(
-                "the vectorized runtime requires the compiled path "
-                "(compile=True)"
-            )
         seed_list = [int(s) for s in np.asarray(seeds).reshape(-1).tolist()]
         if not seed_list:
             raise ValueError("at least one member seed is required")
@@ -985,7 +979,6 @@ class VecInterpreter(Interpreter):
             seed=seed_list[0],
             collect_coverage=collect_coverage,
             max_statements=max_statements,
-            compile=True,
         )
         self.prng = BatchedPRNGStreams(seed_list)
 
@@ -1149,6 +1142,8 @@ class VecInterpreter(Interpreter):
         ``frame`` (``_MISSING`` if none)."""
         value = frame.scope.values.get(key[0], _MISSING)
         if value is _MISSING:
+            if key[0] in frame.optional_missing:
+                return _MISSING  # an absent optional has no value to plan on
             found = self._lookup_nonlocal(frame, key[0])
             if found is None:
                 return _MISSING

@@ -22,6 +22,7 @@ from repro.runtime.values import (
     IntentViolationError,
     UndefinedNameError,
 )
+from repro.runtime.vec import VecInterpreter
 
 
 def run(source: str, sub: str, args=(), module: str = "m", **kwargs):
@@ -268,6 +269,74 @@ contains
 end module m
 """
 
+OPTIONAL_SRC = """
+module m
+  implicit none
+  real :: b = 7.0
+contains
+  function reads(b) result(r)
+    real, intent(in), optional :: b
+    real :: r
+    r = b + 5.0
+  end function reads
+
+  function inner(b) result(r)
+    real, intent(in), optional :: b
+    real :: r
+    if (present(b)) then
+      r = 1.0
+    else
+      r = -1.0
+    end if
+  end function inner
+
+  function outer(b) result(r)
+    real, intent(in), optional :: b
+    real :: r
+    r = inner(b)
+  end function outer
+
+  function read_absent() result(r)
+    real :: r
+    r = reads()
+  end function read_absent
+
+  function pass_absent() result(r)
+    real :: r
+    r = outer()
+  end function pass_absent
+
+  function pass_present() result(r)
+    real :: r
+    r = outer(2.0)
+  end function pass_present
+
+  subroutine scale(a, n, f)
+    integer, intent(in) :: n
+    real, intent(inout) :: a(n)
+    real, intent(in), optional :: f(n)
+    integer :: i
+    do i = 1, n
+      if (present(f)) then
+        a(i) = a(i) * f(i)
+      else
+        a(i) = a(i) + 1.0
+      end if
+    end do
+  end subroutine scale
+
+  function scaled() result(r)
+    real :: r
+    real :: a(4), w(4)
+    a = 1.0
+    w = 3.0
+    call scale(a, 4)
+    call scale(a, 4, w)
+    r = a(1) + a(4)
+  end function scaled
+end module m
+"""
+
 
 class TestIntentAndBinding:
     def test_write_to_intent_in_scalar_raises(self):
@@ -309,6 +378,24 @@ end module m""",
     def test_fortran_integer_division_truncates_toward_zero(self):
         assert run(INTENT_SRC, "int_division") == -297  # -3*100 + 3
 
+    def test_reading_an_absent_optional_is_loud(self):
+        with pytest.raises(
+            FortranRuntimeError, match="absent optional argument 'b'"
+        ):
+            run(OPTIONAL_SRC, "read_absent")
+
+    def test_absent_optional_passed_on_stays_absent(self):
+        assert run(OPTIONAL_SRC, "pass_absent") == -1.0
+        assert run(OPTIONAL_SRC, "pass_present") == 1.0
+
+    def test_lane_region_plans_around_an_absent_optional(self):
+        assert run(OPTIONAL_SRC, "scaled") == 12.0
+        vec = VecInterpreter.from_source(OPTIONAL_SRC, seeds=[1, 2])
+        np.testing.assert_array_equal(
+            np.asarray(vec.call("m", "scaled")), [12.0, 12.0]
+        )
+        assert vec.lane_regions > 0
+
     def test_unknown_name_is_loud(self):
         src = """
 module m
@@ -322,6 +409,39 @@ end module m
 """
         with pytest.raises(UndefinedNameError):
             run(src, "s")
+
+    @pytest.mark.parametrize(
+        "stmt, error, message",
+        [
+            ("call no_such_sub(1.0)", UndefinedNameError,
+             "call to unknown subroutine 'no_such_sub' from module 'm'"),
+            ("x = no_such_fn(1.0)", UndefinedNameError,
+             "unknown function or array 'no_such_fn' in module 'm'"),
+            ("x = t(1.0)", FortranRuntimeError,
+             "subroutine 't' referenced as a function"),
+            ("x = present(1)", FortranRuntimeError,
+             "present() takes exactly one dummy-argument name"),
+            ("goto 10", FortranRuntimeError,
+             "cannot execute unparsed statement at <test>:6: 'goto 10'"),
+        ],
+    )
+    def test_runtime_errors_name_what_failed(self, stmt, error, message):
+        src = f"""module m
+  implicit none
+  real :: x
+contains
+  subroutine s()
+    {stmt}
+  end subroutine s
+
+  subroutine t(y)
+    real, intent(in) :: y
+  end subroutine t
+end module m
+"""
+        with pytest.raises(error) as raised:
+            run(src, "s")
+        assert str(raised.value) == message
 
 
 # --------------------------------------------------------------------------- #

@@ -394,12 +394,6 @@ class TestSafetyRails:
         # representation only when values differ; equal values still batch
         np.testing.assert_array_equal(np.asarray(got), [3.0, 3.0])
 
-    def test_requires_compiled_path(self):
-        with pytest.raises(ValueError, match="compile"):
-            VecInterpreter.from_source(
-                DIVERGE_SRC, seeds=[1, 2], compile=False
-            )
-
     def test_requires_at_least_one_seed(self):
         with pytest.raises(ValueError, match="seed"):
             VecInterpreter.from_source(DIVERGE_SRC, seeds=[])
